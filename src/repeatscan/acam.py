@@ -6,16 +6,18 @@ cells use the four fixed intervals below, the dummy MM cell stores an
 inverted interval that mismatches every character drive, and a deactivated
 (don't-care) column is driven with (V_DD, 0) so it matches any content.
 
-Voltages are exact two-decimal constants; comparisons use Decimal so that
-interval endpoints behave exactly (endpoint membership is inclusive).  The
-windowed search is vectorized over integer hundredths of a volt, which is
-the same arithmetic without object overhead.
+The single-cell semantics (``cell_matches``) compare exact two-decimal
+Decimal voltages, so interval endpoints behave exactly (endpoint membership
+is inclusive); it is the reference the array model is checked against.  The
+array itself stores one uint8 code per cell (A, C, G, T, MM = 0..4) and
+searches with the same endpoints in integer hundredths of a volt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Sequence
 
 import numpy as np
 
@@ -127,6 +129,22 @@ def _centivolts(v: Decimal) -> int:
     return int(v * 100)
 
 
+# Stored states by code; ``AcamArray.codes`` indexes this tuple.
+STATES: tuple[CellContent, ...] = (*(CHAR_CELLS[c] for c in "ACGT"), MM_CELL)
+MM_CODE = STATES.index(MM_CELL)
+_CODE_OF_STATE = {cell: code for code, cell in enumerate(STATES)}
+_LB_CV = np.array([_centivolts(c.interval.lower) for c in STATES], dtype=np.int16)
+_UB_CV = np.array([_centivolts(c.interval.upper) for c in STATES], dtype=np.int16)
+_MID_CV = {c: _centivolts(v) for c, v in SEARCH_MIDPOINTS.items()}
+_NO_CODE = 255
+_ASCII_CODE = np.full(256, _NO_CODE, dtype=np.uint8)
+_ASCII_CODE[np.frombuffer(b"ACGT", dtype=np.uint8)] = range(4)
+
+# search_cycle compares only the driven columns; that is exact because a
+# don't-care drive matches every stored state.
+assert all(cell_matches(cell, DONT_CARE) for cell in STATES)
+
+
 class AcamArray:
     """M x (W + p - 1) grid of cells, split into B equal row blocks.
 
@@ -137,18 +155,22 @@ class AcamArray:
     """
 
     def __init__(self, rows: int, data_width: int, pattern_len: int, blocks: int,
-                 cells: list[list[CellContent]]):
+                 cells: Sequence[Sequence[CellContent]] | np.ndarray):
         if rows % blocks != 0:
             raise GeometryError(f"rows {rows} not divisible into {blocks} blocks")
         self.rows = rows
         self.data_width = data_width
         self.pattern_len = pattern_len
         self.blocks = blocks
-        self.cells = tuple(tuple(row) for row in cells)
-        lb = [[_centivolts(c.interval.lower) for c in row] for row in cells]
-        ub = [[_centivolts(c.interval.upper) for c in row] for row in cells]
-        self._lb = np.array(lb, dtype=np.int16)
-        self._ub = np.array(ub, dtype=np.int16)
+        if isinstance(cells, np.ndarray):
+            codes = cells.astype(np.uint8)
+        else:
+            codes = np.array([[_CODE_OF_STATE[c] for c in row] for row in cells],
+                             dtype=np.uint8)
+        codes.flags.writeable = False
+        self.codes = codes
+        self._lb = _LB_CV[codes]
+        self._ub = _UB_CV[codes]
 
     @property
     def total_cols(self) -> int:
@@ -158,8 +180,10 @@ class AcamArray:
     def rows_per_block(self) -> int:
         return self.rows // self.blocks
 
-    def cell(self, row: int, col: int) -> CellContent:
-        return self.cells[row][col]
+    @property
+    def cells(self) -> tuple[tuple[CellContent, ...], ...]:
+        """The stored state of every cell, decoded from ``codes``."""
+        return tuple(tuple(STATES[c] for c in row) for row in self.codes.tolist())
 
 
 def load_text(text: DnaSequence | str, rows: int, data_width: int,
@@ -178,32 +202,16 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
     if len(symbols) > capacity:
         raise TextTooLong(len(symbols), capacity)
 
-    data: list[list[CellContent]] = []
-    for r in range(rows):
-        chunk = symbols[r * data_width:(r + 1) * data_width]
-        row = [CHAR_CELLS[ch] for ch in chunk]
-        row.extend([MM_CELL] * (data_width - len(chunk)))
-        data.append(row)
-
-    repl = pattern_len - 1
-    grid = []
-    for r in range(rows):
-        if r + 1 < rows:
-            tail = data[r + 1][:repl]
-        else:
-            tail = [MM_CELL] * repl
-        grid.append(data[r] + tail)
+    codes = _ASCII_CODE[np.frombuffer(symbols.encode("ascii", "replace"), dtype=np.uint8)]
+    bad = np.flatnonzero(codes == _NO_CODE)
+    if bad.size:
+        raise ValueError(f"no encoding for character {symbols[bad[0]]!r}")
+    # one spare all-MM row supplies the last row's replication columns
+    data = np.full((rows + 1) * data_width, MM_CODE, dtype=np.uint8)
+    data[:len(codes)] = codes
+    data = data.reshape(rows + 1, data_width)
+    grid = np.hstack([data[:rows], data[1:, :pattern_len - 1]])
     return AcamArray(rows, data_width, pattern_len, blocks, grid)
-
-
-def _window_drives_cv(array: AcamArray, window: int, pattern: str) -> tuple[np.ndarray, np.ndarray]:
-    vl = np.full(array.total_cols, _centivolts(V_DD), dtype=np.int16)
-    vu = np.zeros(array.total_cols, dtype=np.int16)
-    for k, ch in enumerate(pattern):
-        mid = _centivolts(SEARCH_MIDPOINTS[ch])
-        vl[window + k] = mid
-        vu[window + k] = mid
-    return vl, vu
 
 
 def search_cycle(array: AcamArray, block: int, window: int,
@@ -222,10 +230,11 @@ def search_cycle(array: AcamArray, block: int, window: int,
     if not 0 <= window < array.data_width:
         raise WindowOutOfRange(window, array.data_width)
 
-    vl, vu = _window_drives_cv(array, window, pat)
+    mid = np.array([_MID_CV[c] for c in pat], dtype=np.int16)
     r0 = block * array.rows_per_block
     r1 = r0 + array.rows_per_block
-    matched = (vl >= array._lb[r0:r1]) & (vu <= array._ub[r0:r1])
+    cols = slice(window, window + array.pattern_len)
+    matched = (array._lb[r0:r1, cols] <= mid) & (mid <= array._ub[r0:r1, cols])
     return matched.all(axis=1).tolist()
 
 

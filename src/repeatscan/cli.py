@@ -89,6 +89,7 @@ def build_scan_report(request: ScanRequest, result: ScanResult, mode: str) -> di
         "mode": mode,
         "text_length": len(request.text),
         "global_max": result.global_max,
+        "saturated": result.saturated,
         "per_block_max": result.per_block_max,
         "active_blocks": list(request.active_blocks),
         "rows": timing.rows,

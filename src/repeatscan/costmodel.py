@@ -20,7 +20,7 @@ count (read energy scales by cells sensed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .detector import POST_STREAM_CYCLES
 
@@ -78,7 +78,6 @@ class EnergyParams:
     read_nj: float = 0.82
     search_nj: float = 1.1769
     detect_nj: float = 0.7709
-    set_pj: float = 1.0   # assumed energy of one memristor SET event
 
 
 # Cycle counts of the instance the per-block energies were characterized at
@@ -241,7 +240,3 @@ def geometry_for_text(chars: int, pattern_len: int, total_cols: int = 130,
         blocks=blocks,
         searched_blocks=arrays * blocks,
     )
-
-
-def scaled(params: TimingParams, **changes) -> TimingParams:
-    return replace(params, **changes)

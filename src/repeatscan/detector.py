@@ -18,7 +18,9 @@ global maximum.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .seqio import DnaSequence, Pattern
 
@@ -44,7 +46,7 @@ class SteppedAfterExit(RuntimeError):
         super().__init__("detector stepped after reaching the exit state")
 
 
-def detect_functional(bits: Iterable[int], p: int) -> int:
+def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
     """Longest phase-aligned run of 1s, maximized over the p phases.
 
     Each zero folds the phase counter into its max register and clears it;
@@ -52,21 +54,16 @@ def detect_functional(bits: Iterable[int], p: int) -> int:
     """
     if p < 1:
         raise ValueError("pattern length must be at least 1")
-    ctr = [0] * p
-    best = [0] * p
-    for k, b in enumerate(bits):
-        q = k % p
-        if b:
-            if ctr[q] < REGISTER_MAX:
-                ctr[q] += 1
-        else:
-            if ctr[q] > best[q]:
-                best[q] = ctr[q]
-            ctr[q] = 0
-    for q in range(p):
-        if ctr[q] > best[q]:
-            best[q] = ctr[q]
-    return max(best)
+    x = np.asarray(bits, dtype=bool)
+    # rows of p bits: a leading zero row, the stream, then at least one zero
+    # (the flush) after the last bit of every phase
+    rows = len(x) // p + 2
+    grid = np.zeros(rows * p, dtype=bool)
+    grid[p:p + len(x)] = x
+    # read phase by phase, the distance between consecutive zeros is one
+    # more than the run of 1s between them
+    zeros = np.flatnonzero(~grid.reshape(rows, p).T.ravel())
+    return min(int((zeros[1:] - zeros[:-1]).max()) - 1, REGISTER_MAX)
 
 
 def oracle_max_tandem(text: DnaSequence | str, pattern: Pattern | str) -> int:

@@ -96,12 +96,7 @@ class MatchIndexMemory:
         """
         if self.mode is not Mode.READ:
             raise ModeViolation("read_all", self.mode)
-        bits: list[int] = []
-        for r in range(self.rows):
-            for g in range(0, self.cols, PISO_WIDTH):
-                latch = self.cells[r, g:g + PISO_WIDTH]
-                bits.extend(int(b) for b in latch)
-        return bits
+        return self.cells.view(np.uint8).reshape(-1).tolist()
 
     def read_group_count(self) -> int:
         """Parallel-read latch operations needed for one full read."""

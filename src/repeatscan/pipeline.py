@@ -1,24 +1,27 @@
 """End-to-end orchestration: load, per-block search/write/read/detect/reset.
 
 Activated blocks are processed in ascending index order through one shared
-match-index memory (the default; a private-memory-per-block mode exists for
-experiments).  Bit streams of consecutive activated blocks are concatenated
-before detection so a repeat run crossing a block boundary is counted whole;
-a gap in the activated set splits the detection into independent segments.
+match-index memory.  Bit streams of consecutive activated blocks are
+concatenated before detection so a repeat run crossing a block boundary is
+counted whole; a gap in the activated set splits the detection into
+independent segments.
 Cycle counts are metered from the actual simulation and must agree with the
-closed-form cost model.
+closed-form cost model.  A global maximum at the 8-bit register limit is
+reported as saturated, since the true count may be any value from there up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import acam, detector, matchmem
 from .costmodel import (CostReport, CycleCounts, EnergyParams, TimingParams,
                         build_report)
-from .detector import POST_STREAM_CYCLES
+from .detector import POST_STREAM_CYCLES, REGISTER_MAX
 from .seqio import DiseaseEntry, DnaSequence, Pattern, classify
 
 
@@ -46,7 +49,6 @@ class ScanRequest:
     active_blocks: tuple[int, ...] = ()
     disease: DiseaseEntry | None = None
     cycle_accurate: bool = False
-    shared_memory: bool = True
     record_memory_trace: bool = False
     record_detector_trace: bool = False
 
@@ -59,6 +61,7 @@ class ScanResult:
     report: CostReport
     set_events: int
     range_overlap_flagged: bool
+    saturated: bool
     detector_trace: str | None = None
     memory_trace: list[str] | None = None
 
@@ -77,7 +80,6 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
                  energy: EnergyParams | None = None,
                  disease: DiseaseEntry | None = None,
                  cycle_accurate: bool = False,
-                 shared_memory: bool = True,
                  record_memory_trace: bool = False,
                  record_detector_trace: bool = False) -> ScanRequest:
     """Build a consistent request: K always equals the activated block count."""
@@ -88,21 +90,17 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
         data_width=data_width,
         pattern_len=len(pattern),
         blocks=blocks,
-        searched_blocks=1,
     )
     if active_blocks is None:
         active = default_active_blocks(len(text), timing)
     else:
         active = tuple(sorted(set(int(b) for b in active_blocks)))
-    timing = TimingParams(
-        clock_ns=timing.clock_ns, write_ns=timing.write_ns, rows=rows,
-        data_width=data_width, pattern_len=len(pattern), blocks=blocks,
-        searched_blocks=len(active))
+    timing = replace(timing, searched_blocks=len(active))
     return ScanRequest(
         text=text, pattern=pattern, timing=timing,
         energy=energy if energy is not None else EnergyParams(),
         active_blocks=active, disease=disease, cycle_accurate=cycle_accurate,
-        shared_memory=shared_memory, record_memory_trace=record_memory_trace,
+        record_memory_trace=record_memory_trace,
         record_detector_trace=record_detector_trace)
 
 
@@ -145,13 +143,10 @@ def scan(request: ScanRequest) -> ScanResult:
     m, n = timing.mem_rows, timing.mem_cols
 
     memory = matchmem.MatchIndexMemory(m, n, record_trace=request.record_memory_trace)
-    memory_trace = memory.trace
     search_cycles = write_columns = read_groups = ticks = resets = set_events = 0
-    streams: dict[int, list[int]] = {}
+    streams: dict[int, np.ndarray] = {}
 
     for block in request.active_blocks:
-        if not request.shared_memory:
-            memory = matchmem.MatchIndexMemory(m, n, record_trace=request.record_memory_trace)
         memory.set_mode(matchmem.Mode.WRITE)
         for window in range(timing.data_width):
             tags = acam.search_cycle(array, block, window, pattern)
@@ -160,16 +155,13 @@ def scan(request: ScanRequest) -> ScanResult:
             write_columns += 1
             set_events += sum(tags)
         memory.set_mode(matchmem.Mode.READ)
-        bits = memory.read_all()
+        streams[block] = np.array(memory.read_all(), dtype=np.uint8)
         read_groups += memory.read_group_count()
         ticks += m * n + POST_STREAM_CYCLES
         memory.set_mode(matchmem.Mode.RESET)
         memory.reset_all()
         resets += 1
         memory.set_mode(matchmem.Mode.IDLE)
-        streams[block] = bits
-        if not request.shared_memory and request.record_memory_trace:
-            memory_trace = (memory_trace or []) + (memory.trace or [])
 
     per_block_max = [detector.detect_functional(streams[b], timing.pattern_len)
                      for b in request.active_blocks]
@@ -177,13 +169,11 @@ def scan(request: ScanRequest) -> ScanResult:
     global_max = 0
     trace_chunks: list[str] = []
     for run in _consecutive_runs(request.active_blocks):
-        bits: list[int] = []
-        for b in run:
-            bits.extend(streams[b])
+        bits = np.concatenate([streams[b] for b in run])
         segment_max = detector.detect_functional(bits, timing.pattern_len)
         if request.cycle_accurate:
             fsm_max, rows = detector.run_cycle_accurate(
-                bits, record_trace=request.record_detector_trace)
+                bits.tolist(), record_trace=request.record_detector_trace)
             if fsm_max != segment_max:
                 raise InternalInvariantError(
                     f"cycle-accurate detector returned {fsm_max}, functional {segment_max}")
@@ -197,10 +187,11 @@ def scan(request: ScanRequest) -> ScanResult:
                           resets=resets, blocks=len(request.active_blocks))
     report = build_report(timing, request.energy, metered)
 
+    saturated = global_max >= REGISTER_MAX
     classification = None
     overlap = False
     if request.disease is not None:
-        classification = classify(global_max, request.disease)
+        classification = classify(global_max, request.disease, saturated)
         overlap = request.disease.overlapping
 
     return ScanResult(
@@ -210,8 +201,9 @@ def scan(request: ScanRequest) -> ScanResult:
         report=report,
         set_events=set_events,
         range_overlap_flagged=overlap,
+        saturated=saturated,
         detector_trace="".join(trace_chunks) if trace_chunks else None,
-        memory_trace=memory_trace,
+        memory_trace=memory.trace,
     )
 
 

@@ -9,6 +9,7 @@ have no wildcard storage state.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,12 +45,15 @@ class CatalogError(ValueError):
     """Malformed disorder-catalog file."""
 
 
+_INVALID_SYMBOL = re.compile(f"[^{ALPHABET}]")
+
+
 def _validate_symbols(symbols: str) -> None:
     if not symbols:
         raise EmptyInput()
-    for i, ch in enumerate(symbols, start=1):
-        if ch not in ALPHABET:
-            raise InvalidCharacter(i, ch)
+    bad = _INVALID_SYMBOL.search(symbols)
+    if bad:
+        raise InvalidCharacter(bad.start() + 1, bad.group())
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,6 @@ def parse_pattern(raw: str) -> Pattern:
     return Pattern(normalize(raw, "raw"))
 
 
-def render(seq: DnaSequence | Pattern) -> str:
-    """Inverse of parse_text for normalized input."""
-    return seq.symbols
-
-
 def in_range(count: int, rng: Range) -> bool:
     lo, hi = rng
     return (lo is None or count >= lo) and (hi is None or count <= hi)
@@ -150,14 +149,24 @@ class DiseaseEntry:
         return _ranges_overlap(self.normal_range, self.disease_range)
 
 
-def classify(count: int, entry: DiseaseEntry) -> str:
+def classify(count: int, entry: DiseaseEntry, saturated: bool = False) -> str:
     """Map a repeat count to Normal / Indeterminate / Disease.
 
     Total over non-negative counts: everything outside both ranges (the gap
-    between them, or below a bounded normal range) is Indeterminate.
+    between them, or below a bounded normal range) is Indeterminate.  A
+    ``saturated`` count is only a lower bound on the true count: its label
+    stands only if every count from there up gets the same one, otherwise it
+    is Indeterminate.
     """
     if count < 0:
         raise ValueError("repeat count must be non-negative")
+    if saturated:
+        # the label can only change where a range starts or just past its end
+        ranges = (entry.normal_range, entry.disease_range)
+        edges = [lo for lo, _ in ranges if lo is not None]
+        edges += [hi + 1 for _, hi in ranges if hi is not None]
+        labels = {classify(c, entry) for c in [count, *edges] if c >= count}
+        return labels.pop() if len(labels) == 1 else INDETERMINATE
     if in_range(count, entry.disease_range):
         return DISEASE
     if in_range(count, entry.normal_range):

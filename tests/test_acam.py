@@ -202,19 +202,37 @@ def test_dont_care_columns_never_affect_tags(case, data):
     assert before == after
 
 
-def test_vectorized_search_agrees_with_cell_matches():
-    # the numpy fast path must equal the per-cell Decimal semantics
-    text, pattern = "CAGTACGTTGCA", "ACG"
-    arr = load_text(text, rows=4, data_width=4, pattern_len=3, blocks=2)
-    for b in range(2):
-        for window in range(4):
+@given(text_and_geometry())
+@settings(max_examples=100, deadline=None)
+def test_vectorized_search_agrees_with_cell_matches(case):
+    # the fast path compares only the driven columns; it must equal the
+    # per-cell Decimal semantics over the whole row, don't-care columns included
+    text, pattern, rows, width, p, blocks = case
+    arr = load_text(text, rows, width, p, blocks)
+    cells = arr.cells
+    for b in range(blocks):
+        for window in range(width):
             tags = search_cycle(arr, b, window, pattern)
             drives = [drive_for(None)] * arr.total_cols
             for k, ch in enumerate(pattern):
                 drives[window + k] = drive_for(ch)
             for r, tag in enumerate(tags):
-                row = arr.cells[b * arr.rows_per_block + r]
+                row = cells[b * arr.rows_per_block + r]
                 assert tag == all(cell_matches(c, d) for c, d in zip(row, drives))
+
+
+@given(text_and_geometry())
+@settings(max_examples=100, deadline=None)
+def test_load_text_layout_matches_string_layout(case):
+    # row chunks padded with MM, then the next row's first p-1 cells (MM
+    # after the last row)
+    text, _, rows, width, p, blocks = case
+    data = [list(text[r * width:(r + 1) * width]) for r in range(rows)]
+    data = [row + ["MM"] * (width - len(row)) for row in data]
+    expected = [row + (data[r + 1][:p - 1] if r + 1 < rows else ["MM"] * (p - 1))
+                for r, row in enumerate(data)]
+    arr = load_text(text, rows, width, p, blocks)
+    assert [[c.kind for c in row] for row in arr.cells] == expected
 
 
 def test_array_is_reusable_across_blocks_in_any_order():

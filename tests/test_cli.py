@@ -7,7 +7,7 @@ GOLDEN = Path(__file__).parent / "golden" / "trace_101110000.csv"
 
 REPORT_KEYS = {
     "pattern", "disease", "gene", "classification", "range_overlap_flagged",
-    "mode", "text_length", "global_max", "per_block_max", "active_blocks",
+    "mode", "text_length", "global_max", "saturated", "per_block_max", "active_blocks",
     "rows", "data_width", "pattern_len", "blocks", "mem_rows", "mem_cols",
     "searched_blocks", "clock_ns", "write_ns", "t_load_ns", "dt12_ns",
     "dt23_ns", "dt34_ns", "per_block_ns", "search_time_ns", "t_total_ns",

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeatscan.costmodel import CycleCounts
@@ -9,8 +9,8 @@ from repeatscan.detector import oracle_max_tandem
 from repeatscan.pipeline import (GeneNotMapped, OverlappingAssignment,
                                  block_map, blocks_for_gene,
                                  default_active_blocks, make_request, scan)
-from repeatscan.seqio import (DISEASE, NORMAL, builtin_catalog, find_entry,
-                              parse_pattern, parse_text)
+from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, builtin_catalog,
+                              find_entry, parse_pattern, parse_text)
 
 
 def quick_scan(text: str, pattern: str, **kwargs):
@@ -27,6 +27,21 @@ def test_embedded_repeat_run_with_disease_classification():
     assert result.global_max == oracle_max_tandem(text, "CAG") == 50
     assert result.classification == DISEASE
     assert not result.range_overlap_flagged
+    assert not result.saturated
+
+
+@pytest.mark.parametrize("name, unit, copies, label", [
+    ("Friedreich's ataxia", "GAA", 1400, INDETERMINATE),     # disease range ends at 1300
+    ("Myotonic dystrophy 2", "CCTG", 11001, INDETERMINATE),  # disease range ends at 11000
+    ("Huntington's disease", "CAG", 300, DISEASE),           # disease range open above
+])
+def test_saturated_count_is_flagged_and_not_confidently_mislabelled(name, unit, copies,
+                                                                     label):
+    entry = find_entry(builtin_catalog(), name)
+    result = quick_scan("T" + unit * copies + "T", unit, disease=entry)
+    assert result.global_max == 255
+    assert result.saturated
+    assert result.classification == label
 
 
 def test_no_occurrences_classifies_normal_for_open_range():
@@ -113,15 +128,6 @@ def test_memory_trace_capture():
     assert sum(1 for line in trace if line.startswith("write,")) == 4
 
 
-def test_private_memory_mode_matches_shared():
-    text = "CAG" * 11 + "TT"
-    shared = quick_scan(text, "CAG", rows=4, data_width=16, blocks=4)
-    private = quick_scan(text, "CAG", rows=4, data_width=16, blocks=4,
-                         shared_memory=False)
-    assert shared.global_max == private.global_max
-    assert shared.per_block_max == private.per_block_max
-
-
 def test_determinism_byte_identical():
     a = quick_scan("CAGCAGCAG", "CAG", rows=2, data_width=8, blocks=2)
     b = quick_scan("CAGCAGCAG", "CAG", rows=2, data_width=8, blocks=2)
@@ -183,15 +189,35 @@ def pipeline_case(draw):
     rows_per_block = draw(st.integers(1, 4))
     blocks = draw(st.integers(1, 4))
     rows = rows_per_block * blocks
-    text = draw(st.text(alphabet="ACGT", min_size=1, max_size=rows * width))
     pattern = draw(st.text(alphabet="ACGT", min_size=p, max_size=p))
-    return text, pattern, rows, width, blocks
+    # tandem copies of the pattern between random pieces, so runs cross row
+    # and block boundaries
+    repeats = st.integers(1, rows * width // p).map(lambda k: pattern * k)
+    pieces = draw(st.lists(st.one_of(repeats, st.text(alphabet="ACGT", max_size=width)),
+                           min_size=1, max_size=6))
+    text = ("".join(pieces) or pattern)[:rows * width]
+    active = sorted(draw(st.sets(st.integers(0, blocks - 1), min_size=1)))
+    return text, pattern, rows, width, blocks, active
 
 
 @given(pipeline_case())
+@example(("A" * 12, "A", 3, 4, 3, [0, 2]))
 @settings(max_examples=150, deadline=None)
 def test_end_to_end_oracle_equivalence(case):
-    text, pattern, rows, width, blocks = case
+    # each run of consecutive active blocks sees its rows' text plus the p-1
+    # characters replicated from the next row; a gap splits detection
+    text, pattern, rows, width, blocks, active = case
     result = quick_scan(text, pattern, rows=rows, data_width=width,
-                        blocks=blocks, active_blocks=range(blocks))
-    assert result.global_max == min(oracle_max_tandem(text, pattern), 255)
+                        blocks=blocks, active_blocks=active)
+    runs: list[list[int]] = []
+    for b in active:
+        if runs and runs[-1][-1] == b - 1:
+            runs[-1].append(b)
+        else:
+            runs.append([b])
+    block_chars = rows // blocks * width
+    tail = len(pattern) - 1
+    expected = max(min(oracle_max_tandem(
+        text[run[0] * block_chars:(run[-1] + 1) * block_chars + tail], pattern), 255)
+        for run in runs)
+    assert result.global_max == expected

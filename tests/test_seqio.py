@@ -6,7 +6,7 @@ from repeatscan import seqio
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, CatalogError,
                               DiseaseEntry, EmptyInput, InvalidCharacter,
                               Pattern, builtin_catalog, classify, find_entry,
-                              load_catalog, parse_pattern, parse_text, render)
+                              load_catalog, parse_pattern, parse_text)
 
 dna_text = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
@@ -39,6 +39,16 @@ def test_parse_rejects_ambiguity_codes():
         parse_text("ACGTN", "raw")
 
 
+@given(dna_text, st.data())
+def test_first_invalid_symbol_position_and_char(s, data):
+    pos = data.draw(st.integers(0, len(s)))
+    bad = data.draw(st.sampled_from("NX-"))
+    later = data.draw(st.text(alphabet="ACGTNX-", max_size=10))
+    with pytest.raises(InvalidCharacter) as exc:
+        parse_text(s[:pos] + bad + s[pos:] + later, "raw")
+    assert (exc.value.position, exc.value.char) == (pos + 1, bad)
+
+
 def test_parse_rejects_empty():
     with pytest.raises(EmptyInput):
         parse_text("", "raw")
@@ -57,14 +67,14 @@ def test_parse_accepts_bytes():
 
 @given(dna_text)
 def test_round_trip_after_normalization(s):
-    assert render(parse_text(s, "raw")) == s
-    assert render(parse_text(s.lower(), "raw")) == s
+    assert str(parse_text(s, "raw")) == s
+    assert str(parse_text(s.lower(), "raw")) == s
 
 
 @given(dna_text)
 def test_fasta_round_trip_with_line_wrapping(s):
     wrapped = "\n".join(s[i:i + 7] for i in range(0, len(s), 7))
-    assert render(parse_text(f">x\n{wrapped}\n", "fasta")) == s
+    assert str(parse_text(f">x\n{wrapped}\n", "fasta")) == s
 
 
 def test_classify_huntington_thresholds():
