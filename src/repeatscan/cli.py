@@ -19,7 +19,7 @@ from .acam import GeometryError
 from .costmodel import (CycleCounts, CycleCountMismatch, EnergyParams,
                         TimingParams, energy, energy_shares, geometry_for_text,
                         latency, latency_shares)
-from .detector import format_trace, run_trace
+from .detector import SteppedAfterExit, format_trace, run_trace
 from .pipeline import (GeneNotMapped, InternalInvariantError, ScanRequest,
                        ScanResult, make_request, scan)
 from .seqio import (CatalogError, SequenceError, builtin_catalog, find_entry,
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (SequenceError, CatalogError, GeometryError, GeneNotMapped,
-            ValueError, OSError) as exc:
+            SteppedAfterExit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,8 +46,8 @@ class TimingParams:
     searched_blocks: int = 8  # K
 
     def __post_init__(self) -> None:
-        if min(self.clock_ns, self.write_ns) <= 0:
-            raise ValueError("clock and write periods must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.clock_ns, self.write_ns)):
+            raise ValueError("clock and write periods must be positive and finite")
         if min(self.rows, self.data_width, self.pattern_len,
                self.blocks, self.searched_blocks) < 1:
             raise ValueError("geometry values must be positive")

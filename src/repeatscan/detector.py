@@ -13,12 +13,14 @@ later, which is safe because the same phase is only revisited every third
 cycle; the end-of-sequence signal D is therefore delayed while four flush
 zeros drain the pipeline, and one further zero moves the FSM to Exit, where
 the counters are cleared (CLR) and the three max registers fold into the
-global maximum.
+global maximum.  CycleAccurateDetector.feed runs the cycles with D low in one
+loop over local variables, holding each pending increment, compare and reset
+as a phase index (-1 for none); step() raises D and takes the Exit path.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,10 +37,20 @@ _STATE_LABELS = ("Initial", "S1", "S2", "S3", "S4", "S5", "S6", "Exit")
 # S3/S4 follow phase 1, S5/S6 follow phase 2.
 _NEXT_PHASE = (0, 1, 1, 2, 2, 0, 0)
 
-_INC = 1
-_CMP = 2
+
+def _row_head(state: int, x: int) -> tuple:
+    """Trace columns state..R3 for input x consumed in a state with d low:
+    a one raises the C signal of the state's phase, a zero its R signal."""
+    signals = [0] * 6
+    signals[_NEXT_PHASE[state] + (0 if x else 3)] = 1
+    return (_STATE_LABELS[state], x, 0, *signals)
+
+
+_ONE_HEAD = tuple(_row_head(state, 1) for state in range(_EXIT))
+_ZERO_HEAD = tuple(_row_head(state, 0) for state in range(_EXIT))
 
 TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
+_ROW = ",".join(["%s"] * 16)
 
 
 class SteppedAfterExit(RuntimeError):
@@ -90,10 +102,17 @@ def oracle_max_tandem(text: DnaSequence | str, pattern: Pattern | str) -> int:
 class CycleAccurateDetector:
     """p = 3 hardware detector with the delayed compare/reset pipeline.
 
-    step() consumes one (x, d) input per clock cycle.  Register updates due
-    this cycle (scheduled by earlier inputs) retire first, then the input is
-    consumed and the FSM advances.  Trace rows record end-of-cycle register
-    values.
+    Each clock cycle consumes one (x, d) input.  Register updates due this
+    cycle (scheduled by earlier inputs) retire first, then the input is
+    consumed and the FSM advances; the input of cycle t belongs to phase
+    t mod 3 (cycles counted from 0).  Trace rows record end-of-cycle
+    register values.
+
+    feed() consumes a whole sequence of inputs with d low in one loop over
+    local variables and writes the state back once at the end; step()
+    consumes one input and is the only way to raise d.  Pending events are
+    phase indices, -1 for none: the increment or the compare due next
+    cycle, and the reset due next cycle and in two cycles.
     """
 
     def __init__(self, record_trace: bool = False):
@@ -102,9 +121,10 @@ class CycleAccurateDetector:
         self.max_reg = [0, 0, 0]
         self.global_max: int | None = None
         self.cycle = 0
-        self._act: tuple[int, int] | None = None   # (kind, phase) due next cycle
-        self._rst1: int | None = None              # reset due next cycle
-        self._rst2: int | None = None              # reset due in two cycles
+        self._inc = -1     # increment due next cycle
+        self._cmp = -1     # max-register compare due next cycle
+        self._rst1 = -1    # reset due next cycle
+        self._rst2 = -1    # reset due in two cycles
         self.trace: list[tuple] | None = [] if record_trace else None
 
     @property
@@ -118,53 +138,72 @@ class CycleAccurateDetector:
         other.max_reg = self.max_reg.copy()
         other.global_max = self.global_max
         other.cycle = self.cycle
-        other._act = self._act
+        other._inc = self._inc
+        other._cmp = self._cmp
         other._rst1 = self._rst1
         other._rst2 = self._rst2
         other.trace = None
         return other
 
-    def _retire(self) -> None:
-        act, self._act = self._act, None
-        if act is not None:
-            kind, q = act
-            if kind == _INC:
-                if self.ctr[q] < REGISTER_MAX:
-                    self.ctr[q] += 1
+    def feed(self, xs: Iterable[int]) -> None:
+        """Consume the inputs in order, one clock cycle each, with d low."""
+        if self.fsm == _EXIT:
+            raise SteppedAfterExit()
+        ctr = self.ctr.copy()
+        mx = self.max_reg.copy()
+        inc, cmp, rst1, rst2 = self._inc, self._cmp, self._rst1, self._rst2
+        fsm, cycle, rows = self.fsm, self.cycle, self.trace
+        for x in xs:
+            if inc >= 0:
+                if ctr[inc] < REGISTER_MAX:
+                    ctr[inc] += 1
+            elif cmp >= 0 and ctr[cmp] > mx[cmp]:
+                mx[cmp] = ctr[cmp]
+            if rst1 >= 0:
+                ctr[rst1] = 0
+            rst1 = rst2
+            q = cycle % 3
+            cycle += 1
+            if x:
+                head = _ONE_HEAD[fsm]
+                inc = q
+                cmp = rst2 = -1
+                fsm = 2 * q + 2   # S2, S4, S6
             else:
-                if self.ctr[q] > self.max_reg[q]:
-                    self.max_reg[q] = self.ctr[q]
-        rst, self._rst1, self._rst2 = self._rst1, self._rst2, None
-        if rst is not None:
-            self.ctr[rst] = 0
+                head = _ZERO_HEAD[fsm]
+                inc = -1
+                cmp = rst2 = q
+                fsm = 2 * q + 1   # S1, S3, S5
+            if rows is not None:
+                rows.append((cycle, *head, *ctr, *mx))
+        self.ctr, self.max_reg = ctr, mx
+        self._inc, self._cmp, self._rst1, self._rst2 = inc, cmp, rst1, rst2
+        self.fsm, self.cycle = fsm, cycle
 
     def step(self, x: int, d: int = 0) -> None:
+        if not d:
+            self.feed((x,))
+            return
         if self.fsm == _EXIT:
             raise SteppedAfterExit()
         self.cycle += 1
         self._retire()
-
-        state = self.fsm
-        q = _NEXT_PHASE[state]
-        c_sig = [0, 0, 0]
-        r_sig = [0, 0, 0]
-        if d:
-            self.fsm = _EXIT
-        elif x:
-            c_sig[q] = 1
-            self._act = (_INC, q)
-            self.fsm = 2 * q + 2   # S2, S4, S6
-        else:
-            r_sig[q] = 1
-            self._act = (_CMP, q)
-            self._rst2 = q
-            self.fsm = 2 * q + 1   # S1, S3, S5
-
         if self.trace is not None:
-            self.trace.append((self.cycle, _STATE_LABELS[state], x, d,
-                               *c_sig, *r_sig, *self.ctr, *self.max_reg))
-        if self.fsm == _EXIT:
-            self._finish()
+            self.trace.append((self.cycle, _STATE_LABELS[self.fsm], x, d,
+                               0, 0, 0, 0, 0, 0, *self.ctr, *self.max_reg))
+        self.fsm = _EXIT
+        self._finish()
+
+    def _retire(self) -> None:
+        ctr = self.ctr
+        if self._inc >= 0:
+            ctr[self._inc] = min(ctr[self._inc] + 1, REGISTER_MAX)
+        elif self._cmp >= 0:
+            self.max_reg[self._cmp] = max(self.max_reg[self._cmp], ctr[self._cmp])
+        if self._rst1 >= 0:
+            ctr[self._rst1] = 0
+        self._inc = self._cmp = -1
+        self._rst1, self._rst2 = self._rst2, -1
 
     def _finish(self) -> None:
         # Drain the pipeline, clear the counters (CLR), fold the maxima.
@@ -190,16 +229,13 @@ def run_cycle_accurate(bits: Sequence[int], flush: bool = True,
     """
     det = CycleAccurateDetector(record_trace=record_trace)
     if flush:
-        for b in bits:
-            det.step(int(b), 0)
-        for _ in range(FLUSH_ZEROS):
-            det.step(0, 0)
+        det.feed(bits)
+        det.feed((0,) * FLUSH_ZEROS)
         det.step(0, 1)
     else:
         if not bits:
             raise ValueError("flush=False needs at least one input bit")
-        for b in bits[:-1]:
-            det.step(int(b), 0)
+        det.feed(bits[:-1])
         det.step(int(bits[-1]), 1)
     assert det.global_max is not None
     return det.global_max, det.trace or []
@@ -221,7 +257,11 @@ def run_trace(x_bits: Sequence[int] | str, d_bits: Sequence[int] | str | None = 
     if len(xs) != len(ds):
         raise ValueError("x and d input vectors differ in length")
     det = CycleAccurateDetector(record_trace=True)
-    for x, d in zip(xs, ds):
+    # inputs up to the first raised D in one call; stepping on past the
+    # exit raises SteppedAfterExit
+    end = next((i for i, d in enumerate(ds) if d), len(ds))
+    det.feed(xs[:end])
+    for x, d in zip(xs[end:], ds[end:]):
         det.step(x, d)
     if det.global_max is None:
         raise ValueError("end-of-sequence signal never raised; detector did not exit")
@@ -229,7 +269,5 @@ def run_trace(x_bits: Sequence[int] | str, d_bits: Sequence[int] | str | None = 
 
 
 def format_trace(rows: list[tuple], global_max: int) -> str:
-    lines = [TRACE_HEADER]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    lines.append(f"global_max,{global_max}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([TRACE_HEADER, *map(_ROW.__mod__, rows),
+                      f"global_max,{global_max}"]) + "\n"

@@ -41,6 +41,12 @@ class IllegalTransition(RuntimeError):
         super().__init__(f"illegal mode transition {old.value} -> {new.value}")
 
 
+class MemoryNotReset(RuntimeError):
+    def __init__(self) -> None:
+        super().__init__("write phase entered with cells still SET; "
+                         "the reset phase was passed without reset_all")
+
+
 class OutOfOrderColumn(RuntimeError):
     def __init__(self, col: int, expected: int) -> None:
         super().__init__(f"column {col} written out of order (expected {expected})")
@@ -62,6 +68,8 @@ class MatchIndexMemory:
     def set_mode(self, mode: Mode) -> None:
         if _NEXT_MODE[self.mode] is not mode:
             raise IllegalTransition(self.mode, mode)
+        if mode is Mode.WRITE and self.cells.any():
+            raise MemoryNotReset()
         if self.trace is not None:
             self.trace.append(f"mode,{self.mode.value}->{mode.value}")
         self.mode = mode
@@ -72,7 +80,8 @@ class MatchIndexMemory:
         """SET the cells of one column where the tag is high.
 
         Columns must be written in ascending order (the column selector is a
-        counter); a write never clears an already-SET cell.
+        counter), so each column is written once per write phase, and the
+        write phase starts from an all-HRS array (see set_mode).
         """
         if self.mode is not Mode.WRITE:
             raise ModeViolation("write_column", self.mode)
@@ -80,7 +89,6 @@ class MatchIndexMemory:
             raise OutOfOrderColumn(col, self._next_col)
         if len(tag) != self.rows:
             raise ValueError(f"tag length {len(tag)} != memory rows {self.rows}")
-        assert not self.cells[:, col].any(), "column already written since last reset"
         self.cells[:, col] = np.asarray(tag, dtype=bool)
         self._next_col += 1
         if self.trace is not None:

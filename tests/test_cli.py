@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repeatscan.cli import main, reference_rows, row_passes
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_101110000.csv"
@@ -157,6 +159,44 @@ def test_report_is_byte_stable(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+CLEAN = "TTCAGCAGCAGCAGCAGAAT"   # five tandem CAG copies
+SMALL_ARRAY = ["--pattern", "CAG", "--rows", "4", "--width", "16",
+               "--array-blocks", "2"]
+
+
+@pytest.mark.parametrize("name, content, extra", [
+    ("crlf.fa", ">seq\r\nTTCAGCAGCA\r\nGCAGCAGAAT\r\n", []),
+    ("lower.txt", CLEAN.lower(), []),
+    ("n.txt", "TTCAGNCAGCAG", []),
+    ("empty.fa", ">seq\r\n", []),
+    ("clean.txt", CLEAN, ["--blocks", "a"]),
+    ("clean.txt", CLEAN, ["--blocks", "9"]),
+    ("clean.txt", CLEAN, ["--clock-ns", "nan"]),
+    ("clean.txt", CLEAN, ["--clock-ns", "inf"]),
+    ("clean.txt", CLEAN, ["--write-ns", "nan"]),
+    ("clean.txt", CLEAN, ["--catalog", "bad_catalog.csv"]),
+])
+def test_input_robustness(tmp_path, capsys, name, content, extra):
+    """Variant spellings of a clean text scan like it; malformed input or
+    flags fail with exit 1 and a one-line error, never a traceback."""
+    (tmp_path / "bad_catalog.csv").write_text("Custom disorder,GENEX,CCTG,1\n")
+    path = tmp_path / name
+    path.write_bytes(content.encode())
+    code, report = run_scan_to_report(tmp_path, "--input", str(path),
+                                      *SMALL_ARRAY, *extra)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if name in ("crlf.fa", "lower.txt"):
+        _, clean = run_scan_to_report(tmp_path, "--input",
+                                      write_seq(tmp_path, CLEAN), *SMALL_ARRAY)
+        assert code == 0
+        assert report["global_max"] == clean["global_max"] == 5
+    else:
+        assert code == 1
+        assert report is None
+        assert "error:" in err
+
+
 def test_trace_requires_cycle_mode(tmp_path, capsys):
     inp = write_seq(tmp_path, "CAGCAG")
     code = main(["--input", inp, "--pattern", "CAG",
@@ -209,6 +249,13 @@ def test_bits_trace_all_zero(capsys):
 
 def test_bits_trace_validates_characters(capsys):
     assert main(["--bits", "10a"]) == 1
+
+
+def test_bits_trace_inputs_after_exit_exit_1(capsys):
+    # D raised before the last input: the FSM cannot consume the rest
+    assert main(["--bits", "10", "--d-bits", "11"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector stepped after reaching the exit state")
 
 
 def test_bad_flag_exits_1(capsys):

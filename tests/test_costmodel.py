@@ -131,6 +131,13 @@ def test_params_validation():
         geometry_for_text(100, 100)
 
 
+@pytest.mark.parametrize("field", ["clock_ns", "write_ns"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_params_reject_non_finite_or_negative_periods(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        TimingParams(**{field: value})
+
+
 geometries = st.builds(
     TimingParams,
     clock_ns=st.just(1.0),

@@ -12,6 +12,7 @@ from repeatscan.detector import (FLUSH_ZEROS, POST_STREAM_CYCLES,
                                  run_trace)
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_101110000.csv"
+GOLDEN_SATURATING = Path(__file__).parent / "golden" / "trace_saturating.csv"
 
 bit_streams = st.lists(st.integers(0, 1), max_size=200)
 
@@ -143,6 +144,38 @@ def test_fsm_worked_example_trace_values():
 def test_fsm_golden_file_byte_exact():
     gm, rows = run_trace("101110000", "000000001")
     assert format_trace(rows, gm) == GOLDEN.read_text()
+
+
+def saturating_stream() -> list[int]:
+    """996 bits with runs in every phase; phase 0 runs 270 times, past the
+    8-bit limit (see golden/NOTES.md)."""
+    return ([0, 1, 0] * 7 + [0, 0, 1] * 12 + [1, 1, 0] * 3
+            + [1, 0, 0] * 270 + [0, 1, 1] * 20 + [1, 0, 1] * 20)
+
+
+def test_fsm_saturating_golden_file_byte_exact():
+    gm, rows = run_cycle_accurate(saturating_stream(), record_trace=True)
+    assert gm == 255
+    assert format_trace(rows, gm) == GOLDEN_SATURATING.read_text()
+
+
+@given(bit_streams, st.lists(st.integers(0, 200), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_feed_split_anywhere_matches_one_run(bits, cuts):
+    # feed must hand its local state back to the object between calls
+    whole_max, whole_rows = run_cycle_accurate(bits, record_trace=True)
+    det = CycleAccurateDetector(record_trace=True)
+    bounds = [0, *sorted(min(c, len(bits)) for c in cuts), len(bits)]
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if i % 2:
+            for x in bits[lo:hi]:
+                det.step(x, 0)
+        else:
+            det.feed(bits[lo:hi])
+    det.feed([0] * FLUSH_ZEROS)
+    det.step(0, 1)
+    assert det.trace == whole_rows
+    assert det.global_max == whole_max
 
 
 def test_trace_compare_lands_before_reset():

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeatscan.matchmem import (IllegalTransition, MatchIndexMemory, Mode,
-                                 ModeViolation, OutOfOrderColumn)
+from repeatscan.matchmem import (IllegalTransition, MatchIndexMemory,
+                                 MemoryNotReset, Mode, ModeViolation,
+                                 OutOfOrderColumn)
 
 
 def write_matrix(mem: MatchIndexMemory, matrix) -> None:
@@ -142,6 +148,40 @@ def test_monotone_write_never_clears():
     mem.write_column(1, [False, False])
     mem.write_column(2, [True, False])
     assert mem.cells[:, 0].all()
+
+
+def memory_with_skipped_reset() -> MatchIndexMemory:
+    mem = MatchIndexMemory(2, 3)
+    mem.set_mode(Mode.WRITE)
+    mem.write_column(0, [True, False])
+    mem.set_mode(Mode.READ)
+    mem.read_all()
+    mem.set_mode(Mode.RESET)  # reset_all() skipped
+    mem.set_mode(Mode.IDLE)
+    return mem
+
+
+def test_write_phase_after_skipped_reset_rejected():
+    mem = memory_with_skipped_reset()
+    with pytest.raises(MemoryNotReset):
+        mem.set_mode(Mode.WRITE)
+    assert mem.mode is Mode.IDLE
+    assert mem.cells[:, 0].tolist() == [True, False]
+
+
+def test_skipped_reset_rejected_under_python_optimize():
+    # the guard is a typed error, not an assert, so it survives -O
+    here = Path(__file__).resolve().parent
+    script = ("from test_matchmem import *\n"
+              "mem = memory_with_skipped_reset()\n"
+              "try:\n    mem.set_mode(Mode.WRITE)\n"
+              "except MemoryNotReset:\n    print('rejected')\n")
+    path = os.pathsep.join([str(here), str(here.parent / "src")])
+    done = subprocess.run([sys.executable, "-O", "-c", script], cwd=here,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "rejected\n"
 
 
 def test_trace_records_transitions_and_writes():
