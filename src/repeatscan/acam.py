@@ -11,6 +11,12 @@ Decimal voltages, so interval endpoints behave exactly (endpoint membership
 is inclusive); it is the reference the array model is checked against.  The
 array itself stores one uint8 code per cell (A, C, G, T, MM = 0..4) and
 searches with the same endpoints in integer hundredths of a volt.
+
+The stored cells never change after loading, so the tags of a search depend
+only on the pattern, the block and the window.  The first search cycle of a
+block evaluates all W windows of that block in one broadcast and memoises the
+result per ``(pattern, block)``; each search cycle then reads its window's
+tags from that memo.
 """
 
 from __future__ import annotations
@@ -151,7 +157,8 @@ class AcamArray:
     Columns 0..W-1 hold text data; the trailing p-1 columns of row i replicate
     the first p-1 data cells of row i+1 so a pattern window can straddle a row
     boundary.  The last row replicates MM, and data cells past the end of the
-    text also hold MM.  Immutable once built.
+    text also hold MM.  The stored cells are immutable once built, so search
+    results are memoised per ``(pattern, block)`` (see ``search_cycle``).
     """
 
     def __init__(self, rows: int, data_width: int, pattern_len: int, blocks: int,
@@ -167,10 +174,12 @@ class AcamArray:
         else:
             codes = np.array([[_CODE_OF_STATE[c] for c in row] for row in cells],
                              dtype=np.uint8)
-        codes.flags.writeable = False
         self.codes = codes
         self._lb = _LB_CV[codes]
         self._ub = _UB_CV[codes]
+        for stored in (codes, self._lb, self._ub):
+            stored.flags.writeable = False
+        self._tags: dict[tuple[str, int], np.ndarray] = {}
 
     @property
     def total_cols(self) -> int:
@@ -215,11 +224,13 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
 
 
 def search_cycle(array: AcamArray, block: int, window: int,
-                 pattern: Pattern | str) -> list[bool]:
+                 pattern: Pattern | str) -> np.ndarray:
     """One search cycle: drive columns window..window+p-1 with the pattern,
     everything else don't-care, and AND each row of the selected block.
 
     Only the selected block produces tags; other blocks stay deactivated.
+    Returns the block's m tags as a read-only bool array, a view into the
+    array's memo of this block's search (filled by the block's first cycle).
     """
     pat = str(pattern)
     if len(pat) != array.pattern_len:
@@ -230,12 +241,30 @@ def search_cycle(array: AcamArray, block: int, window: int,
     if not 0 <= window < array.data_width:
         raise WindowOutOfRange(window, array.data_width)
 
-    mid = np.array([_MID_CV[c] for c in pat], dtype=np.int16)
+    tags = array._tags.get((pat, block))
+    if tags is None:
+        tags = array._tags[pat, block] = _search_block(array, block, pat)
+    return tags[window]
+
+
+def _search_block(array: AcamArray, block: int, pattern: str) -> np.ndarray:
+    """Tags of every window of one block in one broadcast, as a read-only
+    (W, m) array whose row i holds window i's tags.
+
+    Window i drives columns i..i+p-1, so pattern character k meets the column
+    slice k..k+W-1 of the block: p shifted compares replace W search cycles.
+    """
     r0 = block * array.rows_per_block
-    r1 = r0 + array.rows_per_block
-    cols = slice(window, window + array.pattern_len)
-    matched = (array._lb[r0:r1, cols] <= mid) & (mid <= array._ub[r0:r1, cols])
-    return matched.all(axis=1).tolist()
+    rows = slice(r0, r0 + array.rows_per_block)
+    width = array.data_width
+    matched = np.ones((array.rows_per_block, width), dtype=bool)
+    for k, c in enumerate(pattern):
+        mid = _MID_CV[c]
+        cols = slice(k, k + width)
+        matched &= (array._lb[rows, cols] <= mid) & (mid <= array._ub[rows, cols])
+    tags = np.ascontiguousarray(matched.T)
+    tags.flags.writeable = False
+    return tags
 
 
 def run_block_search(array: AcamArray, block: int,

@@ -89,22 +89,23 @@ class MatchIndexMemory:
             raise OutOfOrderColumn(col, self._next_col)
         if len(tag) != self.rows:
             raise ValueError(f"tag length {len(tag)} != memory rows {self.rows}")
-        self.cells[:, col] = np.asarray(tag, dtype=bool)
+        self.cells[:, col] = tag
         self._next_col += 1
         if self.trace is not None:
             bits = "".join("1" if b else "0" for b in tag)
             self.trace.append(f"write,col={col},tag={bits}")
 
-    def read_all(self) -> list[int]:
+    def read_all(self) -> np.ndarray:
         """Row-major bit stream, latched 8 columns at a time per row.
 
         The row selector only advances once every column group of the current
         row has been emitted, so the output order equals a plain row-major
-        flattening.
+        flattening.  Returns a fresh uint8 array of m*n bits, a copy, so a
+        later ``reset_all`` leaves a stream already read unchanged.
         """
         if self.mode is not Mode.READ:
             raise ModeViolation("read_all", self.mode)
-        return self.cells.view(np.uint8).reshape(-1).tolist()
+        return self.cells.reshape(-1).astype(np.uint8)
 
     def read_group_count(self) -> int:
         """Parallel-read latch operations needed for one full read."""

@@ -6,8 +6,11 @@ concatenated before detection so a repeat run crossing a block boundary is
 counted whole; a gap in the activated set splits the detection into
 independent segments.
 Cycle counts are metered from the actual simulation and must agree with the
-closed-form cost model.  A global maximum at the 8-bit register limit is
-reported as saturated, since the true count may be any value from there up.
+closed-form cost model.  SET events are counted as the set bits of each
+block's read-out: a write phase starts all-HRS and writes each column once,
+so that popcount equals the number of high tags written.  A global maximum at
+the 8-bit register limit is reported as saturated, since the true count may
+be any value from there up.
 """
 
 from __future__ import annotations
@@ -149,13 +152,12 @@ def scan(request: ScanRequest) -> ScanResult:
     for block in request.active_blocks:
         memory.set_mode(matchmem.Mode.WRITE)
         for window in range(timing.data_width):
-            tags = acam.search_cycle(array, block, window, pattern)
-            memory.write_column(window, tags)
+            memory.write_column(window, acam.search_cycle(array, block, window, pattern))
             search_cycles += 1
             write_columns += 1
-            set_events += sum(tags)
         memory.set_mode(matchmem.Mode.READ)
-        streams[block] = np.array(memory.read_all(), dtype=np.uint8)
+        streams[block] = memory.read_all()
+        set_events += int(np.count_nonzero(streams[block]))
         read_groups += memory.read_group_count()
         ticks += m * n + POST_STREAM_CYCLES
         memory.set_mode(matchmem.Mode.RESET)

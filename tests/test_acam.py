@@ -199,7 +199,7 @@ def test_dont_care_columns_never_affect_tags(case, data):
     cells[row][col] = MM_CELL if replacement == "MM" else CHAR_CELLS[replacement]
     mutated = acam.AcamArray(rows, width, p, blocks, cells)
     after = search_cycle(mutated, block, window, pattern)
-    assert before == after
+    assert np.array_equal(before, after)
 
 
 @given(text_and_geometry())
@@ -233,6 +233,31 @@ def test_load_text_layout_matches_string_layout(case):
                 for r, row in enumerate(data)]
     arr = load_text(text, rows, width, p, blocks)
     assert [[c.kind for c in row] for row in arr.cells] == expected
+
+
+@given(text_and_geometry(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_memoised_tags_equal_a_fresh_array_for_interleaved_searches(case, data):
+    # two patterns searched on one array, block by block and window by
+    # window in random order: a memo keyed without the pattern or the block
+    # would hand back another search's tags
+    text, pattern, rows, width, p, blocks = case
+    other = data.draw(st.text(alphabet=CHARS, min_size=p, max_size=p))
+    arr = load_text(text, rows, width, p, blocks)
+    searches = [(pat, b, i) for pat in (pattern, other)
+                for b in range(blocks) for i in range(width)]
+    for pat, b, i in data.draw(st.permutations(searches)):
+        fresh = load_text(text, rows, width, p, blocks)
+        assert np.array_equal(search_cycle(arr, b, i, pat), search_cycle(fresh, b, i, pat))
+
+
+def test_search_cycle_tags_are_read_only():
+    arr = load_text("CAGCAGTT", rows=2, data_width=8, pattern_len=3, blocks=2)
+    tags = search_cycle(arr, 0, 0, "CAG")
+    assert tags.dtype == bool and tags.tolist() == [True]
+    with pytest.raises(ValueError):
+        tags[0] = False
+    assert search_cycle(arr, 0, 0, "CAG").tolist() == [True]
 
 
 def test_array_is_reusable_across_blocks_in_any_order():

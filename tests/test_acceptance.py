@@ -7,6 +7,8 @@ import random
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from repeatscan.acam import DONT_CARE, MM_CELL, cell_matches, drive_for, encode_char
 from repeatscan.costmodel import (CycleCounts, EnergyParams, TimingParams,
                                   energy, geometry_for_text, latency)
@@ -223,7 +225,8 @@ def test_criterion_8_memory_round_trip():
                 mem.write_column(col, [matrix[r][col] for r in range(m)])
             mem.set_mode(Mode.READ)
             bits = mem.read_all()
-            assert bits == [int(b) for row in matrix for b in row]
+            assert bits.dtype == np.uint8
+            assert bits.tolist() == [int(b) for row in matrix for b in row]
             mem.set_mode(Mode.RESET)
             mem.reset_all()
             assert not mem.cells.any()

@@ -19,7 +19,7 @@ def write_matrix(mem: MatchIndexMemory, matrix) -> None:
         mem.write_column(col, [bool(matrix[r][col]) for r in range(mem.rows)])
 
 
-def full_cycle_read(mem: MatchIndexMemory, matrix) -> list[int]:
+def full_cycle_read(mem: MatchIndexMemory, matrix) -> np.ndarray:
     write_matrix(mem, matrix)
     mem.set_mode(Mode.READ)
     bits = mem.read_all()
@@ -89,14 +89,17 @@ def test_read_stream_is_row_major():
     row1 = [1, 0, 0, 0, 0, 0, 0, 0]
     row2 = [0, 0, 0, 0, 0, 0, 0, 1]
     bits = full_cycle_read(mem, [row1, row2])
-    assert bits == row1 + row2
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == row1 + row2
 
 
 def test_all_hrs_reads_zero_stream():
     mem = MatchIndexMemory(4, 6)
     mem.set_mode(Mode.WRITE)
     mem.set_mode(Mode.READ)
-    assert mem.read_all() == [0] * 24
+    bits = mem.read_all()
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [0] * 24
 
 
 def test_group_count_64x128():
@@ -112,7 +115,8 @@ def test_group_count_with_partial_final_group():
     mem = MatchIndexMemory(2, 13)
     matrix = [[(r + c) % 2 for c in range(13)] for r in range(2)]
     bits = full_cycle_read(mem, matrix)
-    assert bits == [b for row in matrix for b in row]
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [b for row in matrix for b in row]
 
 
 def test_reset_clears_everything_and_composes():
@@ -126,7 +130,20 @@ def test_reset_clears_everything_and_composes():
     mem.set_mode(Mode.IDLE)
     mem.set_mode(Mode.WRITE)
     mem.set_mode(Mode.READ)
-    assert mem.read_all() == [0] * 15
+    bits = mem.read_all()
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [0] * 15
+
+
+def test_stream_read_before_reset_is_unchanged_after_it():
+    mem = MatchIndexMemory(2, 3)
+    write_matrix(mem, [[1, 0, 1], [0, 1, 1]])
+    mem.set_mode(Mode.READ)
+    bits = mem.read_all()
+    mem.set_mode(Mode.RESET)
+    mem.reset_all()
+    assert not mem.cells.any()
+    assert bits.tolist() == [1, 0, 1, 0, 1, 1]
 
 
 def test_reset_idempotent():
@@ -204,7 +221,8 @@ def test_write_read_round_trip(rows, cols, data):
     matrix = [[data.draw(st.booleans()) for _ in range(cols)] for _ in range(rows)]
     mem = MatchIndexMemory(rows, cols)
     bits = full_cycle_read(mem, matrix)
-    assert bits == [int(b) for row in matrix for b in row]
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [int(b) for row in matrix for b in row]
     assert len(bits) == rows * cols
 
 
@@ -215,5 +233,7 @@ def test_random_round_trip_sweep():
         cols = int(rng.integers(1, 65))
         matrix = rng.integers(0, 2, size=(rows, cols))
         mem = MatchIndexMemory(rows, cols)
-        assert full_cycle_read(mem, matrix) == matrix.flatten().tolist()
+        bits = full_cycle_read(mem, matrix)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == matrix.flatten().tolist()
         assert not mem.cells.any()

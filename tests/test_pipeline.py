@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repeatscan import acam
 from repeatscan.costmodel import CycleCounts
 from repeatscan.detector import oracle_max_tandem
 from repeatscan.pipeline import (GeneNotMapped, OverlappingAssignment,
@@ -142,6 +143,23 @@ def test_set_events_count_matches_occurrences():
     assert res.set_events == 2
 
 
+def test_full_scan_broadcasts_once_per_block_and_meters_every_cycle(monkeypatch):
+    # work done, not time: one block broadcast per active block behind the
+    # W per-window search cycles, and the metered count is the calls made
+    calls = {"search_cycle": 0, "_search_block": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(acam, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(acam, name, counted)
+    rng = random.Random(7)
+    text = "".join(rng.choice("ACGT") for _ in range(65536))
+    result = quick_scan(text, "CAG")
+    assert result.report.params.searched_blocks == 8
+    assert calls == {"search_cycle": 1024, "_search_block": 8}
+    assert result.report.cycles.search == 1024
+
+
 def test_request_validation():
     text, pat = parse_text("ACGT"), parse_pattern("CAG")
     with pytest.raises(ValueError):
@@ -221,3 +239,19 @@ def test_end_to_end_oracle_equivalence(case):
         text[run[0] * block_chars:(run[-1] + 1) * block_chars + tail], pattern), 255)
         for run in runs)
     assert result.global_max == expected
+
+
+@given(pipeline_case())
+@settings(max_examples=150, deadline=None)
+def test_set_events_count_occurrences_starting_in_active_blocks(case):
+    # one SET event per occurrence whose first character lies in an active
+    # block's rows, including windows that reach into the next row (or the
+    # next block) through the replication columns
+    text, pattern, rows, width, blocks, active = case
+    result = quick_scan(text, pattern, rows=rows, data_width=width,
+                        blocks=blocks, active_blocks=active)
+    block_chars = rows // blocks * width
+    p = len(pattern)
+    expected = sum(text[q:q + p] == pattern for b in active
+                   for q in range(b * block_chars, (b + 1) * block_chars))
+    assert result.set_events == expected
