@@ -9,8 +9,11 @@ inverted interval that mismatches every character drive, and a deactivated
 The single-cell semantics (``cell_matches``) compare exact two-decimal
 Decimal voltages, so interval endpoints behave exactly (endpoint membership
 is inclusive); it is the reference the array model is checked against.  The
-array itself stores one uint8 code per cell (A, C, G, T, MM = 0..4) and
-searches with the same endpoints in integer hundredths of a volt.
+array itself stores one uint8 code per cell (A, C, G, T, MM = 0..4).  Each
+character's midpoint drive lies inside its own character's interval and no
+other, and inside no MM interval, so a driven cell matches exactly when its
+code equals the searched character's code; the array searches by that
+equality, which is asserted against ``cell_matches`` at import.
 
 The stored cells never change after loading, so the tags of a search depend
 only on the pattern, the block and the window.  The first search cycle of a
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
 
 import numpy as np
 
@@ -131,24 +133,20 @@ def cell_matches(cell: CellContent, drive: SearchDrive) -> bool:
     return drive.v_ldl >= cell.interval.lower and drive.v_udl <= cell.interval.upper
 
 
-def _centivolts(v: Decimal) -> int:
-    return int(v * 100)
-
-
 # Stored states by code; ``AcamArray.codes`` indexes this tuple.
 STATES: tuple[CellContent, ...] = (*(CHAR_CELLS[c] for c in "ACGT"), MM_CELL)
 MM_CODE = STATES.index(MM_CELL)
-_CODE_OF_STATE = {cell: code for code, cell in enumerate(STATES)}
-_LB_CV = np.array([_centivolts(c.interval.lower) for c in STATES], dtype=np.int16)
-_UB_CV = np.array([_centivolts(c.interval.upper) for c in STATES], dtype=np.int16)
-_MID_CV = {c: _centivolts(v) for c, v in SEARCH_MIDPOINTS.items()}
+_CODE_OF_CHAR = {c: STATES.index(CHAR_CELLS[c]) for c in SEARCH_MIDPOINTS}
 _NO_CODE = 255
 _ASCII_CODE = np.full(256, _NO_CODE, dtype=np.uint8)
 _ASCII_CODE[np.frombuffer(b"ACGT", dtype=np.uint8)] = range(4)
 
-# search_cycle compares only the driven columns; that is exact because a
-# don't-care drive matches every stored state.
+# search_cycle compares only the driven columns, and compares their codes;
+# that is exact because a don't-care drive matches every stored state and a
+# character's drive matches the state of that character and of no other.
 assert all(cell_matches(cell, DONT_CARE) for cell in STATES)
+assert all(cell_matches(cell, drive_for(c)) == (code == _CODE_OF_CHAR[c])
+           for c in SEARCH_MIDPOINTS for code, cell in enumerate(STATES))
 
 
 class AcamArray:
@@ -157,28 +155,24 @@ class AcamArray:
     Columns 0..W-1 hold text data; the trailing p-1 columns of row i replicate
     the first p-1 data cells of row i+1 so a pattern window can straddle a row
     boundary.  The last row replicates MM, and data cells past the end of the
-    text also hold MM.  The stored cells are immutable once built, so search
-    results are memoised per ``(pattern, block)`` (see ``search_cycle``).
+    text also hold MM.
+
+    ``codes`` is the array's only representation of the stored cells: one
+    uint8 per cell, indexing ``STATES``.  The array keeps a read-only copy,
+    so search results are memoised per ``(pattern, block)`` (see
+    ``search_cycle``).
     """
 
     def __init__(self, rows: int, data_width: int, pattern_len: int, blocks: int,
-                 cells: Sequence[Sequence[CellContent]] | np.ndarray):
+                 codes: np.ndarray):
         if rows % blocks != 0:
             raise GeometryError(f"rows {rows} not divisible into {blocks} blocks")
         self.rows = rows
         self.data_width = data_width
         self.pattern_len = pattern_len
         self.blocks = blocks
-        if isinstance(cells, np.ndarray):
-            codes = cells.astype(np.uint8)
-        else:
-            codes = np.array([[_CODE_OF_STATE[c] for c in row] for row in cells],
-                             dtype=np.uint8)
-        self.codes = codes
-        self._lb = _LB_CV[codes]
-        self._ub = _UB_CV[codes]
-        for stored in (codes, self._lb, self._ub):
-            stored.flags.writeable = False
+        self.codes = codes.astype(np.uint8)
+        self.codes.flags.writeable = False
         self._tags: dict[tuple[str, int], np.ndarray] = {}
 
     @property
@@ -259,9 +253,7 @@ def _search_block(array: AcamArray, block: int, pattern: str) -> np.ndarray:
     width = array.data_width
     matched = np.ones((array.rows_per_block, width), dtype=bool)
     for k, c in enumerate(pattern):
-        mid = _MID_CV[c]
-        cols = slice(k, k + width)
-        matched &= (array._lb[rows, cols] <= mid) & (mid <= array._ub[rows, cols])
+        matched &= array.codes[rows, k:k + width] == _CODE_OF_CHAR[c]
     tags = np.ascontiguousarray(matched.T)
     tags.flags.writeable = False
     return tags

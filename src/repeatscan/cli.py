@@ -16,12 +16,12 @@ from pathlib import Path
 
 from . import __version__
 from .acam import GeometryError
-from .costmodel import (CycleCounts, CycleCountMismatch, EnergyParams,
-                        TimingParams, energy, energy_shares, geometry_for_text,
-                        latency, latency_shares)
+from .costmodel import (PHYSICAL_COLS, CycleCounts, CycleCountMismatch,
+                        EnergyParams, TimingParams, energy, energy_shares,
+                        geometry_for_text, latency, latency_shares)
 from .detector import SteppedAfterExit, format_trace, run_trace
-from .pipeline import (GeneNotMapped, InternalInvariantError, ScanRequest,
-                       ScanResult, make_request, scan)
+from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
+                       make_request, scan)
 from .seqio import (CatalogError, SequenceError, builtin_catalog, find_entry,
                     load_catalog, parse_pattern, parse_text)
 
@@ -161,7 +161,7 @@ def reference_rows() -> list[dict]:
     energies = [(3, 5.2, 1.0, ""), (5, 5.09, 5.0, "informational"), (10, 4.9, 3.0, "")]
     per_char = None
     for p, ref_nj, tol, note in energies:
-        params = TimingParams(data_width=130 - (p - 1), pattern_len=p,
+        params = TimingParams(data_width=PHYSICAL_COLS - (p - 1), pattern_len=p,
                               searched_blocks=1)
         fig = energy(EnergyParams(), CycleCounts.closed_form(params))
         rows.append({"name": f"energy_block_p{p}_nj", "computed": fig.total_nj,
@@ -276,8 +276,8 @@ def main(argv=None) -> int:
     except (InternalInvariantError, CycleCountMismatch) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except (SequenceError, CatalogError, GeometryError, GeneNotMapped,
-            SteppedAfterExit, ValueError, OSError) as exc:
+    except (SequenceError, CatalogError, GeometryError, SteppedAfterExit,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,9 +20,13 @@ count (read energy scales by cells sensed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .detector import POST_STREAM_CYCLES
+
+
+# Columns of the characterized array: W data columns plus p - 1 replicated.
+PHYSICAL_COLS = 130
 
 
 class CycleCountMismatch(RuntimeError):
@@ -189,14 +193,13 @@ def energy(params: EnergyParams, cycles: CycleCounts) -> EnergyFigures:
 
 
 def build_report(tparams: TimingParams, eparams: EnergyParams,
-                 metered: CycleCounts | None = None) -> CostReport:
+                 metered: CycleCounts) -> CostReport:
     """Assemble the full report; metered counts must match the closed form."""
     predicted = CycleCounts.closed_form(tparams)
-    if metered is not None and metered != predicted:
+    if metered != predicted:
         raise CycleCountMismatch(
             f"metered cycle counts {metered} != closed-form {predicted}")
-    cycles = metered if metered is not None else predicted
-    return CostReport(tparams, cycles, latency(tparams), energy(eparams, cycles))
+    return CostReport(tparams, metered, latency(tparams), energy(eparams, metered))
 
 
 def latency_shares(figures: LatencyFigures) -> dict[str, float]:
@@ -218,25 +221,16 @@ def energy_shares(figures: EnergyFigures) -> dict[str, float]:
     }
 
 
-def geometry_for_text(chars: int, pattern_len: int, total_cols: int = 130,
-                      rows: int = 512, blocks: int = 8, clock_ns: float = 1.0,
-                      write_ns: float = 1.0) -> TimingParams:
-    """Size K for a text spread over as many fixed arrays as needed.
+def geometry_for_text(chars: int, pattern_len: int) -> TimingParams:
+    """Size K for a text spread over as many default arrays as needed.
 
-    The physical array has ``total_cols`` columns, so the usable data width
-    shrinks as the pattern (and its replicated columns) grows.
+    The physical array has ``PHYSICAL_COLS`` columns, so the usable data
+    width shrinks as the pattern (and its replicated columns) grows.
     """
-    width = total_cols - (pattern_len - 1)
+    width = PHYSICAL_COLS - (pattern_len - 1)
     if width < pattern_len:
         raise ValueError("pattern too long for the array width")
-    rows_needed = math.ceil(chars / width)
-    arrays = math.ceil(rows_needed / rows)
-    return TimingParams(
-        clock_ns=clock_ns,
-        write_ns=write_ns,
-        rows=rows,
-        data_width=width,
-        pattern_len=pattern_len,
-        blocks=blocks,
-        searched_blocks=arrays * blocks,
-    )
+    base = TimingParams()
+    arrays = math.ceil(math.ceil(chars / width) / base.rows)
+    return replace(base, data_width=width, pattern_len=pattern_len,
+                   searched_blocks=arrays * base.blocks)

@@ -216,27 +216,17 @@ class CycleAccurateDetector:
                                0, 0, 0, 0, 0, 0, *self.ctr, *self.max_reg))
 
 
-def run_cycle_accurate(bits: Sequence[int], flush: bool = True,
+def run_cycle_accurate(bits: Sequence[int],
                        record_trace: bool = False) -> tuple[int, list[tuple]]:
-    """Feed a match bitmap through the p = 3 detector.
-
-    With flush (the default, matching the hardware read-out protocol) the
-    stream is followed by four flush zeros and one final zero carrying the
-    end-of-sequence signal, i.e. five post-stream cycles.  With flush=False
-    the end signal rides on the last stream bit, for driving explicit input
-    vectors; the stream must then be non-empty and already end in enough
-    zeros for the max registers to be current.
+    """Feed a match bitmap through the p = 3 detector under the hardware
+    read-out protocol: the stream, then four flush zeros, then one final zero
+    carrying the end-of-sequence signal, i.e. five post-stream cycles.
+    Explicit input vectors, with D raised anywhere, go through ``run_trace``.
     """
     det = CycleAccurateDetector(record_trace=record_trace)
-    if flush:
-        det.feed(bits)
-        det.feed((0,) * FLUSH_ZEROS)
-        det.step(0, 1)
-    else:
-        if not bits:
-            raise ValueError("flush=False needs at least one input bit")
-        det.feed(bits[:-1])
-        det.step(int(bits[-1]), 1)
+    det.feed(bits)
+    det.feed((0,) * FLUSH_ZEROS)
+    det.step(0, 1)
     assert det.global_max is not None
     return det.global_max, det.trace or []
 

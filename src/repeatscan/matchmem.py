@@ -55,14 +55,13 @@ class OutOfOrderColumn(RuntimeError):
 class MatchIndexMemory:
     """m x n binary resistive array plus its access-mode state machine."""
 
-    def __init__(self, rows: int, cols: int, record_trace: bool = False):
+    def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise ValueError("memory must have at least one row and column")
         self.rows = rows
         self.cols = cols
         self.cells = np.zeros((rows, cols), dtype=bool)  # True = LRS
         self.mode = Mode.IDLE
-        self.trace: list[str] | None = [] if record_trace else None
         self._next_col = 0
 
     def set_mode(self, mode: Mode) -> None:
@@ -70,8 +69,6 @@ class MatchIndexMemory:
             raise IllegalTransition(self.mode, mode)
         if mode is Mode.WRITE and self.cells.any():
             raise MemoryNotReset()
-        if self.trace is not None:
-            self.trace.append(f"mode,{self.mode.value}->{mode.value}")
         self.mode = mode
         if mode is Mode.WRITE:
             self._next_col = 0
@@ -91,9 +88,6 @@ class MatchIndexMemory:
             raise ValueError(f"tag length {len(tag)} != memory rows {self.rows}")
         self.cells[:, col] = tag
         self._next_col += 1
-        if self.trace is not None:
-            bits = "".join("1" if b else "0" for b in tag)
-            self.trace.append(f"write,col={col},tag={bits}")
 
     def read_all(self) -> np.ndarray:
         """Row-major bit stream, latched 8 columns at a time per row.

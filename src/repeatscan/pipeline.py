@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,17 +32,6 @@ class InternalInvariantError(RuntimeError):
     """The simulation contradicted itself; results must not be trusted."""
 
 
-class OverlappingAssignment(ValueError):
-    def __init__(self, block: int, gene_a: str, gene_b: str) -> None:
-        super().__init__(f"block {block} assigned to both {gene_a} and {gene_b}")
-
-
-class GeneNotMapped(KeyError):
-    def __init__(self, gene: str) -> None:
-        super().__init__(f"gene {gene!r} has no block assignment")
-        self.gene = gene
-
-
 @dataclass(frozen=True)
 class ScanRequest:
     text: DnaSequence
@@ -52,7 +41,6 @@ class ScanRequest:
     active_blocks: tuple[int, ...] = ()
     disease: DiseaseEntry | None = None
     cycle_accurate: bool = False
-    record_memory_trace: bool = False
     record_detector_trace: bool = False
 
 
@@ -66,7 +54,6 @@ class ScanResult:
     range_overlap_flagged: bool
     saturated: bool
     detector_trace: str | None = None
-    memory_trace: list[str] | None = None
 
 
 def default_active_blocks(text_len: int, timing: TimingParams) -> tuple[int, ...]:
@@ -83,7 +70,6 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
                  energy: EnergyParams | None = None,
                  disease: DiseaseEntry | None = None,
                  cycle_accurate: bool = False,
-                 record_memory_trace: bool = False,
                  record_detector_trace: bool = False) -> ScanRequest:
     """Build a consistent request: K always equals the activated block count."""
     timing = TimingParams(
@@ -103,7 +89,6 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
         text=text, pattern=pattern, timing=timing,
         energy=energy if energy is not None else EnergyParams(),
         active_blocks=active, disease=disease, cycle_accurate=cycle_accurate,
-        record_memory_trace=record_memory_trace,
         record_detector_trace=record_detector_trace)
 
 
@@ -145,7 +130,7 @@ def scan(request: ScanRequest) -> ScanResult:
                            timing.pattern_len, timing.blocks)
     m, n = timing.mem_rows, timing.mem_cols
 
-    memory = matchmem.MatchIndexMemory(m, n, record_trace=request.record_memory_trace)
+    memory = matchmem.MatchIndexMemory(m, n)
     search_cycles = write_columns = read_groups = ticks = resets = set_events = 0
     streams: dict[int, np.ndarray] = {}
 
@@ -205,31 +190,5 @@ def scan(request: ScanRequest) -> ScanResult:
         range_overlap_flagged=overlap,
         saturated=saturated,
         detector_trace="".join(trace_chunks) if trace_chunks else None,
-        memory_trace=memory.trace,
     )
 
-
-def block_map(catalog: Sequence[DiseaseEntry],
-              layout: Mapping[str, Iterable[int]],
-              blocks: int = 8) -> dict[str, frozenset[int]]:
-    """Validate a gene -> block-set layout: indices in range, blocks disjoint."""
-    del catalog  # layout is free-form user configuration, genes need not match
-    owner: dict[int, str] = {}
-    mapping: dict[str, frozenset[int]] = {}
-    for gene, assigned in layout.items():
-        blocks_set = frozenset(int(b) for b in assigned)
-        for b in sorted(blocks_set):
-            if not 0 <= b < blocks:
-                raise ValueError(f"block {b} outside [0, {blocks})")
-            if b in owner:
-                raise OverlappingAssignment(b, owner[b], gene)
-            owner[b] = gene
-        mapping[gene] = blocks_set
-    return mapping
-
-
-def blocks_for_gene(mapping: Mapping[str, frozenset[int]], gene: str) -> tuple[int, ...]:
-    try:
-        return tuple(sorted(mapping[gene]))
-    except KeyError:
-        raise GeneNotMapped(gene) from None

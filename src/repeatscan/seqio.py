@@ -1,8 +1,9 @@
 """DNA text ingestion plus the repeat-expansion disorder catalog.
 
 Sequences are plain uppercase strings over A/C/G/T.  Raw and FASTA inputs
-are normalized (header lines dropped, whitespace removed, case folded)
-before validation, so every downstream module can assume a clean alphabet.
+are normalized (the header dropped, whitespace removed, case folded) before
+validation, so every downstream module can assume a clean alphabet.  FASTA
+input holds one record: joined records would let a repeat run across them.
 Ambiguity codes such as N are rejected rather than mapped: the array cells
 have no wildcard storage state.
 """
@@ -39,6 +40,14 @@ class InvalidCharacter(SequenceError):
         super().__init__(f"invalid character {char!r} at position {position}")
         self.position = position
         self.char = char
+
+
+class MultipleRecords(SequenceError):
+    """Joined FASTA records would count a repeat across their boundary."""
+
+    def __init__(self, count: int) -> None:
+        super().__init__(f"FASTA input holds {count} records; scan one at a time")
+        self.count = count
 
 
 class CatalogError(ValueError):
@@ -93,14 +102,17 @@ class Pattern:
 
 
 def normalize(raw: str | bytes, fmt: str = "raw") -> str:
-    """Strip FASTA headers / whitespace and fold case; no validation yet."""
+    """Strip the one FASTA header / whitespace and fold case; no validation yet."""
     if isinstance(raw, (bytes, bytearray)):
         raw = raw.decode("latin-1")
     if fmt not in ("raw", "fasta"):
         raise ValueError(f"unknown format {fmt!r}")
     lines = raw.splitlines()
     if fmt == "fasta":
-        lines = [ln for ln in lines if not ln.lstrip().startswith(">")]
+        data = [ln for ln in lines if not ln.lstrip().startswith(">")]
+        if len(lines) - len(data) > 1:
+            raise MultipleRecords(len(lines) - len(data))
+        lines = data
     return "".join("".join(ln.split()) for ln in lines).upper()
 
 

@@ -195,9 +195,10 @@ def test_dont_care_columns_never_affect_tags(case, data):
     before = search_cycle(arr, block, window, pattern)
 
     replacement = data.draw(st.sampled_from(list(CHARS) + ["MM"]))
-    cells = [list(r) for r in arr.cells]
-    cells[row][col] = MM_CELL if replacement == "MM" else CHAR_CELLS[replacement]
-    mutated = acam.AcamArray(rows, width, p, blocks, cells)
+    codes = arr.codes.copy()
+    codes[row, col] = acam.STATES.index(
+        MM_CELL if replacement == "MM" else CHAR_CELLS[replacement])
+    mutated = acam.AcamArray(rows, width, p, blocks, codes)
     after = search_cycle(mutated, block, window, pattern)
     assert np.array_equal(before, after)
 

@@ -175,6 +175,7 @@ SMALL_ARRAY = ["--pattern", "CAG", "--rows", "4", "--width", "16",
     ("clean.txt", CLEAN, ["--clock-ns", "inf"]),
     ("clean.txt", CLEAN, ["--write-ns", "nan"]),
     ("clean.txt", CLEAN, ["--catalog", "bad_catalog.csv"]),
+    ("two_records.fa", ">a\nTTCAGCAG\n>b\nCAGCAGTT\n", []),
 ])
 def test_input_robustness(tmp_path, capsys, name, content, extra):
     """Variant spellings of a clean text scan like it; malformed input or
@@ -275,3 +276,9 @@ def test_reference_rows_individually():
     assert rows["dt12_ns"]["computed"] == 128.5
     assert rows["dt23_ns"]["computed"] == 1024.625
     assert all(row_passes(r) for r in rows.values())
+
+
+def test_package_exports_resolve():
+    import repeatscan
+    missing = [name for name in repeatscan.__all__ if not hasattr(repeatscan, name)]
+    assert missing == []

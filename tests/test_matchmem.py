@@ -201,20 +201,6 @@ def test_skipped_reset_rejected_under_python_optimize():
     assert done.stdout == "rejected\n"
 
 
-def test_trace_records_transitions_and_writes():
-    mem = MatchIndexMemory(2, 2, record_trace=True)
-    mem.set_mode(Mode.WRITE)
-    mem.write_column(0, [True, False])
-    mem.write_column(1, [False, True])
-    mem.set_mode(Mode.READ)
-    assert mem.trace == [
-        "mode,Idle->Write",
-        "write,col=0,tag=10",
-        "write,col=1,tag=01",
-        "mode,Write->Read",
-    ]
-
-
 @given(st.integers(1, 16), st.integers(1, 16), st.data())
 @settings(max_examples=100, deadline=None)
 def test_write_read_round_trip(rows, cols, data):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repeatscan import acam
 from repeatscan.costmodel import CycleCounts
 from repeatscan.detector import oracle_max_tandem
-from repeatscan.pipeline import (GeneNotMapped, OverlappingAssignment,
-                                 block_map, blocks_for_gene,
-                                 default_active_blocks, make_request, scan)
+from repeatscan.pipeline import default_active_blocks, make_request, scan
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, builtin_catalog,
                               find_entry, parse_pattern, parse_text)
 
@@ -119,16 +117,6 @@ def test_cycle_accurate_requires_p3():
                           rows=2, data_width=4, blocks=1, cycle_accurate=True))
 
 
-def test_memory_trace_capture():
-    res = scan(make_request(parse_text("CAGCAG"), parse_pattern("CAG"),
-                            rows=2, data_width=4, blocks=1,
-                            record_memory_trace=True))
-    trace = res.memory_trace
-    assert trace is not None
-    assert trace[0] == "mode,Idle->Write"
-    assert sum(1 for line in trace if line.startswith("write,")) == 4
-
-
 def test_determinism_byte_identical():
     a = quick_scan("CAGCAGCAG", "CAG", rows=2, data_width=8, blocks=2)
     b = quick_scan("CAGCAGCAG", "CAG", rows=2, data_width=8, blocks=2)
@@ -170,31 +158,11 @@ def test_request_validation():
                           active_blocks=[]))
 
 
-def test_block_map_and_lookup():
-    catalog = builtin_catalog()
-    mapping = block_map(catalog, {"HTT": [0, 1], "FXN": [2]}, blocks=8)
-    assert blocks_for_gene(mapping, "HTT") == (0, 1)
-    assert blocks_for_gene(mapping, "FXN") == (2,)
-    with pytest.raises(GeneNotMapped):
-        blocks_for_gene(mapping, "FMR1")
-
-
-def test_block_map_rejects_overlap_and_bad_index():
-    catalog = builtin_catalog()
-    with pytest.raises(OverlappingAssignment):
-        block_map(catalog, {"HTT": [1], "FXN": [1]}, blocks=8)
-    with pytest.raises(ValueError):
-        block_map(catalog, {"HTT": [9]}, blocks=8)
-
-
 def test_scan_on_disease_blocks_from_map():
-    catalog = builtin_catalog()
-    entry = find_entry(catalog, "Huntington's disease")
-    mapping = block_map(catalog, {"HTT": [1, 2]}, blocks=4)
+    entry = find_entry(builtin_catalog(), "Huntington's disease")
     text = "T" * 8 + "CAG" * 5  # lands in rows 1-2 = blocks 1-2 for W=8, m=1
     req = make_request(parse_text(text), entry.pattern, rows=4, data_width=8,
-                       blocks=4, active_blocks=blocks_for_gene(mapping, "HTT"),
-                       disease=entry)
+                       blocks=4, active_blocks=(1, 2), disease=entry)
     res = scan(req)
     assert res.global_max == 5
     assert res.report.params.searched_blocks == 2

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from repeatscan import seqio
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, CatalogError,
                               DiseaseEntry, EmptyInput, InvalidCharacter,
-                              Pattern, builtin_catalog, classify, find_entry,
-                              load_catalog, parse_pattern, parse_text)
+                              MultipleRecords, Pattern, builtin_catalog,
+                              classify, find_entry, load_catalog,
+                              parse_pattern, parse_text)
 
 dna_text = st.text(alphabet="ACGT", min_size=1, max_size=200)
 
@@ -56,9 +57,12 @@ def test_parse_rejects_empty():
         parse_text(">only a header\n", "fasta")
 
 
-def test_parse_multi_record_fasta_concatenates():
-    seq = parse_text(">a\nCAG\n>b\nTT\n", "fasta")
-    assert str(seq) == "CAGTT"
+def test_parse_multi_record_fasta_is_rejected():
+    # joining the records would count a repeat across their boundary
+    with pytest.raises(MultipleRecords) as exc:
+        parse_text(">a\nCAG\n>b\nTT\n", "fasta")
+    assert exc.value.count == 2
+    assert isinstance(exc.value, seqio.SequenceError)
 
 
 def test_parse_accepts_bytes():
