@@ -17,8 +17,8 @@ from pathlib import Path
 from . import __version__
 from .acam import GeometryError
 from .costmodel import (PHYSICAL_COLS, CycleCounts, CycleCountMismatch,
-                        EnergyParams, TimingParams, energy, energy_shares,
-                        geometry_for_text, latency, latency_shares)
+                        TimingParams, energy, energy_shares, geometry_for_text,
+                        latency, latency_shares)
 from .detector import SteppedAfterExit, format_trace, run_trace
 from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
                        make_request, scan)
@@ -69,17 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _round3(x: float) -> float:
-    return round(x, 3)
-
-
 def build_scan_report(request: ScanRequest, result: ScanResult, mode: str) -> dict:
     timing = request.timing
-    lat = result.report.latency
-    en = result.report.energy
-    cyc = result.report.cycles
-    lshare = latency_shares(lat)
-    eshare = energy_shares(en)
+    cost = result.report
+    lat = cost.latency
     return {
         "pattern": str(request.pattern),
         "disease": request.disease.name if request.disease else None,
@@ -92,44 +85,18 @@ def build_scan_report(request: ScanRequest, result: ScanResult, mode: str) -> di
         "saturated": result.saturated,
         "per_block_max": result.per_block_max,
         "active_blocks": list(request.active_blocks),
-        "rows": timing.rows,
-        "data_width": timing.data_width,
-        "pattern_len": timing.pattern_len,
-        "blocks": timing.blocks,
+        **vars(timing),
         "mem_rows": timing.mem_rows,
         "mem_cols": timing.mem_cols,
-        "searched_blocks": timing.searched_blocks,
-        "clock_ns": timing.clock_ns,
-        "write_ns": timing.write_ns,
-        "t_load_ns": _round3(lat.t_load_ns),
-        "dt12_ns": _round3(lat.dt12_ns),
-        "dt23_ns": _round3(lat.dt23_ns),
-        "dt34_ns": _round3(lat.dt34_ns),
-        "per_block_ns": _round3(lat.per_block_ns),
-        "search_time_ns": _round3(lat.t_total_ns - lat.t_load_ns),
-        "t_total_ns": _round3(lat.t_total_ns),
-        "cycles_search": cyc.search,
-        "cycles_write_columns": cyc.write_columns,
-        "cycles_read_groups": cyc.read_groups,
-        "cycles_detector_ticks": cyc.detector_ticks,
-        "cycles_reset": cyc.resets,
+        **{k: round(v, 3) for k, v in vars(lat).items()},
+        "search_time_ns": round(lat.t_total_ns - lat.t_load_ns, 3),
+        **{f"cycles_{'reset' if k == 'resets' else k}": v
+           for k, v in vars(cost.cycles).items() if k != "blocks"},
         "set_events": result.set_events,
-        "energy_write_nj": _round3(en.write_nj),
-        "energy_reset_nj": _round3(en.reset_nj),
-        "energy_read_nj": _round3(en.read_nj),
-        "energy_search_nj": _round3(en.search_nj),
-        "energy_detect_nj": _round3(en.detect_nj),
-        "energy_total_nj": _round3(en.total_nj),
-        "energy_per_char_pj": _round3(en.per_char_pj),
+        **{f"energy_{k}": round(v, 3) for k, v in vars(cost.energy).items()},
         "energy_per_char_divisor": "searched_blocks * mem_rows * mem_cols",
-        "latency_share_search_write": round(lshare["search_write"], 6),
-        "latency_share_read_detect": round(lshare["read_detect"], 6),
-        "latency_share_reset": round(lshare["reset"], 6),
-        "energy_share_write": round(eshare["write"], 6),
-        "energy_share_reset": round(eshare["reset"], 6),
-        "energy_share_read": round(eshare["read"], 6),
-        "energy_share_search": round(eshare["search"], 6),
-        "energy_share_detect": round(eshare["detect"], 6),
+        **{f"latency_share_{k}": round(v, 6) for k, v in latency_shares(lat).items()},
+        **{f"energy_share_{k}": round(v, 6) for k, v in energy_shares(cost.energy).items()},
     }
 
 
@@ -163,7 +130,7 @@ def reference_rows() -> list[dict]:
     for p, ref_nj, tol, note in energies:
         params = TimingParams(data_width=PHYSICAL_COLS - (p - 1), pattern_len=p,
                               searched_blocks=1)
-        fig = energy(EnergyParams(), CycleCounts.closed_form(params))
+        fig = energy(CycleCounts.closed_form(params))
         rows.append({"name": f"energy_block_p{p}_nj", "computed": fig.total_nj,
                      "reference": ref_nj, "tol_pct": tol, "note": note})
         if p == 3:
@@ -197,8 +164,7 @@ def run_paper_numbers(out=None) -> int:
               f"{dev:>9.3f}{tol:>8}  {'PASS' if ok else 'FAIL'}{note}", file=out)
     base = latency(TimingParams())
     lsh = latency_shares(base)
-    esh = energy_shares(energy(EnergyParams(), CycleCounts.closed_form(
-        TimingParams(searched_blocks=1))))
+    esh = energy_shares(energy(CycleCounts.closed_form(TimingParams(searched_blocks=1))))
     print("\nper-block latency shares: "
           + ", ".join(f"{k}={v:.4%}" for k, v in lsh.items()), file=out)
     print("per-block energy shares:  "
@@ -251,8 +217,9 @@ def run_scan(args) -> int:
         record_detector_trace=bool(args.trace))
     result = scan(request)
 
+    # an overflowing period can make a figure inf or NaN, which is not JSON
     report = json.dumps(build_scan_report(request, result, args.mode),
-                        indent=2, sort_keys=True) + "\n"
+                        indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.report:
         Path(args.report).write_text(report)
     else:

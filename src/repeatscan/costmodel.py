@@ -12,9 +12,10 @@ W is the number of search windows per row (data width), m x n the
 match-index memory, K the number of searched blocks.  The detector consumes
 m*n stream bits plus five post-stream cycles, hence the +5.
 
-Per-block energies are characterized constants for the 64 x 128 memory
-instance; other geometries scale each phase linearly by its metered cycle
-count (read energy scales by cells sensed).
+Block energy comes from one table, PHASE_ENERGY: each phase's energy per
+block as characterized on the 64 x 128 memory instance, with the phase's
+cycle count there.  Other geometries scale each phase linearly by its
+metered cycle count (read energy scales by cells sensed).
 """
 
 from __future__ import annotations
@@ -73,24 +74,16 @@ class TimingParams:
         return self.data_width + self.pattern_len - 1
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """Per-block energy constants (nJ) at the reference cycle counts below."""
-
-    write_nj: float = 1.228
-    reset_nj: float = 1.228
-    read_nj: float = 0.82
-    search_nj: float = 1.1769
-    detect_nj: float = 0.7709
-
-
-# Cycle counts of the instance the per-block energies were characterized at
-# (W = 128, m = 64, n = 128).
-REF_SEARCH_CYCLES = 128
-REF_WRITE_COLUMNS = 128
-REF_READ_CELLS = 64 * 128
-REF_DETECT_TICKS = 64 * 128 + POST_STREAM_CYCLES
-REF_RESET_CYCLES = 1
+# phase: (nJ per block, the phase's cycle count per block) on the
+# characterized instance, W = 128, m = 64, n = 128; energy() sums the phases
+# in this order.
+PHASE_ENERGY = {
+    "write": (1.228, 128),
+    "reset": (1.228, 1),
+    "read": (0.82, 64 * 128),
+    "search": (1.1769, 128),
+    "detect": (0.7709, 64 * 128 + POST_STREAM_CYCLES),
+}
 
 
 @dataclass(frozen=True)
@@ -169,17 +162,16 @@ def latency(params: TimingParams) -> LatencyFigures:
     )
 
 
-def energy(params: EnergyParams, cycles: CycleCounts) -> EnergyFigures:
+def energy(cycles: CycleCounts) -> EnergyFigures:
     """Scale each phase's characterized energy by its metered cycle count.
 
     The per-character figure divides the total by the characters searched,
     i.e. the memory cells read across all blocks (blocks * m * n).
     """
-    write = params.write_nj * cycles.write_columns / REF_WRITE_COLUMNS
-    reset = params.reset_nj * cycles.resets / REF_RESET_CYCLES
-    read = params.read_nj * cycles.read_cells / REF_READ_CELLS
-    search = params.search_nj * cycles.search / REF_SEARCH_CYCLES
-    detect = params.detect_nj * cycles.detector_ticks / REF_DETECT_TICKS
+    metered = (cycles.write_columns, cycles.resets, cycles.read_cells,
+               cycles.search, cycles.detector_ticks)
+    write, reset, read, search, detect = (
+        nj * count / ref for (nj, ref), count in zip(PHASE_ENERGY.values(), metered))
     total = write + reset + read + search + detect
     return EnergyFigures(
         write_nj=write,
@@ -192,14 +184,13 @@ def energy(params: EnergyParams, cycles: CycleCounts) -> EnergyFigures:
     )
 
 
-def build_report(tparams: TimingParams, eparams: EnergyParams,
-                 metered: CycleCounts) -> CostReport:
+def build_report(tparams: TimingParams, metered: CycleCounts) -> CostReport:
     """Assemble the full report; metered counts must match the closed form."""
     predicted = CycleCounts.closed_form(tparams)
     if metered != predicted:
         raise CycleCountMismatch(
             f"metered cycle counts {metered} != closed-form {predicted}")
-    return CostReport(tparams, metered, latency(tparams), energy(eparams, metered))
+    return CostReport(tparams, metered, latency(tparams), energy(metered))
 
 
 def latency_shares(figures: LatencyFigures) -> dict[str, float]:
@@ -212,13 +203,8 @@ def latency_shares(figures: LatencyFigures) -> dict[str, float]:
 
 
 def energy_shares(figures: EnergyFigures) -> dict[str, float]:
-    return {
-        "write": figures.write_nj / figures.total_nj,
-        "reset": figures.reset_nj / figures.total_nj,
-        "read": figures.read_nj / figures.total_nj,
-        "search": figures.search_nj / figures.total_nj,
-        "detect": figures.detect_nj / figures.total_nj,
-    }
+    return {phase: getattr(figures, f"{phase}_nj") / figures.total_nj
+            for phase in PHASE_ENERGY}
 
 
 def geometry_for_text(chars: int, pattern_len: int) -> TimingParams:

@@ -110,9 +110,12 @@ class CycleAccurateDetector:
 
     feed() consumes a whole sequence of inputs with d low in one loop over
     local variables and writes the state back once at the end; step()
-    consumes one input and is the only way to raise d.  Pending events are
-    phase indices, -1 for none: the increment or the compare due next
-    cycle, and the reset due next cycle and in two cycles.
+    consumes one input and is the only way to raise d.  Raising d is the one
+    exit path: the events due that cycle retire, then the counters clear
+    (CLR) and the max registers fold into ``global_max``; any later input
+    raises SteppedAfterExit.  Pending events are phase indices, -1 for none:
+    the increment or the compare due next cycle, and the reset due next
+    cycle and in two cycles.
     """
 
     def __init__(self, record_trace: bool = False):
@@ -126,24 +129,6 @@ class CycleAccurateDetector:
         self._rst1 = -1    # reset due next cycle
         self._rst2 = -1    # reset due in two cycles
         self.trace: list[tuple] | None = [] if record_trace else None
-
-    @property
-    def clr(self) -> bool:
-        return self.fsm in (_INITIAL, _EXIT)
-
-    def clone(self) -> "CycleAccurateDetector":
-        other = CycleAccurateDetector.__new__(CycleAccurateDetector)
-        other.fsm = self.fsm
-        other.ctr = self.ctr.copy()
-        other.max_reg = self.max_reg.copy()
-        other.global_max = self.global_max
-        other.cycle = self.cycle
-        other._inc = self._inc
-        other._cmp = self._cmp
-        other._rst1 = self._rst1
-        other._rst2 = self._rst2
-        other.trace = None
-        return other
 
     def feed(self, xs: Iterable[int]) -> None:
         """Consume the inputs in order, one clock cycle each, with d low."""
@@ -186,34 +171,25 @@ class CycleAccurateDetector:
             return
         if self.fsm == _EXIT:
             raise SteppedAfterExit()
+        # A reset still pending would only clear a counter that CLR clears
+        # anyway, and no compare can be pending past this cycle.
         self.cycle += 1
-        self._retire()
-        if self.trace is not None:
-            self.trace.append((self.cycle, _STATE_LABELS[self.fsm], x, d,
-                               0, 0, 0, 0, 0, 0, *self.ctr, *self.max_reg))
-        self.fsm = _EXIT
-        self._finish()
-
-    def _retire(self) -> None:
-        ctr = self.ctr
+        ctr, mx = self.ctr, self.max_reg
         if self._inc >= 0:
             ctr[self._inc] = min(ctr[self._inc] + 1, REGISTER_MAX)
         elif self._cmp >= 0:
-            self.max_reg[self._cmp] = max(self.max_reg[self._cmp], ctr[self._cmp])
+            mx[self._cmp] = max(mx[self._cmp], ctr[self._cmp])
         if self._rst1 >= 0:
             ctr[self._rst1] = 0
-        self._inc = self._cmp = -1
-        self._rst1, self._rst2 = self._rst2, -1
-
-    def _finish(self) -> None:
-        # Drain the pipeline, clear the counters (CLR), fold the maxima.
-        self._retire()
-        self._retire()
+        self._inc = self._cmp = self._rst1 = self._rst2 = -1
         self.ctr = [0, 0, 0]
-        self.global_max = max(self.max_reg)
+        self.global_max = max(mx)
         if self.trace is not None:
+            self.trace.append((self.cycle, _STATE_LABELS[self.fsm], x, d,
+                               0, 0, 0, 0, 0, 0, *ctr, *mx))
             self.trace.append((self.cycle + 1, _STATE_LABELS[_EXIT], "-", "-",
-                               0, 0, 0, 0, 0, 0, *self.ctr, *self.max_reg))
+                               0, 0, 0, 0, 0, 0, *self.ctr, *mx))
+        self.fsm = _EXIT
 
 
 def run_cycle_accurate(bits: Sequence[int],

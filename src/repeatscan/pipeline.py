@@ -16,14 +16,13 @@ be any value from there up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import acam, detector, matchmem
-from .costmodel import (CostReport, CycleCounts, EnergyParams, TimingParams,
-                        build_report)
+from .costmodel import CostReport, CycleCounts, TimingParams, build_report
 from .detector import POST_STREAM_CYCLES, REGISTER_MAX
 from .seqio import DiseaseEntry, DnaSequence, Pattern, classify
 
@@ -37,7 +36,6 @@ class ScanRequest:
     text: DnaSequence
     pattern: Pattern
     timing: TimingParams
-    energy: EnergyParams = field(default_factory=EnergyParams)
     active_blocks: tuple[int, ...] = ()
     disease: DiseaseEntry | None = None
     cycle_accurate: bool = False
@@ -67,7 +65,6 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
                  data_width: int = 128, blocks: int = 8, clock_ns: float = 1.0,
                  write_ns: float | None = None,
                  active_blocks: Iterable[int] | None = None,
-                 energy: EnergyParams | None = None,
                  disease: DiseaseEntry | None = None,
                  cycle_accurate: bool = False,
                  record_detector_trace: bool = False) -> ScanRequest:
@@ -87,7 +84,6 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
     timing = replace(timing, searched_blocks=len(active))
     return ScanRequest(
         text=text, pattern=pattern, timing=timing,
-        energy=energy if energy is not None else EnergyParams(),
         active_blocks=active, disease=disease, cycle_accurate=cycle_accurate,
         record_detector_trace=record_detector_trace)
 
@@ -172,7 +168,7 @@ def scan(request: ScanRequest) -> ScanResult:
     metered = CycleCounts(search=search_cycles, write_columns=write_columns,
                           read_groups=read_groups, detector_ticks=ticks,
                           resets=resets, blocks=len(request.active_blocks))
-    report = build_report(timing, request.energy, metered)
+    report = build_report(timing, metered)
 
     saturated = global_max >= REGISTER_MAX
     classification = None

@@ -3,7 +3,8 @@
 Sequences are plain uppercase strings over A/C/G/T.  Raw and FASTA inputs
 are normalized (the header dropped, whitespace removed, case folded) before
 validation, so every downstream module can assume a clean alphabet.  FASTA
-input holds one record: joined records would let a repeat run across them.
+input holds one record: joined records would let a repeat run across them,
+and sequence before the first header counts as a record of its own.
 Ambiguity codes such as N are rejected rather than mapped: the array cells
 have no wildcard storage state.
 """
@@ -110,8 +111,12 @@ def normalize(raw: str | bytes, fmt: str = "raw") -> str:
     lines = raw.splitlines()
     if fmt == "fasta":
         data = [ln for ln in lines if not ln.lstrip().startswith(">")]
-        if len(lines) - len(data) > 1:
-            raise MultipleRecords(len(lines) - len(data))
+        records = len(lines) - len(data)
+        first = next((ln for ln in lines if ln.strip()), "")
+        if records and not first.lstrip().startswith(">"):
+            records += 1
+        if records > 1:
+            raise MultipleRecords(records)
         lines = data
     return "".join("".join(ln.split()) for ln in lines).upper()
 
@@ -245,15 +250,12 @@ def load_catalog(path: str | Path) -> list[DiseaseEntry]:
             pattern = parse_pattern(pat)
         except SequenceError as exc:
             raise CatalogError(f"line {lineno}: {exc}") from exc
-        entries.append(
-            DiseaseEntry(
-                name.strip(),
-                gene.strip(),
-                pattern,
-                (_parse_bound(nlo), _parse_bound(nhi)),
-                (_parse_bound(dlo), _parse_bound(dhi)),
-            )
-        )
+        ranges = ((_parse_bound(nlo), _parse_bound(nhi)),
+                  (_parse_bound(dlo), _parse_bound(dhi)))
+        for lo, hi in ranges:
+            if lo is not None and hi is not None and lo > hi:
+                raise CatalogError(f"line {lineno}: inverted range {lo}..{hi}")
+        entries.append(DiseaseEntry(name.strip(), gene.strip(), pattern, *ranges))
     if not entries:
         raise CatalogError("catalog file contains no entries")
     return entries

@@ -3,6 +3,7 @@
 Each criterion pins its tolerance here; nothing is deferred to calibration.
 """
 
+import itertools
 import random
 from contextlib import contextmanager
 from pathlib import Path
@@ -10,10 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from repeatscan.acam import DONT_CARE, MM_CELL, cell_matches, drive_for, encode_char
-from repeatscan.costmodel import (CycleCounts, EnergyParams, TimingParams,
-                                  energy, geometry_for_text, latency)
-from repeatscan.detector import (CycleAccurateDetector, detect_functional,
-                                 format_trace, oracle_max_tandem, run_trace)
+from repeatscan.costmodel import (CycleCounts, TimingParams, energy,
+                                  geometry_for_text, latency)
+from repeatscan.detector import (detect_functional, format_trace,
+                                 oracle_max_tandem, run_cycle_accurate, run_trace)
 from repeatscan.matchmem import MatchIndexMemory, Mode
 from repeatscan.pipeline import make_request, scan
 from repeatscan.seqio import builtin_catalog, classify, find_entry, parse_pattern, parse_text
@@ -84,9 +85,9 @@ def test_criterion_3_million_char_totals():
 
 
 def test_criterion_4_energy():
-    e3 = energy(EnergyParams(), CycleCounts.closed_form(
+    e3 = energy(CycleCounts.closed_form(
         TimingParams(searched_blocks=1)))
-    e10 = energy(EnergyParams(), CycleCounts.closed_form(
+    e10 = energy(CycleCounts.closed_form(
         TimingParams(data_width=121, pattern_len=10, searched_blocks=1)))
     with criterion(4, f"energy: p3 block {e3.total_nj:.4f} nJ (1% of 5.2); "
                       f"p10 {e10.total_nj:.4f} nJ (3% of 4.9); per-char "
@@ -236,23 +237,10 @@ def test_criterion_9_fsm_functional_agreement_exhaustive():
     with criterion(9, "cycle-accurate equals functional on all 131071 bit "
                       "streams of length <= 16"):
         checked = 0
-        # depth-first over the prefix tree: the FSM state is shared between
-        # prefixes, only the five flush cycles are replayed per stream
-        stack = [(CycleAccurateDetector(), ())]
-        while stack:
-            det, bits = stack.pop()
-            fsm = det.clone()
-            for _ in range(4):
-                fsm.step(0, 0)
-            fsm.step(0, 1)
-            assert fsm.global_max == detect_functional(bits, 3), bits
-            checked += 1
-            if len(bits) == 16:
-                continue
-            for bit in (0, 1):
-                child = det.clone()
-                child.step(bit, 0)
-                stack.append((child, bits + (bit,)))
+        for length in range(17):
+            for bits in itertools.product((0, 1), repeat=length):
+                assert run_cycle_accurate(bits)[0] == detect_functional(bits, 3), bits
+                checked += 1
         assert checked == 2 ** 17 - 1
 
 

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repeatscan.cli import main, reference_rows, row_passes
 
-GOLDEN = Path(__file__).parent / "golden" / "trace_101110000.csv"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "trace_101110000.csv"
 
 REPORT_KEYS = {
     "pattern", "disease", "gene", "classification", "range_overlap_flagged",
@@ -157,6 +161,15 @@ def test_report_is_byte_stable(tmp_path):
     assert main(args + ["--report", str(r1)]) == 0
     assert main(args + ["--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+    # a disease scan over gapped blocks at odd periods, against the golden
+    # report (dt23_ns 3.2375 rounds to 3.237)
+    text = "GA" + "CAG" * 8 + "TT" + "CAG" * 4 + "ACGTTGCATACGTTGCATA"
+    inp = write_seq(tmp_path, text, "htt.txt")
+    assert main(["--input", inp, "--disease", "Huntington's disease",
+                 "--rows", "8", "--width", "16", "--array-blocks", "4",
+                 "--blocks", "0,2,3", "--clock-ns", "0.7", "--write-ns", "1.3",
+                 "--report", str(r1)]) == 0
+    assert r1.read_bytes() == (GOLDEN_DIR / "report_htt_gapped.json").read_bytes()
 
 
 CLEAN = "TTCAGCAGCAGCAGCAGAAT"   # five tandem CAG copies
@@ -176,6 +189,9 @@ SMALL_ARRAY = ["--pattern", "CAG", "--rows", "4", "--width", "16",
     ("clean.txt", CLEAN, ["--write-ns", "nan"]),
     ("clean.txt", CLEAN, ["--catalog", "bad_catalog.csv"]),
     ("two_records.fa", ">a\nTTCAGCAG\n>b\nCAGCAGTT\n", []),
+    ("data_first.fa", "CAGCAG\n>x\nCAGCAGTT\n", ["--format", "fasta"]),
+    ("clean.txt", CLEAN, ["--write-ns", "1e308"]),
+    ("clean.txt", CLEAN, ["--clock-ns", "1e308"]),
 ])
 def test_input_robustness(tmp_path, capsys, name, content, extra):
     """Variant spellings of a clean text scan like it; malformed input or
@@ -269,6 +285,24 @@ def test_paper_numbers_all_pass(capsys):
     assert "all reference checks passed" in out
     assert "FAIL" not in out
     assert "known discrepancy" in out   # the ambiguous reference is flagged
+    assert out == (GOLDEN_DIR / "paper_numbers.txt").read_text()
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "repeatscan", *args],
+                              capture_output=True, text=True, env=env)
+
+    paper = run("--paper-numbers")
+    assert paper.returncode == 0
+    assert paper.stdout == (GOLDEN_DIR / "paper_numbers.txt").read_text()
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout.startswith("repeatscan ")
 
 
 def test_reference_rows_individually():

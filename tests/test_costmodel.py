@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeatscan.costmodel import (REF_DETECT_TICKS, REF_READ_CELLS,
-                                  CostReport, CycleCountMismatch, CycleCounts,
-                                  EnergyParams, TimingParams, build_report,
+from repeatscan.costmodel import (PHASE_ENERGY, CostReport, CycleCountMismatch,
+                                  CycleCounts, TimingParams, build_report,
                                   energy, energy_shares, geometry_for_text,
                                   latency, latency_shares)
 
@@ -57,7 +56,7 @@ def test_closed_form_cycles():
 
 
 def test_energy_reference_instance():
-    fig = energy(EnergyParams(), CycleCounts.closed_form(
+    fig = energy(CycleCounts.closed_form(
         replace(DEFAULTS, searched_blocks=1)))
     assert fig.write_nj == pytest.approx(1.228)
     assert fig.reset_nj == pytest.approx(1.228)
@@ -69,18 +68,18 @@ def test_energy_reference_instance():
 
 
 def test_energy_phases_sum_to_total():
-    fig = energy(EnergyParams(), CycleCounts.closed_form(DEFAULTS))
+    fig = energy(CycleCounts.closed_form(DEFAULTS))
     assert fig.total_nj == pytest.approx(
         fig.write_nj + fig.reset_nj + fig.read_nj + fig.search_nj + fig.detect_nj)
 
 
 def test_energy_scaled_pattern_lengths():
     p10 = TimingParams(data_width=121, pattern_len=10, searched_blocks=1)
-    fig = energy(EnergyParams(), CycleCounts.closed_form(p10))
+    fig = energy(CycleCounts.closed_form(p10))
     assert fig.search_nj == pytest.approx(1.1769 * 121 / 128)
     assert abs(fig.total_nj - 4.9) / 4.9 < 0.03
     p5 = TimingParams(data_width=126, pattern_len=5, searched_blocks=1)
-    fig5 = energy(EnergyParams(), CycleCounts.closed_form(p5))
+    fig5 = energy(CycleCounts.closed_form(p5))
     assert abs(fig5.total_nj - 5.09) / 5.09 < 0.05
 
 
@@ -88,8 +87,8 @@ def test_energy_linear_in_cycles():
     base = TimingParams(rows=64, data_width=32, pattern_len=3, blocks=4,
                         searched_blocks=4)
     doubled = replace(base, data_width=64)
-    e1 = energy(EnergyParams(), CycleCounts.closed_form(base))
-    e2 = energy(EnergyParams(), CycleCounts.closed_form(doubled))
+    e1 = energy(CycleCounts.closed_form(base))
+    e2 = energy(CycleCounts.closed_form(doubled))
     assert e2.search_nj == pytest.approx(2 * e1.search_nj)
     assert e2.write_nj == pytest.approx(2 * e1.write_nj)
     assert e2.read_nj == pytest.approx(2 * e1.read_nj)
@@ -102,13 +101,13 @@ def test_breakdown_shares():
     assert shares["reset"] == pytest.approx(1 / 1154.125)
     assert shares["read_detect"] == pytest.approx(1024.625 / 1154.125)
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
-    eshares = energy_shares(energy(EnergyParams(), CycleCounts.closed_form(DEFAULTS)))
+    eshares = energy_shares(energy(CycleCounts.closed_form(DEFAULTS)))
     assert sum(eshares.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_report_accepts_matching_meter():
     metered = CycleCounts.closed_form(DEFAULTS)
-    report = build_report(DEFAULTS, EnergyParams(), metered)
+    report = build_report(DEFAULTS, metered)
     assert isinstance(report, CostReport)
     assert report.cycles == metered
 
@@ -117,7 +116,7 @@ def test_build_report_rejects_mismatched_meter():
     metered = CycleCounts.closed_form(DEFAULTS)
     wrong = replace(metered, search=metered.search + 1)
     with pytest.raises(CycleCountMismatch):
-        build_report(DEFAULTS, EnergyParams(), wrong)
+        build_report(DEFAULTS, wrong)
 
 
 def test_params_validation():
@@ -173,5 +172,9 @@ def test_metered_closed_form_consistency(params):
 
 
 def test_reference_constants_describe_the_64x128_instance():
-    assert REF_READ_CELLS == 8192
-    assert REF_DETECT_TICKS == 8197
+    refs = {phase: ref for phase, (_, ref) in PHASE_ENERGY.items()}
+    assert refs == {"write": 128, "reset": 1, "read": 8192, "search": 128,
+                    "detect": 8197}
+    one = CycleCounts.closed_form(replace(DEFAULTS, searched_blocks=1))
+    assert (one.write_columns, one.resets, one.read_cells, one.search,
+            one.detector_ticks) == tuple(refs.values())

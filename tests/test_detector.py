@@ -210,15 +210,6 @@ def test_step_after_exit_rejected():
         det.step(0, 0)
 
 
-def test_clr_active_in_initial_and_exit_only():
-    det = CycleAccurateDetector()
-    assert det.clr
-    det.step(1, 0)
-    assert not det.clr
-    det.step(0, 1)
-    assert det.clr
-
-
 def test_run_cycle_accurate_flush_protocol():
     bits = [1, 0, 1, 1, 1, 0, 0, 0, 0]
     gm, rows = run_cycle_accurate(bits, record_trace=True)

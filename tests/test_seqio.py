@@ -182,6 +182,15 @@ def test_catalog_file_errors(tmp_path):
         load_catalog(bad)
 
 
+@pytest.mark.parametrize("row", ["Inv,GENEX,CAG,50,10,60,*", "Inv,GENEX,CAG,5,10,60,20"])
+def test_catalog_rejects_inverted_range(tmp_path, row):
+    # an inverted range holds no count, so every count would be Indeterminate
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"Ok,GENEY,CAG,5,5,6,*\n{row}\n")
+    with pytest.raises(CatalogError, match="line 2: inverted range"):
+        load_catalog(bad)
+
+
 def test_find_entry_unknown():
     with pytest.raises(CatalogError):
         find_entry(builtin_catalog(), "no such disease")
