@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan.detector import (FLUSH_ZEROS, POST_STREAM_CYCLES,
-                                 CycleAccurateDetector, SteppedAfterExit,
+                                 TRACE_HEADER, CycleAccurateDetector,
+                                 SteppedAfterExit,
                                  detect_functional, format_trace,
                                  oracle_max_tandem, run_cycle_accurate,
                                  run_trace)
@@ -176,6 +177,98 @@ def test_feed_split_anywhere_matches_one_run(bits, cuts):
     det.step(0, 1)
     assert det.trace == whole_rows
     assert det.global_max == whole_max
+
+
+def reference_trace(xs, ds):
+    """Per-cycle reference model of the detector rules, independent of the
+    kernel: in each cycle retire the increment or the compare due, then the
+    reset due, then consume the input (x, d).  A one schedules its phase's
+    increment for the next cycle; a zero schedules the compare for the next
+    cycle and the counter reset for the one after.  Raising d retires the
+    cycle's events and exits.  Returns the global maximum and the trace rows
+    as ``format_trace`` writes them."""
+    ctr, mx = [0, 0, 0], [0, 0, 0]
+    inc, cmp, rst = {}, {}, {}      # cycle -> phase
+    state = "Initial"
+    rows = []
+    for cycle, (x, d) in enumerate(zip(xs, ds), start=1):
+        if cycle in inc:
+            ctr[inc[cycle]] = min(ctr[inc[cycle]] + 1, 255)
+        if cycle in cmp:
+            mx[cmp[cycle]] = max(mx[cmp[cycle]], ctr[cmp[cycle]])
+        if cycle in rst:
+            ctr[rst[cycle]] = 0
+        q = (cycle - 1) % 3
+        signals = [0] * 6
+        if d:
+            regs = ",".join(map(str, ctr + mx))
+            rows.append(f"{cycle},{state},{x},1,0,0,0,0,0,0,{regs}")
+            rows.append(f"{cycle + 1},Exit,-,-,0,0,0,0,0,0,0,0,0,"
+                        + ",".join(map(str, mx)))
+            return max(mx), rows
+        if x:
+            inc[cycle + 1] = q
+            signals[q] = 1
+        else:
+            cmp[cycle + 1] = rst[cycle + 2] = q
+            signals[3 + q] = 1
+        regs = ",".join(map(str, signals + ctr + mx))
+        rows.append(f"{cycle},{state},{x},0,{regs}")
+        state = f"S{2 * q + 1 + x}"
+    raise ValueError("end-of-sequence signal never raised")
+
+
+def trace_lines(global_max, trace):
+    """``format_trace`` output split into its data rows, checking the header
+    and the global_max line on the way."""
+    lines = format_trace(trace, global_max).splitlines()
+    assert lines[0] == TRACE_HEADER
+    assert lines[-1] == f"global_max,{global_max}"
+    return lines[1:-1]
+
+
+@st.composite
+def saturating_streams(draw):
+    """Random bits around an optional run of 250-300 ones in one random
+    phase (at stride 3 a counter runs past 255 only in a stream of at least
+    766 bits), the other two phases random."""
+    noise = st.lists(st.integers(0, 1), max_size=60)
+    bits = draw(noise)
+    if draw(st.booleans()):
+        phase = draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(250, 300))):
+            unit = [draw(st.integers(0, 1)), draw(st.integers(0, 1))]
+            unit.insert(phase, 1)
+            bits += unit
+    return bits + draw(noise)
+
+
+@given(saturating_streams())
+@settings(max_examples=150, deadline=None)
+def test_run_cycle_accurate_matches_reference_row_for_row(bits):
+    flushed = bits + [0] * FLUSH_ZEROS + [0]
+    ref_max, ref_rows = reference_trace(flushed, [0] * (len(flushed) - 1) + [1])
+    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    assert gm == ref_max == detect_functional(bits, 3)
+    assert trace_lines(gm, trace) == ref_rows
+
+
+@given(saturating_streams(), st.integers(0, 1),
+       st.lists(st.integers(0, 1), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_run_trace_matches_reference_row_for_row(bits, exit_x, after):
+    # D raised on input len(bits), whose x is exit_x; inputs after it are
+    # rejected
+    xs = bits + [exit_x] + after
+    ds = [0] * len(bits) + [1] + [0] * len(after)
+    if after:
+        with pytest.raises(SteppedAfterExit):
+            run_trace(xs, ds)
+        return
+    ref_max, ref_rows = reference_trace(xs, ds)
+    gm, trace = run_trace(xs, ds)
+    assert gm == ref_max
+    assert trace_lines(gm, trace) == ref_rows
 
 
 def test_trace_compare_lands_before_reset():
