@@ -10,6 +10,7 @@ decimals so report files diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,7 +39,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on first use; ``parse_args`` leaves it
+    unchanged, so every call shares it."""
     p = _Parser(prog="repeatscan",
                 description="Simulate an analog-CAM tandem-repeat scan over a DNA sequence.")
     p.add_argument("--version", action="version", version=f"repeatscan {__version__}")
@@ -178,8 +182,8 @@ def run_bits_trace(args) -> int:
     for name, value in (("--bits", args.bits), ("--d-bits", args.d_bits)):
         if value is not None and set(value) - set("01"):
             raise ValueError(f"{name} must be a string of 0s and 1s")
-    global_max, rows = run_trace(args.bits, args.d_bits)
-    text = format_trace(rows, global_max)
+    global_max, trace = run_trace(args.bits, args.d_bits)
+    text = format_trace(trace, global_max)
     if args.trace:
         Path(args.trace).write_text(text)
         print(f"global_max {global_max}")
@@ -217,7 +221,7 @@ def run_scan(args) -> int:
         record_detector_trace=bool(args.trace))
     result = scan(request)
 
-    # an overflowing period can make a figure inf or NaN, which is not JSON
+    # build_report names a non-finite figure; none may reach the JSON
     report = json.dumps(build_scan_report(request, result, args.mode),
                         indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.report:

@@ -185,12 +185,19 @@ def energy(cycles: CycleCounts) -> EnergyFigures:
 
 
 def build_report(tparams: TimingParams, metered: CycleCounts) -> CostReport:
-    """Assemble the full report; metered counts must match the closed form."""
+    """Assemble the full report; metered counts must match the closed form,
+    and every latency and energy figure must be finite."""
     predicted = CycleCounts.closed_form(tparams)
     if metered != predicted:
         raise CycleCountMismatch(
             f"metered cycle counts {metered} != closed-form {predicted}")
-    return CostReport(tparams, metered, latency(tparams), energy(metered))
+    report = CostReport(tparams, metered, latency(tparams), energy(metered))
+    for figures in (report.latency, report.energy):
+        for name, value in vars(figures).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is {value}: the clock or write period "
+                                 "(--clock-ns, --write-ns) is too large")
+    return report
 
 
 def latency_shares(figures: LatencyFigures) -> dict[str, float]:

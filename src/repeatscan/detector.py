@@ -9,18 +9,29 @@ The cycle-accurate mode reproduces the hardware detector for p = 3: a
 round-robin FSM (states S1..S6 plus Initial and Exit) emits an increment
 signal C or a reset signal R for the active phase each cycle.  On a zero the
 max-register compare lands one cycle later and the counter reset two cycles
-later, which is safe because the same phase is only revisited every third
-cycle; the end-of-sequence signal D is therefore delayed while four flush
+later; the end-of-sequence signal D is therefore delayed while four flush
 zeros drain the pipeline, and one further zero moves the FSM to Exit, where
 the counters are cleared (CLR) and the three max registers fold into the
-global maximum.  CycleAccurateDetector.feed runs the cycles with D low in one
-loop over local variables, holding each pending increment, compare and reset
-as a phase index (-1 for none); step() raises D and takes the Exit path.
+global maximum.
+
+The registers are computed per phase from events, in one array pass per
+stream, not cycle by cycle.  Phase q's j-th input y_j arrives in cycle
+c_j = q + 3j (counted from 0), and its run r_j is the number of ones ending
+at j, capped at 255.  A one's increment lands at c_j + 1 and a zero's
+counter reset at c_j + 2, so the phase counter at the end of cycle t is r_j
+of the last input whose event is due by t.  A zero's compare lands at
+c_j + 1 and carries r_(j-1).  The exit cycle, the one whose input carries D,
+retires only the events due in it.  This holds because a zero's compare
+lands before its reset, which lands before the phase's next event; that
+order is asserted at import on the delay constants below.  Untraced runs
+take the global maximum from the compares alone; traced runs expand the
+events into per-cycle register columns, which ``format_trace`` writes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,27 +41,44 @@ REGISTER_MAX = 255          # 8-bit counters and max registers saturate here
 FLUSH_ZEROS = 4
 POST_STREAM_CYCLES = FLUSH_ZEROS + 1
 
-_INITIAL = 0
-_EXIT = 7
-_STATE_LABELS = ("Initial", "S1", "S2", "S3", "S4", "S5", "S6", "Exit")
+PHASES = 3                  # the FSM serves pattern length 3
+INC_DELAY = CMP_DELAY = 1   # cycles from a one to its increment, a zero to its compare
+RST_DELAY = 2               # cycles from a zero to its counter reset
+# The compare reads the run before the reset clears it, and the reset lands
+# before the phase's next input, PHASES cycles on, lands its own event.
+assert CMP_DELAY < RST_DELAY < PHASES + min(INC_DELAY, CMP_DELAY)
+# Every phase gets a flush zero whose compare lands by the exit cycle.
+assert FLUSH_ZEROS >= PHASES - 1 + CMP_DELAY
+
+_STATE_LABELS = ("Initial", "S1", "S2", "S3", "S4", "S5", "S6")
 # Phase (0-based) whose input each state consumes next: S1/S2 follow phase 0,
 # S3/S4 follow phase 1, S5/S6 follow phase 2.
 _NEXT_PHASE = (0, 1, 1, 2, 2, 0, 0)
 
+TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
 
-def _row_head(state: int, x: int) -> tuple:
+
+def _ascii_fields(fields: list[str]) -> np.ndarray:
+    """Each field as one fixed-width scalar of ASCII bytes, right-aligned
+    with NUL fill, which ``format_trace`` drops; ``take`` on the result
+    gathers whole fields."""
+    width = max(map(len, fields))
+    return np.frombuffer("".join(f.rjust(width, "\0") for f in fields).encode(),
+                         dtype=f"V{width}")
+
+
+def _head(state: int, x: int) -> str:
     """Trace columns state..R3 for input x consumed in a state with d low:
     a one raises the C signal of the state's phase, a zero its R signal."""
-    signals = [0] * 6
-    signals[_NEXT_PHASE[state] + (0 if x else 3)] = 1
-    return (_STATE_LABELS[state], x, 0, *signals)
+    signals = ["0"] * 6
+    signals[_NEXT_PHASE[state] + (0 if x else 3)] = "1"
+    return f",{_STATE_LABELS[state]},{x},0,{','.join(signals)},"
 
 
-_ONE_HEAD = tuple(_row_head(state, 1) for state in range(_EXIT))
-_ZERO_HEAD = tuple(_row_head(state, 0) for state in range(_EXIT))
-
-TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
-_ROW = ",".join(["%s"] * 16)
+# indexed by 2 * state + x
+_HEADS = _ascii_fields([_head(state, x) for state in range(7) for x in (0, 1)])
+# indexed by register value: up to three digits and a comma
+_REGISTERS = _ascii_fields([f"{v}," for v in range(REGISTER_MAX + 1)])
 
 
 class SteppedAfterExit(RuntimeError):
@@ -99,119 +127,84 @@ def oracle_max_tandem(text: DnaSequence | str, pattern: Pattern | str) -> int:
     return best
 
 
-class CycleAccurateDetector:
-    """p = 3 hardware detector with the delayed compare/reset pipeline.
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Columnar detector trace, one row per clock cycle.
 
-    Each clock cycle consumes one (x, d) input.  Register updates due this
-    cycle (scheduled by earlier inputs) retire first, then the input is
-    consumed and the FSM advances; the input of cycle t belongs to phase
-    t mod 3 (cycles counted from 0).  Trace rows record end-of-cycle
-    register values.
-
-    feed() consumes a whole sequence of inputs with d low in one loop over
-    local variables and writes the state back once at the end; step()
-    consumes one input and is the only way to raise d.  Raising d is the one
-    exit path: the events due that cycle retire, then the counters clear
-    (CLR) and the max registers fold into ``global_max``; any later input
-    raises SteppedAfterExit.  Pending events are phase indices, -1 for none:
-    the increment or the compare due next cycle, and the reset due next
-    cycle and in two cycles.
+    ``x`` holds the inputs consumed, the last one carrying D; ``regs`` holds
+    the end-of-cycle registers ctr1..ctr3, max1..max3 of each of those
+    cycles and of the final Exit cycle.  States and signals follow from x.
     """
+    x: np.ndarray        # uint8, one per consumed input
+    regs: np.ndarray     # uint8, (len(x) + 1, 6)
 
-    def __init__(self, record_trace: bool = False):
-        self.fsm = _INITIAL
-        self.ctr = [0, 0, 0]
-        self.max_reg = [0, 0, 0]
-        self.global_max: int | None = None
-        self.cycle = 0
-        self._inc = -1     # increment due next cycle
-        self._cmp = -1     # max-register compare due next cycle
-        self._rst1 = -1    # reset due next cycle
-        self._rst2 = -1    # reset due in two cycles
-        self.trace: list[tuple] | None = [] if record_trace else None
-
-    def feed(self, xs: Iterable[int]) -> None:
-        """Consume the inputs in order, one clock cycle each, with d low."""
-        if self.fsm == _EXIT:
-            raise SteppedAfterExit()
-        ctr = self.ctr.copy()
-        mx = self.max_reg.copy()
-        inc, cmp, rst1, rst2 = self._inc, self._cmp, self._rst1, self._rst2
-        fsm, cycle, rows = self.fsm, self.cycle, self.trace
-        for x in xs:
-            if inc >= 0:
-                if ctr[inc] < REGISTER_MAX:
-                    ctr[inc] += 1
-            elif cmp >= 0 and ctr[cmp] > mx[cmp]:
-                mx[cmp] = ctr[cmp]
-            if rst1 >= 0:
-                ctr[rst1] = 0
-            rst1 = rst2
-            q = cycle % 3
-            cycle += 1
-            if x:
-                head = _ONE_HEAD[fsm]
-                inc = q
-                cmp = rst2 = -1
-                fsm = 2 * q + 2   # S2, S4, S6
-            else:
-                head = _ZERO_HEAD[fsm]
-                inc = -1
-                cmp = rst2 = q
-                fsm = 2 * q + 1   # S1, S3, S5
-            if rows is not None:
-                rows.append((cycle, *head, *ctr, *mx))
-        self.ctr, self.max_reg = ctr, mx
-        self._inc, self._cmp, self._rst1, self._rst2 = inc, cmp, rst1, rst2
-        self.fsm, self.cycle = fsm, cycle
-
-    def step(self, x: int, d: int = 0) -> None:
-        if not d:
-            self.feed((x,))
-            return
-        if self.fsm == _EXIT:
-            raise SteppedAfterExit()
-        # A reset still pending would only clear a counter that CLR clears
-        # anyway, and no compare can be pending past this cycle.
-        self.cycle += 1
-        ctr, mx = self.ctr, self.max_reg
-        if self._inc >= 0:
-            ctr[self._inc] = min(ctr[self._inc] + 1, REGISTER_MAX)
-        elif self._cmp >= 0:
-            mx[self._cmp] = max(mx[self._cmp], ctr[self._cmp])
-        if self._rst1 >= 0:
-            ctr[self._rst1] = 0
-        self._inc = self._cmp = self._rst1 = self._rst2 = -1
-        self.ctr = [0, 0, 0]
-        self.global_max = max(mx)
-        if self.trace is not None:
-            self.trace.append((self.cycle, _STATE_LABELS[self.fsm], x, d,
-                               0, 0, 0, 0, 0, 0, *ctr, *mx))
-            self.trace.append((self.cycle + 1, _STATE_LABELS[_EXIT], "-", "-",
-                               0, 0, 0, 0, 0, 0, *self.ctr, *mx))
-        self.fsm = _EXIT
+    def __len__(self) -> int:
+        return len(self.regs)
 
 
-def run_cycle_accurate(bits: Sequence[int],
-                       record_trace: bool = False) -> tuple[int, list[tuple]]:
-    """Feed a match bitmap through the p = 3 detector under the hardware
+def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
+         record_trace: bool) -> tuple[int, Trace | None]:
+    """The FSM over the inputs ``stream`` and then ``zeros`` zeros, all with
+    D low, and a last input ``exit_x`` carrying D."""
+    n = len(stream)
+    k = n + zeros                       # inputs consumed with D low
+    rounds = -(-k // PHASES)
+    # one row per round of PHASES inputs; padding ones schedule no compare,
+    # and every event of a padded input lands after the exit cycle
+    y = np.ones(rounds * PHASES, dtype=bool)
+    y[:n] = stream
+    y[n:k] = False
+    y = y.reshape(rounds, PHASES)
+    j = np.arange(rounds, dtype=np.int32)[:, None]
+    # run of ones ending at each input of its phase, not yet capped
+    run = j - np.maximum.accumulate(np.where(y, -1, j), axis=0)
+    if not record_trace:
+        # every zero's compare lands by the exit cycle, carrying r_(j-1)
+        return min(int(run[:-1][~y[1:]].max(initial=0)), REGISTER_MAX), None
+
+    run = np.minimum(run, REGISTER_MAX)
+    prev = np.zeros_like(run)
+    prev[1:] = run[:-1]
+    # Registers of phase q for the PHASES cycles from c_j + INC_DELAY: the
+    # counter after the increment or before the reset (the larger of r_j and
+    # r_(j-1)) until the reset is due, r_j after it, and the running maximum
+    # of the compares throughout.
+    hold = RST_DELAY - INC_DELAY
+    events = np.empty((rounds, PHASES, 6), dtype=np.uint8)
+    events[:, :hold, :3] = np.maximum(run, prev)[:, None]
+    events[:, hold:, :3] = run[:, None]
+    events[:, :, 3:] = np.maximum.accumulate(np.where(y, 0, prev), axis=0)[:, None]
+    events = events.reshape(rounds * PHASES, 6)
+    # cycles 0..k, the exit row, and room for the padding's late events
+    regs = np.zeros((len(events) + PHASES - 1 + INC_DELAY, 6), dtype=np.uint8)
+    for q in range(PHASES):
+        regs[q + INC_DELAY:q + INC_DELAY + len(events), q::PHASES] = events[:, q::PHASES]
+    regs = regs[:k + 2]
+    regs[-1, :3] = 0                    # Exit: CLR, max registers kept
+    regs[-1, 3:] = regs[-2, 3:]
+    xs = np.empty(k + 1, dtype=np.uint8)
+    xs[:k] = y.ravel()[:k]
+    xs[k] = exit_x
+    return int(regs[-1, 3:].max()), Trace(xs, regs)
+
+
+def run_cycle_accurate(bits: Sequence[int] | np.ndarray,
+                       record_trace: bool = False) -> tuple[int, Trace | None]:
+    """Run a match bitmap through the p = 3 detector under the hardware
     read-out protocol: the stream, then four flush zeros, then one final zero
     carrying the end-of-sequence signal, i.e. five post-stream cycles.
     Explicit input vectors, with D raised anywhere, go through ``run_trace``.
+    The trace is None unless ``record_trace``.
     """
-    det = CycleAccurateDetector(record_trace=record_trace)
-    det.feed(bits)
-    det.feed((0,) * FLUSH_ZEROS)
-    det.step(0, 1)
-    assert det.global_max is not None
-    return det.global_max, det.trace or []
+    return _run(bits, FLUSH_ZEROS, 0, record_trace)
 
 
 def run_trace(x_bits: Sequence[int] | str, d_bits: Sequence[int] | str | None = None,
-              ) -> tuple[int, list[tuple]]:
+              ) -> tuple[int, Trace]:
     """Drive the FSM with explicit X and D vectors and record the trace.
 
-    D defaults to all zeros with a final one.  The run must reach Exit.
+    D defaults to all zeros with a final one.  The run must reach Exit, and
+    no input may follow the first raised D.
     """
     xs = [int(b) for b in x_bits]
     if d_bits is None:
@@ -222,18 +215,39 @@ def run_trace(x_bits: Sequence[int] | str, d_bits: Sequence[int] | str | None = 
         ds = [int(b) for b in d_bits]
     if len(xs) != len(ds):
         raise ValueError("x and d input vectors differ in length")
-    det = CycleAccurateDetector(record_trace=True)
-    # inputs up to the first raised D in one call; stepping on past the
-    # exit raises SteppedAfterExit
-    end = next((i for i, d in enumerate(ds) if d), len(ds))
-    det.feed(xs[:end])
-    for x, d in zip(xs[end:], ds[end:]):
-        det.step(x, d)
-    if det.global_max is None:
+    end = next((i for i, d in enumerate(ds) if d), None)
+    if end is None:
         raise ValueError("end-of-sequence signal never raised; detector did not exit")
-    return det.global_max, det.trace or []
+    if end + 1 < len(xs):
+        raise SteppedAfterExit()
+    return _run(xs[:end], 0, xs[end], True)
 
 
-def format_trace(rows: list[tuple], global_max: int) -> str:
-    return "\n".join([TRACE_HEADER, *map(_ROW.__mod__, rows),
-                      f"global_max,{global_max}"]) + "\n"
+def format_trace(trace: Trace, global_max: int) -> str:
+    """The trace as CSV under ``TRACE_HEADER``, then a global_max line.
+
+    The rows with D low are laid out as one byte matrix (NUL-padded cycle
+    digits, the state..R3 head, six registers), and the NULs are deleted
+    from it at once.
+    """
+    x, regs = trace.x, trace.regs
+    n = len(x) - 1                      # rows with D low
+    # state of each row: Initial, then S(2q+1+x) after a phase-q input x
+    state = np.zeros(len(x), dtype=np.intp)
+    state[1:] = 2 * (np.arange(n) % PHASES) + 1 + x[:-1]
+    cycle = np.arange(1, n + 1, dtype=np.int32)
+    digits = np.empty((n, len(str(n))), dtype=np.uint8)
+    for i in reversed(range(digits.shape[1])):
+        digits[:, i] = np.where(cycle > 0, cycle % 10 + ord("0"), 0)
+        cycle //= 10
+    table = np.concatenate([digits,
+                            _HEADS.take((2 * state[:n] + x[:n])[:, None]).view(np.uint8),
+                            _REGISTERS.take(regs[:n]).view(np.uint8)], axis=1)
+    table[:, -1] = ord("\n")
+    body = table.tobytes().translate(None, b"\0").decode("ascii")
+    return "".join([
+        TRACE_HEADER, "\n", body,
+        f"{n + 1},{_STATE_LABELS[state[n]]},{x[n]},1,0,0,0,0,0,0,",
+        ",".join(map(str, regs[-2])),
+        f"\n{n + 2},Exit,-,-,0,0,0,0,0,0,", ",".join(map(str, regs[-1])),
+        f"\nglobal_max,{global_max}\n"])

@@ -81,6 +81,8 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
         active = default_active_blocks(len(text), timing)
     else:
         active = tuple(sorted(set(int(b) for b in active_blocks)))
+    if not active:
+        raise ValueError("at least one block must be activated")
     timing = replace(timing, searched_blocks=len(active))
     return ScanRequest(
         text=text, pattern=pattern, timing=timing,
@@ -155,14 +157,14 @@ def scan(request: ScanRequest) -> ScanResult:
         bits = np.concatenate([streams[b] for b in run])
         segment_max = detector.detect_functional(bits, timing.pattern_len)
         if request.cycle_accurate:
-            fsm_max, rows = detector.run_cycle_accurate(
-                bits.tolist(), record_trace=request.record_detector_trace)
+            fsm_max, trace = detector.run_cycle_accurate(
+                bits, record_trace=request.record_detector_trace)
             if fsm_max != segment_max:
                 raise InternalInvariantError(
                     f"cycle-accurate detector returned {fsm_max}, functional {segment_max}")
             if request.record_detector_trace:
                 trace_chunks.append(f"run,blocks={run[0]}-{run[-1]}\n"
-                                    + detector.format_trace(rows, fsm_max))
+                                    + detector.format_trace(trace, fsm_max))
         global_max = max(global_max, segment_max)
 
     metered = CycleCounts(search=search_cycles, write_columns=write_columns,

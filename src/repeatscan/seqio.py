@@ -248,10 +248,10 @@ def load_catalog(path: str | Path) -> list[DiseaseEntry]:
         name, gene, pat, nlo, nhi, dlo, dhi = fields
         try:
             pattern = parse_pattern(pat)
-        except SequenceError as exc:
+            ranges = ((_parse_bound(nlo), _parse_bound(nhi)),
+                      (_parse_bound(dlo), _parse_bound(dhi)))
+        except (SequenceError, CatalogError) as exc:
             raise CatalogError(f"line {lineno}: {exc}") from exc
-        ranges = ((_parse_bound(nlo), _parse_bound(nhi)),
-                  (_parse_bound(dlo), _parse_bound(dhi)))
         for lo, hi in ranges:
             if lo is not None and hi is not None and lo > hi:
                 raise CatalogError(f"line {lineno}: inverted range {lo}..{hi}")

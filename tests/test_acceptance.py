@@ -101,16 +101,19 @@ def test_criterion_4_energy():
 def test_criterion_5_golden_detector_trace():
     with criterion(5, "cycle-accurate trace for X=101110000 matches the "
                       "committed golden file byte-exactly, global max 2"):
-        gm, rows = run_trace("101110000", "000000001")
+        gm, trace = run_trace("101110000", "000000001")
         assert gm == 2
-        assert format_trace(rows, gm) == GOLDEN.read_text()
-        # the nine transitions: states visited and signal raised per cycle
+        text = format_trace(trace, gm)
+        assert text == GOLDEN.read_text()
+        # the nine transitions: states visited and signal raised per cycle,
+        # read from the CSV rows between the header and the global_max line
+        rows = [line.split(",") for line in text.splitlines()[1:-1]]
         assert [r[1] for r in rows] == ["Initial", "S2", "S3", "S6", "S2",
                                         "S4", "S5", "S1", "S3", "Exit"]
         expected_signals = [("C", 1), ("R", 2), ("C", 3), ("C", 1), ("C", 2),
                             ("R", 3), ("R", 1), ("R", 2), None]
         for row, expected in zip(rows[:-1], expected_signals):
-            c, r = row[4:7], row[7:10]
+            c, r = tuple(map(int, row[4:7])), tuple(map(int, row[7:10]))
             if expected is None:
                 assert c == (0, 0, 0) and r == (0, 0, 0)
             elif expected[0] == "C":

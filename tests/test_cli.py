@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repeatscan.cli import main, reference_rows, row_passes
+from repeatscan.cli import build_parser, main, reference_rows, row_passes
+from repeatscan.detector import TRACE_HEADER
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "trace_101110000.csv"
@@ -177,33 +178,40 @@ SMALL_ARRAY = ["--pattern", "CAG", "--rows", "4", "--width", "16",
                "--array-blocks", "2"]
 
 
-@pytest.mark.parametrize("name, content, extra", [
-    ("crlf.fa", ">seq\r\nTTCAGCAGCA\r\nGCAGCAGAAT\r\n", []),
-    ("lower.txt", CLEAN.lower(), []),
-    ("n.txt", "TTCAGNCAGCAG", []),
-    ("empty.fa", ">seq\r\n", []),
-    ("clean.txt", CLEAN, ["--blocks", "a"]),
-    ("clean.txt", CLEAN, ["--blocks", "9"]),
-    ("clean.txt", CLEAN, ["--clock-ns", "nan"]),
-    ("clean.txt", CLEAN, ["--clock-ns", "inf"]),
-    ("clean.txt", CLEAN, ["--write-ns", "nan"]),
-    ("clean.txt", CLEAN, ["--catalog", "bad_catalog.csv"]),
-    ("two_records.fa", ">a\nTTCAGCAG\n>b\nCAGCAGTT\n", []),
-    ("data_first.fa", "CAGCAG\n>x\nCAGCAGTT\n", ["--format", "fasta"]),
-    ("clean.txt", CLEAN, ["--write-ns", "1e308"]),
-    ("clean.txt", CLEAN, ["--clock-ns", "1e308"]),
+@pytest.mark.parametrize("name, content, extra, message", [
+    ("crlf.fa", ">seq\r\nTTCAGCAGCA\r\nGCAGCAGAAT\r\n", [], None),
+    ("lower.txt", CLEAN.lower(), [], None),
+    ("n.txt", "TTCAGNCAGCAG", [], ""),
+    ("empty.fa", ">seq\r\n", [], ""),
+    ("clean.txt", CLEAN, ["--blocks", "a"], ""),
+    ("clean.txt", CLEAN, ["--blocks", "9"], ""),
+    ("clean.txt", CLEAN, ["--blocks", ",,"], "at least one block must be activated"),
+    ("clean.txt", CLEAN, ["--clock-ns", "nan"], ""),
+    ("clean.txt", CLEAN, ["--clock-ns", "inf"], ""),
+    ("clean.txt", CLEAN, ["--write-ns", "nan"], ""),
+    ("clean.txt", CLEAN, ["--catalog", "bad_catalog.csv"], "line 1: expected 7 fields"),
+    ("clean.txt", CLEAN, ["--catalog", "bad_range.csv"], "line 1: bad range endpoint 'x'"),
+    ("two_records.fa", ">a\nTTCAGCAG\n>b\nCAGCAGTT\n", [], ""),
+    ("data_first.fa", "CAGCAG\n>x\nCAGCAGTT\n", ["--format", "fasta"], ""),
+    ("clean.txt", CLEAN, ["--write-ns", "1e308"], "t_load_ns is inf"),
+    ("clean.txt", CLEAN, ["--clock-ns", "1e308"], "t_load_ns is inf"),
+    ("clean.txt", CLEAN, ["--clock-ns", "1e308", "--write-ns", "1"], "dt12_ns is inf"),
 ])
-def test_input_robustness(tmp_path, capsys, name, content, extra):
+def test_input_robustness(tmp_path, monkeypatch, capsys, name, content, extra,
+                          message):
     """Variant spellings of a clean text scan like it; malformed input or
-    flags fail with exit 1 and a one-line error, never a traceback."""
+    flags fail with exit 1 and a one-line error, never a traceback, naming
+    the fault where ``message`` gives it."""
+    monkeypatch.chdir(tmp_path)     # the catalog paths are relative
     (tmp_path / "bad_catalog.csv").write_text("Custom disorder,GENEX,CCTG,1\n")
+    (tmp_path / "bad_range.csv").write_text("Inv,GENEX,CAG,x,10,60,*\n")
     path = tmp_path / name
     path.write_bytes(content.encode())
     code, report = run_scan_to_report(tmp_path, "--input", str(path),
                                       *SMALL_ARRAY, *extra)
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if name in ("crlf.fa", "lower.txt"):
+    if message is None:
         _, clean = run_scan_to_report(tmp_path, "--input",
                                       write_seq(tmp_path, CLEAN), *SMALL_ARRAY)
         assert code == 0
@@ -211,7 +219,8 @@ def test_input_robustness(tmp_path, capsys, name, content, extra):
     else:
         assert code == 1
         assert report is None
-        assert "error:" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_trace_requires_cycle_mode(tmp_path, capsys):
@@ -246,6 +255,18 @@ def test_bits_trace_reproduces_golden(capsys):
     code = main(["--bits", "101110000", "--d-bits", "000000001"])
     assert code == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_main_calls_share_the_parser_but_no_flag_values(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    assert main(["--bits", "101110000", "--d-bits", "000000001",
+                 "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "global_max 2\n"
+    # neither --trace nor --d-bits carries over: the trace goes to stdout
+    # and D defaults to the last input
+    assert main(["--bits", "10"]) == 0
+    assert capsys.readouterr().out.startswith(TRACE_HEADER + "\n1,Initial,1,0,")
+    assert build_parser() is build_parser()
 
 
 def test_bits_trace_to_file(tmp_path, capsys):

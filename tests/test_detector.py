@@ -1,13 +1,13 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan.detector import (FLUSH_ZEROS, POST_STREAM_CYCLES,
-                                 TRACE_HEADER, CycleAccurateDetector,
-                                 SteppedAfterExit,
+                                 TRACE_HEADER, SteppedAfterExit,
                                  detect_functional, format_trace,
                                  oracle_max_tandem, run_cycle_accurate,
                                  run_trace)
@@ -119,17 +119,35 @@ def test_oracle_matches_naive_enumeration(text, p, data):
 
 # ----------------------------------------------------------------------- fsm
 
+def trace_lines(global_max, trace):
+    """``format_trace`` output split into its data rows, checking the header
+    and the global_max line on the way."""
+    lines = format_trace(trace, global_max).splitlines()
+    assert lines[0] == TRACE_HEADER
+    assert lines[-1] == f"global_max,{global_max}"
+    return lines[1:-1]
+
+
+def parsed_rows(global_max, trace):
+    """The data rows ``format_trace`` writes, as dicts keyed by the header
+    fields, numbers as ints."""
+    keys = TRACE_HEADER.split(",")
+    return [{k: int(v) if v.isdigit() else v for k, v in zip(keys, line.split(","))}
+            for line in trace_lines(global_max, trace)]
+
+
 def test_fsm_worked_example_trace_values():
-    gm, rows = run_trace("101110000", "000000001")
+    gm, trace = run_trace("101110000", "000000001")
     assert gm == 2
-    states = [r[1] for r in rows]
+    rows = parsed_rows(gm, trace)
+    states = [r["state"] for r in rows]
     assert states == ["Initial", "S2", "S3", "S6", "S2", "S4", "S5", "S1",
                       "S3", "Exit"]
     # the nine consumed inputs raise exactly these signals, in order
     signals = []
     for r in rows[:-1]:
-        c = r[4:7]
-        rr = r[7:10]
+        c = [r["C1"], r["C2"], r["C3"]]
+        rr = [r["R1"], r["R2"], r["R3"]]
         if 1 in c:
             signals.append(f"C{c.index(1) + 1}")
         elif 1 in rr:
@@ -138,13 +156,13 @@ def test_fsm_worked_example_trace_values():
             signals.append("-")
     assert signals == ["C1", "R2", "C3", "C1", "C2", "R3", "R1", "R2", "-"]
     # final registers: every zero folded its counter through the comparator
-    assert rows[-1][10:13] == (0, 0, 0)    # counters cleared in Exit
-    assert rows[-1][13:16] == (2, 1, 1)    # max registers
+    assert trace.regs[-1, :3].tolist() == [0, 0, 0]    # counters cleared in Exit
+    assert trace.regs[-1, 3:].tolist() == [2, 1, 1]    # max registers
 
 
 def test_fsm_golden_file_byte_exact():
-    gm, rows = run_trace("101110000", "000000001")
-    assert format_trace(rows, gm) == GOLDEN.read_text()
+    gm, trace = run_trace("101110000", "000000001")
+    assert format_trace(trace, gm) == GOLDEN.read_text()
 
 
 def saturating_stream() -> list[int]:
@@ -155,28 +173,9 @@ def saturating_stream() -> list[int]:
 
 
 def test_fsm_saturating_golden_file_byte_exact():
-    gm, rows = run_cycle_accurate(saturating_stream(), record_trace=True)
+    gm, trace = run_cycle_accurate(saturating_stream(), record_trace=True)
     assert gm == 255
-    assert format_trace(rows, gm) == GOLDEN_SATURATING.read_text()
-
-
-@given(bit_streams, st.lists(st.integers(0, 200), max_size=4))
-@settings(max_examples=300, deadline=None)
-def test_feed_split_anywhere_matches_one_run(bits, cuts):
-    # feed must hand its local state back to the object between calls
-    whole_max, whole_rows = run_cycle_accurate(bits, record_trace=True)
-    det = CycleAccurateDetector(record_trace=True)
-    bounds = [0, *sorted(min(c, len(bits)) for c in cuts), len(bits)]
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if i % 2:
-            for x in bits[lo:hi]:
-                det.step(x, 0)
-        else:
-            det.feed(bits[lo:hi])
-    det.feed([0] * FLUSH_ZEROS)
-    det.step(0, 1)
-    assert det.trace == whole_rows
-    assert det.global_max == whole_max
+    assert format_trace(trace, gm) == GOLDEN_SATURATING.read_text()
 
 
 def reference_trace(xs, ds):
@@ -218,15 +217,6 @@ def reference_trace(xs, ds):
     raise ValueError("end-of-sequence signal never raised")
 
 
-def trace_lines(global_max, trace):
-    """``format_trace`` output split into its data rows, checking the header
-    and the global_max line on the way."""
-    lines = format_trace(trace, global_max).splitlines()
-    assert lines[0] == TRACE_HEADER
-    assert lines[-1] == f"global_max,{global_max}"
-    return lines[1:-1]
-
-
 @st.composite
 def saturating_streams(draw):
     """Random bits around an optional run of 250-300 ones in one random
@@ -236,8 +226,9 @@ def saturating_streams(draw):
     bits = draw(noise)
     if draw(st.booleans()):
         phase = draw(st.integers(0, 2))
+        rng = draw(st.randoms(use_true_random=False))
         for _ in range(draw(st.integers(250, 300))):
-            unit = [draw(st.integers(0, 1)), draw(st.integers(0, 1))]
+            unit = [rng.randint(0, 1), rng.randint(0, 1)]
             unit.insert(phase, 1)
             bits += unit
     return bits + draw(noise)
@@ -274,53 +265,68 @@ def test_run_trace_matches_reference_row_for_row(bits, exit_x, after):
 def test_trace_compare_lands_before_reset():
     # for each zero, the max update is visible one cycle later and the
     # counter reset only on the cycle after that
-    gm, rows = run_trace("111011000", None)
-    by_cycle = {r[0]: r for r in rows}
+    by_cycle = {r["cycle"]: r for r in parsed_rows(*run_trace("111011000", None))}
     # input 4 is the zero for phase 1 (ctr1 = 1 at that point)
-    assert by_cycle[5][13] == 1   # max1 updated at cycle 5
-    assert by_cycle[5][10] == 1   # ctr1 still holding at cycle 5
-    assert by_cycle[6][10] == 0   # ctr1 reset at cycle 6
+    assert by_cycle[5]["max1"] == 1   # max1 updated at cycle 5
+    assert by_cycle[5]["ctr1"] == 1   # ctr1 still holding at cycle 5
+    assert by_cycle[6]["ctr1"] == 0   # ctr1 reset at cycle 6
 
 
 def test_fsm_round_robin_follows_index_mod_3():
-    gm, rows = run_trace("110110110", None)
-    for r in rows[:-1]:
-        cycle = r[0]
-        c, rr = r[4:7], r[7:10]
-        phase = (cycle - 1) % 3
-        if r[3] == 1:  # exit input raises no signals
-            assert c == (0, 0, 0) and rr == (0, 0, 0)
-        elif r[2] == 1:
+    for r in parsed_rows(*run_trace("110110110", None))[:-1]:
+        c = [r["C1"], r["C2"], r["C3"]]
+        rr = [r["R1"], r["R2"], r["R3"]]
+        phase = (r["cycle"] - 1) % 3
+        if r["d"] == 1:  # exit input raises no signals
+            assert c == [0, 0, 0] and rr == [0, 0, 0]
+        elif r["x"] == 1:
             assert c[phase] == 1 and sum(c) == 1 and sum(rr) == 0
         else:
             assert rr[phase] == 1 and sum(rr) == 1 and sum(c) == 0
 
 
 def test_step_after_exit_rejected():
-    det = CycleAccurateDetector()
-    det.step(0, 1)
     with pytest.raises(SteppedAfterExit):
-        det.step(0, 0)
+        run_trace("00", "11")
 
 
 def test_run_cycle_accurate_flush_protocol():
     bits = [1, 0, 1, 1, 1, 0, 0, 0, 0]
-    gm, rows = run_cycle_accurate(bits, record_trace=True)
+    gm, trace = run_cycle_accurate(bits, record_trace=True)
     assert gm == 2
+    rows = parsed_rows(gm, trace)
     # one row per input cycle plus the exit row
     assert len(rows) == len(bits) + POST_STREAM_CYCLES + 1
-    assert rows[-1][1] == "Exit"
+    assert rows[-1]["state"] == "Exit"
     # flush inputs are all zeros, with d raised only on the last
     flush_rows = rows[len(bits):-1]
-    assert all(r[2] == 0 for r in flush_rows)
-    assert [r[3] for r in flush_rows] == [0] * FLUSH_ZEROS + [1]
+    assert all(r["x"] == 0 for r in flush_rows)
+    assert [r["d"] for r in flush_rows] == [0] * FLUSH_ZEROS + [1]
 
 
 def test_run_cycle_accurate_empty_stream():
-    gm, rows = run_cycle_accurate([], record_trace=True)
+    gm, trace = run_cycle_accurate([], record_trace=True)
     assert gm == 0
-    assert len(rows) == POST_STREAM_CYCLES + 1
-    assert rows[-1][13:16] == (0, 0, 0)
+    assert len(trace) == POST_STREAM_CYCLES + 1
+    assert len(parsed_rows(gm, trace)) == POST_STREAM_CYCLES + 1
+    assert trace.regs[-1, 3:].tolist() == [0, 0, 0]
+
+
+@given(bit_streams)
+@settings(max_examples=100, deadline=None)
+def test_trace_length_is_the_rows_format_trace_writes(bits):
+    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    # every line but the header and the global_max line
+    assert len(trace) == len(format_trace(trace, gm).splitlines()) - 2
+    assert len(trace) == len(bits) + POST_STREAM_CYCLES + 1
+
+
+def test_run_cycle_accurate_takes_list_tuple_or_uint8_array():
+    bits = saturating_stream()
+    forms = (bits, tuple(bits), np.array(bits, dtype=np.uint8))
+    assert [run_cycle_accurate(b)[0] for b in forms] == [255] * 3
+    traced = [run_cycle_accurate(b, record_trace=True) for b in forms]
+    assert len({format_trace(trace, gm) for gm, trace in traced}) == 1
 
 
 def test_run_cycle_accurate_counts_trailing_run():
@@ -367,8 +373,8 @@ def test_fsm_agrees_on_structured_streams():
 
 
 def test_format_trace_shape():
-    gm, rows = run_trace("10", None)
-    text = format_trace(rows, gm)
+    gm, trace = run_trace("10", None)
+    text = format_trace(trace, gm)
     lines = text.strip().splitlines()
     assert lines[0].startswith("cycle,state,x,d,C1")
     assert lines[-1] == f"global_max,{gm}"

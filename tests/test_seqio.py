@@ -191,6 +191,13 @@ def test_catalog_rejects_inverted_range(tmp_path, row):
         load_catalog(bad)
 
 
+def test_catalog_bad_endpoint_names_its_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("Ok,GENEY,CAG,5,5,6,*\nInv,GENEX,CAG,x,10,60,*\n")
+    with pytest.raises(CatalogError, match="line 2: bad range endpoint 'x'"):
+        load_catalog(bad)
+
+
 def test_find_entry_unknown():
     with pytest.raises(CatalogError):
         find_entry(builtin_catalog(), "no such disease")
