@@ -76,7 +76,8 @@ def _head(state: int, x: int) -> str:
 
 
 # indexed by 2 * state + x
-_HEADS = _ascii_fields([_head(state, x) for state in range(7) for x in (0, 1)])
+_HEADS = _ascii_fields([_head(state, x) for state in range(len(_STATE_LABELS))
+                       for x in (0, 1)])
 # indexed by register value: up to three digits and a comma
 _REGISTERS = _ascii_fields([f"{v}," for v in range(REGISTER_MAX + 1)])
 
