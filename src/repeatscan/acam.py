@@ -29,7 +29,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .seqio import DnaSequence, Pattern
+from .seqio import ALPHABET, DnaSequence, Pattern, encode
 
 V_DD = Decimal("0.80")
 
@@ -134,12 +134,11 @@ def cell_matches(cell: CellContent, drive: SearchDrive) -> bool:
 
 
 # Stored states by code; ``AcamArray.codes`` indexes this tuple.
-STATES: tuple[CellContent, ...] = (*(CHAR_CELLS[c] for c in "ACGT"), MM_CELL)
+# The character states come in ``ALPHABET`` order, so the codes
+# ``seqio.encode`` gives index this tuple directly.
+STATES: tuple[CellContent, ...] = (*(CHAR_CELLS[c] for c in ALPHABET), MM_CELL)
 MM_CODE = STATES.index(MM_CELL)
-_CODE_OF_CHAR = {c: STATES.index(CHAR_CELLS[c]) for c in SEARCH_MIDPOINTS}
-_NO_CODE = 255
-_ASCII_CODE = np.full(256, _NO_CODE, dtype=np.uint8)
-_ASCII_CODE[np.frombuffer(b"ACGT", dtype=np.uint8)] = range(4)
+_CODE_OF_CHAR = {c: code for code, c in enumerate(ALPHABET)}
 
 # search_cycle compares only the driven columns, and compares their codes;
 # that is exact because a don't-care drive matches every stored state and a
@@ -194,7 +193,9 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
     """Load DNA text row by row and fill the replication columns.
 
     Row i receives text[i*W : (i+1)*W]; the final partial row and any rows
-    past the text hold MM in the unused data cells.
+    past the text hold MM in the unused data cells.  The data cells hold
+    ``seqio.encode``'s codes, so a symbol outside the alphabet raises
+    InvalidCharacter.
     """
     symbols = str(text)
     if pattern_len < 1:
@@ -205,10 +206,7 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
     if len(symbols) > capacity:
         raise TextTooLong(len(symbols), capacity)
 
-    codes = _ASCII_CODE[np.frombuffer(symbols.encode("ascii", "replace"), dtype=np.uint8)]
-    bad = np.flatnonzero(codes == _NO_CODE)
-    if bad.size:
-        raise ValueError(f"no encoding for character {symbols[bad[0]]!r}")
+    codes = np.frombuffer(encode(symbols), dtype=np.uint8)
     # one spare all-MM row supplies the last row's replication columns
     data = np.full((rows + 1) * data_width, MM_CODE, dtype=np.uint8)
     data[:len(codes)] = codes

@@ -2,7 +2,9 @@
 
 One flat command: scan a sequence for a pattern or disease preset, dump a
 cycle-accurate detector trace, or check the cost model against the reference
-figures of the characterized design instance (--paper-numbers).  Reports are
+figures of the characterized design instance (--paper-numbers).  The input
+file is raw text or one FASTA record; ``seqio.parse_text`` tells them apart
+by their header lines, so there is no format option.  Reports are
 flat JSON objects with times in ns and energies in nJ, rounded to three
 decimals so report files diff cleanly.
 """
@@ -46,17 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="repeatscan",
                 description="Simulate an analog-CAM tandem-repeat scan over a DNA sequence.")
     p.add_argument("--version", action="version", version=f"repeatscan {__version__}")
-    p.add_argument("--input", help="sequence file (raw text or FASTA)")
-    p.add_argument("--format", choices=["raw", "fasta"],
-                   help="input format (default: sniffed from a leading '>')")
+    p.add_argument("--input",
+                   help="sequence file: raw text or one FASTA record ('>' lines are headers)")
     p.add_argument("--pattern", help="pattern to search, e.g. CAG")
     p.add_argument("--disease", help="disease preset from the catalog (pattern implied)")
     p.add_argument("--catalog", help="catalog file overriding the built-in one")
     p.add_argument("--blocks", help="comma-separated activated block indices (0-based)")
     p.add_argument("--rows", type=int, default=512, help="array rows M (default 512)")
     p.add_argument("--width", type=int, default=128, help="data width W (default 128)")
-    p.add_argument("--pattern-len", type=int,
-                   help="expected pattern length (checked against the pattern)")
     p.add_argument("--array-blocks", type=int, default=8,
                    help="row blocks B the array is split into (default 8)")
     p.add_argument("--clock-ns", type=float, default=1.0, help="clock period T in ns")
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memristor write time in ns (default: one clock)")
     p.add_argument("--mode", choices=["functional", "cycle"], default="functional",
                    help="detector mode (cycle = FSM, pattern length 3 only)")
-    p.add_argument("--trace", help="write the cycle-accurate detector trace here")
+    p.add_argument("--trace", help="write the cycle-accurate detector trace here (--mode cycle)")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.add_argument("--paper-numbers", action="store_true",
                    help="check the cost model against the reference figures and exit")
@@ -197,18 +196,11 @@ def run_scan(args) -> int:
         raise ValueError("--input is required")
     if bool(args.pattern) == bool(args.disease):
         raise ValueError("exactly one of --pattern or --disease is required")
-    raw = Path(args.input).read_bytes()
-    fmt = args.format or ("fasta" if raw.lstrip()[:1] == b">" else "raw")
-    text = parse_text(raw, fmt)
+    text = parse_text(Path(args.input).read_bytes())
 
     catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
     disease = find_entry(catalog, args.disease) if args.disease else None
     pattern = disease.pattern if disease else parse_pattern(args.pattern)
-    if args.pattern_len is not None and args.pattern_len != len(pattern):
-        raise ValueError(f"--pattern-len {args.pattern_len} does not match "
-                         f"pattern length {len(pattern)}")
-    if args.trace and args.mode != "cycle":
-        raise ValueError("--trace requires --mode cycle")
 
     active = None
     if args.blocks:
@@ -228,7 +220,7 @@ def run_scan(args) -> int:
         Path(args.report).write_text(report)
     else:
         sys.stdout.write(report)
-    if args.trace and result.detector_trace is not None:
+    if args.trace:
         Path(args.trace).write_text(result.detector_trace)
     return 0
 

@@ -117,6 +117,8 @@ def _validate(request: ScanRequest) -> None:
         raise ValueError("searched_blocks must equal the activated block count")
     if request.cycle_accurate and timing.pattern_len != 3:
         raise ValueError("cycle-accurate detection is implemented for pattern length 3")
+    if request.record_detector_trace and not request.cycle_accurate:
+        raise ValueError("a detector trace requires cycle-accurate detection (--mode cycle)")
 
 
 def scan(request: ScanRequest) -> ScanResult:

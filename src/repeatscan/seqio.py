@@ -1,9 +1,14 @@
 """DNA text ingestion plus the repeat-expansion disorder catalog.
 
-Sequences are plain uppercase strings over A/C/G/T.  Raw and FASTA inputs
-are normalized (the header dropped, whitespace removed, case folded) before
-validation, so every downstream module can assume a clean alphabet.  FASTA
-input holds one record: joined records would let a repeat run across them,
+Text takes one path from file bytes to base codes.  ``normalize`` drops
+header lines (a line whose first non-blank character is '>'), ASCII
+whitespace and line ends, and folds ASCII case, so raw text and FASTA need
+no format switch.  ``encode`` then maps every byte through one 256-entry
+table: A/C/G/T become the codes 0..3, their index in ``ALPHABET``, and any
+other byte is rejected with its position.  ``DnaSequence`` (search patterns
+included) validates through it and the array loader stores its codes.
+
+Input holds one record: joined records would let a repeat run across them,
 and sequence before the first header counts as a record of its own.
 Ambiguity codes such as N are rejected rather than mapped: the array cells
 have no wildcard storage state.
@@ -11,11 +16,15 @@ have no wildcard storage state.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 ALPHABET = "ACGT"
+_NOT_A_BASE = 0xFF
+
+# The one byte -> code table: A, C, G, T -> 0..3, every other byte -> _NOT_A_BASE.
+_BASE_CODE = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else _NOT_A_BASE
+                   for b in range(256))
 
 NORMAL = "Normal"
 INDETERMINATE = "Indeterminate"
@@ -55,45 +64,33 @@ class CatalogError(ValueError):
     """Malformed disorder-catalog file."""
 
 
-_INVALID_SYMBOL = re.compile(f"[^{ALPHABET}]")
+def encode(symbols: str) -> bytes:
+    """One code per symbol, its index in ``ALPHABET``; case is not folded.
 
-
-def _validate_symbols(symbols: str) -> None:
-    if not symbols:
-        raise EmptyInput()
-    bad = _INVALID_SYMBOL.search(symbols)
-    if bad:
-        raise InvalidCharacter(bad.start() + 1, bad.group())
+    Raises InvalidCharacter at the first symbol outside the alphabet.
+    """
+    codes = symbols.encode("latin-1", "replace").translate(_BASE_CODE)
+    bad = codes.find(_NOT_A_BASE)
+    if bad >= 0:
+        raise InvalidCharacter(bad + 1, symbols[bad])
+    return codes
 
 
 @dataclass(frozen=True)
 class DnaSequence:
-    """Validated DNA text."""
+    """Validated, non-empty DNA text.
 
-    symbols: str
-
-    def __post_init__(self) -> None:
-        _validate_symbols(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __str__(self) -> str:
-        return self.symbols
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """Validated search pattern.
-
-    Length limits against a concrete array geometry are enforced when the
-    pattern is actually used (load/search), not here.
+    It also serves as a search pattern, whose length limits against a
+    concrete array geometry are enforced where the pattern is used
+    (load/search), not here.
     """
 
     symbols: str
 
     def __post_init__(self) -> None:
-        _validate_symbols(self.symbols)
+        if not self.symbols:
+            raise EmptyInput()
+        encode(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -102,36 +99,40 @@ class Pattern:
         return self.symbols
 
 
-def normalize(raw: str | bytes, fmt: str = "raw") -> str:
-    """Strip the one FASTA header / whitespace and fold case; no validation yet."""
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("latin-1")
-    if fmt not in ("raw", "fasta"):
-        raise ValueError(f"unknown format {fmt!r}")
+Pattern = DnaSequence  # a search pattern is validated DNA text like any other
+
+
+def normalize(raw: str | bytes) -> str:
+    """Drop the header line and ASCII whitespace, fold case; no validation yet.
+
+    Bytes are read as Latin-1, one character per byte.  Raises
+    MultipleRecords when a header follows sequence or another header.
+    """
+    encoding = "utf-8" if isinstance(raw, str) else "latin-1"
+    if isinstance(raw, str):  # UTF-8 puts no ASCII byte inside another character
+        raw = raw.encode(encoding)
     lines = raw.splitlines()
-    if fmt == "fasta":
-        data = [ln for ln in lines if not ln.lstrip().startswith(">")]
-        records = len(lines) - len(data)
-        first = next((ln for ln in lines if ln.strip()), "")
-        if records and not first.lstrip().startswith(">"):
-            records += 1
-        if records > 1:
-            raise MultipleRecords(records)
-        lines = data
-    return "".join("".join(ln.split()) for ln in lines).upper()
+    data = [ln for ln in lines if not ln.lstrip().startswith(b">")]
+    records = len(lines) - len(data)
+    if records and next(ln for ln in lines if ln.strip()).lstrip()[:1] != b">":
+        records += 1
+    if records > 1:
+        raise MultipleRecords(records)
+    return b"".join(b"".join(data).split()).upper().decode(encoding)
 
 
-def parse_text(raw: str | bytes, fmt: str = "raw") -> DnaSequence:
-    """Parse a raw or FASTA stream into a validated sequence.
+def parse_text(raw: str | bytes) -> DnaSequence:
+    """Parse raw text or one FASTA record into a validated sequence.
 
     Raises EmptyInput when nothing remains after stripping, or
-    InvalidCharacter for any symbol outside the alphabet (case-insensitive).
+    InvalidCharacter for any symbol outside the alphabet (case-insensitive;
+    the character is reported case-folded).
     """
-    return DnaSequence(normalize(raw, fmt))
+    return DnaSequence(normalize(raw))
 
 
 def parse_pattern(raw: str) -> Pattern:
-    return Pattern(normalize(raw, "raw"))
+    return Pattern(normalize(raw))
 
 
 def in_range(count: int, rng: Range) -> bool:

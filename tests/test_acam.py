@@ -10,6 +10,7 @@ from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, PatternTooLong,
                              TextTooLong, WindowOutOfRange, cell_matches,
                              drive_for, encode_char, load_text,
                              run_block_search, search_cycle)
+from repeatscan.seqio import InvalidCharacter
 
 CHARS = "ACGT"
 
@@ -106,6 +107,9 @@ def test_load_text_errors():
         load_text("ACGT", rows=2, data_width=2, pattern_len=3, blocks=1)
     with pytest.raises(acam.GeometryError):
         load_text("ACGT", rows=3, data_width=4, pattern_len=2, blocks=2)
+    with pytest.raises(InvalidCharacter) as exc:
+        load_text("ACNT", rows=2, data_width=4, pattern_len=2, blocks=1)
+    assert (exc.value.position, exc.value.char) == (3, "N")
 
 
 def test_search_cycle_window_bounds():

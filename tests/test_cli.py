@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeatscan.cli import build_parser, main, reference_rows, row_passes
-from repeatscan.detector import TRACE_HEADER
+from repeatscan.detector import REGISTER_MAX, TRACE_HEADER, oracle_max_tandem
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "trace_101110000.csv"
@@ -106,12 +111,6 @@ def test_scan_text_too_long_exits_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_pattern_len_mismatch_exits_1(tmp_path, capsys):
-    inp = write_seq(tmp_path, "CAGCAG")
-    code = main(["--input", inp, "--pattern", "CAG", "--pattern-len", "4"])
-    assert code == 1
-
-
 def test_unknown_disease_exits_1(tmp_path, capsys):
     inp = write_seq(tmp_path, "CAGCAG")
     assert main(["--input", inp, "--disease", "nope"]) == 1
@@ -178,14 +177,19 @@ SMALL_ARRAY = ["--pattern", "CAG", "--rows", "4", "--width", "16",
                "--array-blocks", "2"]
 
 
-# The part of the error a row must print where the error names the fault.
+# The part of the error a row must print where the error names the fault,
+# keyed by the row's file name and flags.
 ERROR_NAMES = {
-    ("--blocks", ",,"): "at least one block must be activated",
-    ("--catalog", "bad_catalog.csv"): "line 1: expected 7 fields",
-    ("--catalog", "bad_range.csv"): "line 1: bad range endpoint 'x'",
-    ("--write-ns", "1e308"): "t_load_ns is inf",
-    ("--clock-ns", "1e308"): "t_load_ns is inf",
-    ("--clock-ns", "1e308", "--write-ns", "1"): "dt12_ns is inf",
+    ("n.txt",): "invalid character 'N' at position 6",
+    ("empty.fa",): "input contains no sequence data",
+    ("two_records.fa",): "FASTA input holds 2 records",
+    ("data_first.fa",): "FASTA input holds 2 records",
+    ("clean.txt", "--blocks", ",,"): "at least one block must be activated",
+    ("clean.txt", "--catalog", "bad_catalog.csv"): "line 1: expected 7 fields",
+    ("clean.txt", "--catalog", "bad_range.csv"): "line 1: bad range endpoint 'x'",
+    ("clean.txt", "--write-ns", "1e308"): "t_load_ns is inf",
+    ("clean.txt", "--clock-ns", "1e308"): "t_load_ns is inf",
+    ("clean.txt", "--clock-ns", "1e308", "--write-ns", "1"): "dt12_ns is inf",
 }
 
 
@@ -201,7 +205,7 @@ ERROR_NAMES = {
     ("clean.txt", CLEAN, ["--write-ns", "nan"]),
     ("clean.txt", CLEAN, ["--catalog", "bad_catalog.csv"]),
     ("two_records.fa", ">a\nTTCAGCAG\n>b\nCAGCAGTT\n", []),
-    ("data_first.fa", "CAGCAG\n>x\nCAGCAGTT\n", ["--format", "fasta"]),
+    ("data_first.fa", "CAGCAG\n>x\nCAGCAGTT\n", []),
     ("clean.txt", CLEAN, ["--write-ns", "1e308"]),
     ("clean.txt", CLEAN, ["--clock-ns", "1e308"]),
     ("clean.txt", CLEAN, ["--clock-ns", "1e308", "--write-ns", "1"]),
@@ -230,7 +234,51 @@ def test_input_robustness(tmp_path, monkeypatch, capsys, name, content, extra):
         assert code == 1
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert ERROR_NAMES.get(tuple(extra), "") in err
+        assert ERROR_NAMES.get((name, *extra), "") in err
+
+
+# Pieces of the robustness inputs: bases in both cases, header lines, line
+# ends, blanks, a non-ASCII space, an ambiguity code and NUL.
+FUZZ_PIECES = ["A", "C", "G", "T", "a", "c", "g", "t", "CAG", "cag", ">x", ">",
+               "\n", "\r\n", "\t", " ", "\xa0", "N", "\x00"]
+
+
+def read_as_dna(raw: bytes) -> tuple[str, int]:
+    """An independent reading of an input file: the text left once header
+    lines and ASCII whitespace are dropped and case is folded, and the number
+    of records (sequence before the first header counts as one)."""
+    lines = re.split(r"\r\n|\r|\n", raw.decode("latin-1"))
+    blank = " \t\x0b\x0c"
+    header = [ln.lstrip(blank).startswith(">") for ln in lines]
+    first_is_header = next((h for ln, h in zip(lines, header) if ln.strip(blank)), True)
+    kept = "".join(ln for ln, h in zip(lines, header) if not h)
+    return re.sub(f"[{blank}]", "", kept).upper(), sum(header) + (not first_is_header)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=60))
+def test_cli_fuzz_scans_or_fails_with_one_error_line(tmp_path_factory, pieces):
+    """A scan of any mix of the pieces either equals the oracle on the text
+    as read above, or exits 1 with one ``error:`` line; never 2, never a
+    traceback."""
+    raw = "".join(pieces).encode("latin-1")
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "in.fa").write_bytes(raw)
+    report = directory / "report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--input", str(directory / "in.fa"), "--pattern", "CAG",
+                     "--rows", "16", "--width", "32", "--array-blocks", "4",
+                     "--report", str(report)])
+    text, records = read_as_dna(raw)
+    if text and set(text) <= set("ACGT") and records <= 1:
+        assert (code, err.getvalue()) == (0, "")
+        result = json.loads(report.read_text())
+        assert result["text_length"] == len(text)
+        assert result["global_max"] == min(oracle_max_tandem(text, "CAG"), REGISTER_MAX)
+    else:
+        assert code == 1 and not report.exists()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_trace_requires_cycle_mode(tmp_path, capsys):

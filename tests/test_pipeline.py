@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -156,6 +157,15 @@ def test_request_validation():
     with pytest.raises(ValueError):
         scan(make_request(text, pat, rows=2, data_width=4, blocks=1,
                           active_blocks=[]))
+
+
+def test_trace_requires_cycle_accurate_detection():
+    request = make_request(parse_text("CAGCAG"), parse_pattern("CAG"), rows=2,
+                           data_width=4, blocks=1, record_detector_trace=True)
+    with pytest.raises(ValueError, match="trace requires cycle-accurate"):
+        scan(request)
+    traced = scan(replace(request, cycle_accurate=True))
+    assert traced.detector_trace.startswith("run,blocks=0-0\n")
 
 
 def test_scan_on_disease_blocks_from_map():

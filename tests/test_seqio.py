@@ -17,68 +17,89 @@ def huntington():
 
 
 def test_parse_fasta_strips_header():
-    seq = parse_text(">h\nCAGCAG\n", "fasta")
+    seq = parse_text(">h\nCAGCAG\n")
     assert str(seq) == "CAGCAG"
     assert len(seq) == 6
 
 
 def test_parse_raw_normalizes_case():
-    seq = parse_text("cagTT", "raw")
+    seq = parse_text("cagTT")
     assert str(seq) == "CAGTT"
     assert len(seq) == 5
 
 
 def test_parse_rejects_invalid_character():
     with pytest.raises(InvalidCharacter) as exc:
-        parse_text("CAXG", "raw")
+        parse_text("CAXG")
     assert exc.value.position == 3
     assert exc.value.char == "X"
 
 
 def test_parse_rejects_ambiguity_codes():
     with pytest.raises(InvalidCharacter):
-        parse_text("ACGTN", "raw")
+        parse_text("ACGTN")
+
+
+# Bytes that Unicode, unlike ASCII, counts as whitespace or line breaks: they
+# are not bases, so they fail where they stand instead of vanishing.
+NON_ASCII_SPACE = "\x85\xa0\x1c\x1d\x1e\x1f"
 
 
 @given(dna_text, st.data())
 def test_first_invalid_symbol_position_and_char(s, data):
     pos = data.draw(st.integers(0, len(s)))
-    bad = data.draw(st.sampled_from("NX-"))
+    bad = data.draw(st.sampled_from("NX-" + NON_ASCII_SPACE))
     later = data.draw(st.text(alphabet="ACGTNX-", max_size=10))
+    text = s[:pos] + bad + s[pos:] + later
+    as_bytes = data.draw(st.booleans())
     with pytest.raises(InvalidCharacter) as exc:
-        parse_text(s[:pos] + bad + s[pos:] + later, "raw")
+        parse_text(text.encode("latin-1") if as_bytes else text)
     assert (exc.value.position, exc.value.char) == (pos + 1, bad)
 
 
 def test_parse_rejects_empty():
     with pytest.raises(EmptyInput):
-        parse_text("", "raw")
+        parse_text("")
     with pytest.raises(EmptyInput):
-        parse_text(">only a header\n", "fasta")
+        parse_text(">only a header\n")
 
 
 def test_parse_multi_record_fasta_is_rejected():
     # joining the records would count a repeat across their boundary
     with pytest.raises(MultipleRecords) as exc:
-        parse_text(">a\nCAG\n>b\nTT\n", "fasta")
+        parse_text(">a\nCAG\n>b\nTT\n")
     assert exc.value.count == 2
     assert isinstance(exc.value, seqio.SequenceError)
 
 
 def test_parse_accepts_bytes():
-    assert str(parse_text(b"acgt", "raw")) == "ACGT"
+    assert str(parse_text(b"acgt")) == "ACGT"
 
 
 @given(dna_text)
 def test_round_trip_after_normalization(s):
-    assert str(parse_text(s, "raw")) == s
-    assert str(parse_text(s.lower(), "raw")) == s
+    assert str(parse_text(s)) == s
+    assert str(parse_text(s.lower())) == s
 
 
-@given(dna_text)
-def test_fasta_round_trip_with_line_wrapping(s):
-    wrapped = "\n".join(s[i:i + 7] for i in range(0, len(s), 7))
-    assert str(parse_text(f">x\n{wrapped}\n", "fasta")) == s
+@given(dna_text, st.data())
+def test_fasta_round_trip_with_line_wrapping(s, data):
+    width = data.draw(st.integers(1, 80))
+    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = data.draw(st.sampled_from([">x", ">", "  >x y", "\t>x"]))
+    lower = data.draw(st.booleans())
+
+    def fasta(body: str) -> bytes:
+        body = body.lower() if lower else body
+        wrapped = eol.join(body[i:i + width] for i in range(0, len(body), width))
+        return f"{header}{eol}{wrapped}{eol}".encode()
+
+    assert str(parse_text(fasta(s))) == s
+    # the position counts in the normalized text: no header, no line ends
+    pos = data.draw(st.integers(0, len(s)))
+    with pytest.raises(InvalidCharacter) as exc:
+        parse_text(fasta(s[:pos] + "X" + s[pos:]))
+    assert (exc.value.position, exc.value.char) == (pos + 1, "X")
 
 
 def test_classify_huntington_thresholds():
