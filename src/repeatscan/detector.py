@@ -101,10 +101,13 @@ def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
     rows = len(x) // p + 2
     grid = np.zeros(rows * p, dtype=bool)
     grid[p:p + len(x)] = x
-    # read phase by phase, the distance between consecutive zeros is one
-    # more than the run of 1s between them
-    zeros = np.flatnonzero(~grid.reshape(rows, p).T.ravel())
-    return min(int((zeros[1:] - zeros[:-1]).max()) - 1, REGISTER_MAX)
+    # read phase by phase, a run of 1s is a stretch of consecutive ones; a
+    # match stream holds few ones, so index them rather than its many zeros
+    ones = np.flatnonzero(grid.reshape(rows, p).T.ravel())
+    if not ones.size:
+        return 0
+    starts = np.flatnonzero(np.diff(ones, prepend=-2) != 1)
+    return min(int(np.diff(starts, append=len(ones)).max()), REGISTER_MAX)
 
 
 def oracle_max_tandem(text: DnaSequence | str, pattern: Pattern | str) -> int:
