@@ -194,8 +194,8 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
 
     Row i receives text[i*W : (i+1)*W]; the final partial row and any rows
     past the text hold MM in the unused data cells.  The data cells hold
-    ``seqio.encode``'s codes, so a symbol outside the alphabet raises
-    InvalidCharacter.
+    ``seqio.encode``'s codes, those a ``DnaSequence`` keeps, so a symbol
+    outside the alphabet raises InvalidCharacter.
     """
     symbols = str(text)
     if pattern_len < 1:
@@ -206,7 +206,8 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
     if len(symbols) > capacity:
         raise TextTooLong(len(symbols), capacity)
 
-    codes = np.frombuffer(encode(symbols), dtype=np.uint8)
+    codes = np.frombuffer(text.codes if isinstance(text, DnaSequence) else encode(symbols),
+                          dtype=np.uint8)
     # one spare all-MM row supplies the last row's replication columns
     data = np.full((rows + 1) * data_width, MM_CODE, dtype=np.uint8)
     data[:len(codes)] = codes

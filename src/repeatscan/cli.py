@@ -2,9 +2,10 @@
 
 One flat command: scan a sequence for a pattern or disease preset, dump a
 cycle-accurate detector trace, or check the cost model against the reference
-figures of the characterized design instance (--paper-numbers).  The input
-file is raw text or one FASTA record; ``seqio.parse_text`` tells them apart
-by their header lines, so there is no format option.  Reports are
+figures of the characterized design instance (--paper-numbers).  Traces are
+streamed to the --trace file (or stdout for --bits) as they are formatted.
+The input file is raw text or one FASTA record; ``seqio.parse_text`` tells
+them apart by their header lines, so there is no format option.  Reports are
 flat JSON objects with times in ns and energies in nJ, rounded to three
 decimals so report files diff cleanly.
 """
@@ -17,12 +18,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, detector
 from .acam import GeometryError
 from .costmodel import (PHYSICAL_COLS, CycleCounts, CycleCountMismatch,
                         TimingParams, energy, energy_shares, geometry_for_text,
                         latency, latency_shares)
-from .detector import SteppedAfterExit, format_trace, run_trace
+from .detector import SteppedAfterExit, run_trace
 from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
                        make_request, scan)
 from .seqio import (CatalogError, SequenceError, builtin_catalog, find_entry,
@@ -182,12 +183,12 @@ def run_bits_trace(args) -> int:
         if value is not None and set(value) - set("01"):
             raise ValueError(f"{name} must be a string of 0s and 1s")
     global_max, trace = run_trace(args.bits, args.d_bits)
-    text = format_trace(trace, global_max)
     if args.trace:
-        Path(args.trace).write_text(text)
+        with open(args.trace, "wb") as out:
+            detector.format_trace(trace, global_max, out)
         print(f"global_max {global_max}")
     else:
-        sys.stdout.write(text)
+        detector.format_trace(trace, global_max, sys.stdout.buffer)
     return 0
 
 
@@ -221,7 +222,10 @@ def run_scan(args) -> int:
     else:
         sys.stdout.write(report)
     if args.trace:
-        Path(args.trace).write_text(result.detector_trace)
+        with open(args.trace, "wb") as out:
+            for run, trace, fsm_max in result.detector_trace:
+                out.write(f"run,blocks={run[0]}-{run[-1]}\n".encode())
+                detector.format_trace(trace, fsm_max, out)
     return 0
 
 

@@ -25,13 +25,14 @@ retires only the events due in it.  This holds because a zero's compare
 lands before its reset, which lands before the phase's next event; that
 order is asserted at import on the delay constants below.  Untraced runs
 take the global maximum from the compares alone; traced runs expand the
-events into per-cycle register columns, which ``format_trace`` writes.
+events into per-cycle register columns, a ``Trace``, which ``format_trace``
+streams to a file a fixed number of rows at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -55,6 +56,7 @@ _STATE_LABELS = ("Initial", "S1", "S2", "S3", "S4", "S5", "S6")
 # S3/S4 follow phase 1, S5/S6 follow phase 2.
 _NEXT_PHASE = (0, 1, 1, 2, 2, 0, 0)
 
+TRACE_CHUNK_ROWS = 4096     # rows format_trace lays out per write
 TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
 
 
@@ -227,31 +229,33 @@ def run_trace(x_bits: Sequence[int] | str, d_bits: Sequence[int] | str | None = 
     return _run(xs[:end], 0, xs[end], True)
 
 
-def format_trace(trace: Trace, global_max: int) -> str:
-    """The trace as CSV under ``TRACE_HEADER``, then a global_max line.
-
-    The rows with D low are laid out as one byte matrix (NUL-padded cycle
-    digits, the state..R3 head, six registers), and the NULs are deleted
-    from it at once.
+def format_trace(trace: Trace, global_max: int, out: BinaryIO) -> None:
+    """Write the trace as CSV under ``TRACE_HEADER``, then a global_max line,
+    to the binary stream ``out``: the rows with D low ``TRACE_CHUNK_ROWS`` at
+    a time, each chunk laid out in one reused byte matrix (NUL-padded cycle
+    digits, the state..R3 head, six registers) whose NULs are deleted on write.
     """
     x, regs = trace.x, trace.regs
     n = len(x) - 1                      # rows with D low
-    # state of each row: Initial, then S(2q+1+x) after a phase-q input x
-    state = np.zeros(len(x), dtype=np.intp)
-    state[1:] = 2 * (np.arange(n) % PHASES) + 1 + x[:-1]
-    cycle = np.arange(1, n + 1, dtype=np.int32)
-    digits = np.empty((n, len(str(n))), dtype=np.uint8)
-    for i in reversed(range(digits.shape[1])):
-        digits[:, i] = np.where(cycle > 0, cycle % 10 + ord("0"), 0)
-        cycle //= 10
-    table = np.concatenate([digits,
-                            _HEADS.take((2 * state[:n] + x[:n])[:, None]).view(np.uint8),
-                            _REGISTERS.take(regs[:n]).view(np.uint8)], axis=1)
-    table[:, -1] = ord("\n")
-    body = table.tobytes().translate(None, b"\0").decode("ascii")
-    return "".join([
-        TRACE_HEADER, "\n", body,
-        f"{n + 1},{_STATE_LABELS[state[n]]},{x[n]},1,0,0,0,0,0,0,",
-        ",".join(map(str, regs[-2])),
-        f"\n{n + 2},Exit,-,-,0,0,0,0,0,0,", ",".join(map(str, regs[-1])),
-        f"\nglobal_max,{global_max}\n"])
+    digits = len(str(n))
+    head_end = digits + _HEADS.itemsize
+    table = np.empty((min(n, TRACE_CHUNK_ROWS), head_end + 6 * _REGISTERS.itemsize), np.uint8)
+    out.write(f"{TRACE_HEADER}\n".encode())
+    for start in range(0, n, TRACE_CHUNK_ROWS):
+        row = np.arange(start, min(start + TRACE_CHUNK_ROWS, n), dtype=np.int32)
+        chunk = table[:len(row)]
+        cycle = row + 1
+        for i in reversed(range(digits)):
+            chunk[:, i] = np.where(cycle > 0, cycle % 10 + ord("0"), 0)
+            cycle //= 10
+        # state of each row: Initial, then S(2q+1+x) after a phase-q input x
+        state = np.where(row > 0, 2 * ((row - 1) % PHASES) + 1 + x[row - 1], 0)
+        chunk[:, digits:head_end] = _HEADS.take((2 * state + x[row])[:, None]).view(np.uint8)
+        chunk[:, head_end:] = _REGISTERS.take(regs[row]).view(np.uint8)
+        chunk[:, -1] = ord("\n")
+        out.write(chunk.tobytes().translate(None, b"\0"))
+    last = 2 * ((n - 1) % PHASES) + 1 + x[n - 1] if n else 0
+    out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0,"
+               + ",".join(map(str, regs[-2]))
+               + f"\n{n + 2},Exit,-,-,0,0,0,0,0,0," + ",".join(map(str, regs[-1]))
+               + f"\nglobal_max,{global_max}\n").encode())

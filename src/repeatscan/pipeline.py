@@ -4,7 +4,7 @@ Activated blocks are processed in ascending index order through one shared
 match-index memory.  Bit streams of consecutive activated blocks are
 concatenated before detection so a repeat run crossing a block boundary is
 counted whole; a gap in the activated set splits the detection into
-independent segments.
+independent segments, and a traced scan returns each one's blocks and Trace.
 Cycle counts are metered from the actual simulation and must agree with the
 closed-form cost model.  SET events are counted as the set bits of each
 block's read-out: a write phase starts all-HRS and writes each column once,
@@ -51,7 +51,7 @@ class ScanResult:
     set_events: int
     range_overlap_flagged: bool
     saturated: bool
-    detector_trace: str | None = None
+    detector_trace: list[tuple[list[int], detector.Trace, int]]
 
 
 def default_active_blocks(text_len: int, timing: TimingParams) -> tuple[int, ...]:
@@ -154,7 +154,7 @@ def scan(request: ScanRequest) -> ScanResult:
                      for b in request.active_blocks]
 
     global_max = 0
-    trace_chunks: list[str] = []
+    traces = []
     for run in _consecutive_runs(request.active_blocks):
         bits = np.concatenate([streams[b] for b in run])
         segment_max = detector.detect_functional(bits, timing.pattern_len)
@@ -165,8 +165,7 @@ def scan(request: ScanRequest) -> ScanResult:
                 raise InternalInvariantError(
                     f"cycle-accurate detector returned {fsm_max}, functional {segment_max}")
             if request.record_detector_trace:
-                trace_chunks.append(f"run,blocks={run[0]}-{run[-1]}\n"
-                                    + detector.format_trace(trace, fsm_max))
+                traces.append((run, trace, fsm_max))
         global_max = max(global_max, segment_max)
 
     metered = CycleCounts(search=search_cycles, write_columns=write_columns,
@@ -189,6 +188,6 @@ def scan(request: ScanRequest) -> ScanResult:
         set_events=set_events,
         range_overlap_flagged=overlap,
         saturated=saturated,
-        detector_trace="".join(trace_chunks) if trace_chunks else None,
+        detector_trace=traces,
     )
 

@@ -16,7 +16,7 @@ have no wildcard storage state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 ALPHABET = "ACGT"
@@ -82,15 +82,17 @@ class DnaSequence:
 
     It also serves as a search pattern, whose length limits against a
     concrete array geometry are enforced where the pattern is used
-    (load/search), not here.
+    (load/search), not here.  ``codes`` keeps ``encode``'s result, which
+    the array loader stores.
     """
 
     symbols: str
+    codes: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.symbols:
             raise EmptyInput()
-        encode(self.symbols)
+        object.__setattr__(self, "codes", encode(self.symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeatscan import acam
+from repeatscan import acam, seqio
 from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, PatternTooLong,
                              TextTooLong, WindowOutOfRange, cell_matches,
                              drive_for, encode_char, load_text,
                              run_block_search, search_cycle)
-from repeatscan.seqio import InvalidCharacter
+from repeatscan.seqio import InvalidCharacter, parse_text
 
 CHARS = "ACGT"
 
@@ -83,6 +83,17 @@ def test_load_text_layout():
     assert kinds[0] == ["C", "A", "G", "C", "A", "MM"]
     assert kinds[1] == ["A", "MM", "MM", "MM", "MM", "MM"]
     assert arr.total_cols == 6
+
+
+def test_load_text_stores_a_sequences_codes_without_encoding_again(monkeypatch):
+    seq = parse_text("CAGCA")
+    encoded = []
+    monkeypatch.setattr(acam, "encode", lambda s: encoded.append(s) or seqio.encode(s))
+    arr = load_text(seq, rows=2, data_width=4, pattern_len=3, blocks=1)
+    assert encoded == []
+    assert arr.cells == load_text("CAGCA", rows=2, data_width=4, pattern_len=3,
+                                  blocks=1).cells
+    assert encoded == ["CAGCA"]     # a plain string is still encoded
 
 
 def test_load_text_full_array_has_no_mm_in_data_columns():

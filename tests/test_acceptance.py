@@ -3,6 +3,7 @@
 Each criterion pins its tolerance here; nothing is deferred to calibration.
 """
 
+import io
 import itertools
 import random
 from contextlib import contextmanager
@@ -103,7 +104,9 @@ def test_criterion_5_golden_detector_trace():
                       "committed golden file byte-exactly, global max 2"):
         gm, trace = run_trace("101110000", "000000001")
         assert gm == 2
-        text = format_trace(trace, gm)
+        out = io.BytesIO()
+        format_trace(trace, gm, out)
+        text = out.getvalue().decode("ascii")
         assert text == GOLDEN.read_text()
         # the nine transitions: states visited and signal raised per cycle,
         # read from the CSV rows between the header and the global_max line

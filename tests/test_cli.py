@@ -302,6 +302,18 @@ def test_cycle_mode_scan_writes_trace(tmp_path):
     assert f"global_max,{report['global_max']}" in text
 
 
+def test_gapped_cycle_scan_writes_one_trace_section_per_run(tmp_path):
+    # blocks 0-1 hold a 4-copy run across their boundary; block 2, left out,
+    # would join block 3's two copies into a longer run
+    inp = write_seq(tmp_path, "TCAGCAGC" "AGCAGTTA" "CAGCAGCA" "GCAGCAGA")
+    report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    assert main(["--input", inp, "--pattern", "CAG", "--rows", "4", "--width", "8",
+                 "--array-blocks", "4", "--blocks", "0,1,3", "--mode", "cycle",
+                 "--report", str(report), "--trace", str(trace)]) == 0
+    assert report.read_bytes() == (GOLDEN_DIR / "report_cag_cycle_gapped.json").read_bytes()
+    assert trace.read_bytes() == (GOLDEN_DIR / "trace_cag_gapped.csv").read_bytes()
+
+
 def test_cycle_mode_rejects_non_trinucleotide(tmp_path, capsys):
     inp = write_seq(tmp_path, "CCTGCCTG")
     code = main(["--input", inp, "--pattern", "CCTG", "--mode", "cycle",

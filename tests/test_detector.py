@@ -1,13 +1,16 @@
+import io
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeatscan import detector
 from repeatscan.detector import (FLUSH_ZEROS, POST_STREAM_CYCLES,
-                                 TRACE_HEADER, SteppedAfterExit,
+                                 TRACE_CHUNK_ROWS, TRACE_HEADER, SteppedAfterExit,
                                  detect_functional, format_trace,
                                  oracle_max_tandem, run_cycle_accurate,
                                  run_trace)
@@ -119,10 +122,17 @@ def test_oracle_matches_naive_enumeration(text, p, data):
 
 # ----------------------------------------------------------------------- fsm
 
+def trace_text(global_max, trace) -> str:
+    """What ``format_trace`` writes, read back from an in-memory stream."""
+    out = io.BytesIO()
+    format_trace(trace, global_max, out)
+    return out.getvalue().decode("ascii")
+
+
 def trace_lines(global_max, trace):
     """``format_trace`` output split into its data rows, checking the header
     and the global_max line on the way."""
-    lines = format_trace(trace, global_max).splitlines()
+    lines = trace_text(global_max, trace).splitlines()
     assert lines[0] == TRACE_HEADER
     assert lines[-1] == f"global_max,{global_max}"
     return lines[1:-1]
@@ -162,7 +172,7 @@ def test_fsm_worked_example_trace_values():
 
 def test_fsm_golden_file_byte_exact():
     gm, trace = run_trace("101110000", "000000001")
-    assert format_trace(trace, gm) == GOLDEN.read_text()
+    assert trace_text(gm, trace) == GOLDEN.read_text()
 
 
 def saturating_stream() -> list[int]:
@@ -175,7 +185,7 @@ def saturating_stream() -> list[int]:
 def test_fsm_saturating_golden_file_byte_exact():
     gm, trace = run_cycle_accurate(saturating_stream(), record_trace=True)
     assert gm == 255
-    assert format_trace(trace, gm) == GOLDEN_SATURATING.read_text()
+    assert trace_text(gm, trace) == GOLDEN_SATURATING.read_text()
 
 
 def reference_trace(xs, ds):
@@ -262,6 +272,51 @@ def test_run_trace_matches_reference_row_for_row(bits, exit_x, after):
     assert trace_lines(gm, trace) == ref_rows
 
 
+@pytest.mark.parametrize("rows", [0, 1, 9, 10, 99, 100, TRACE_CHUNK_ROWS - 1,
+                                  TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1,
+                                  2 * TRACE_CHUNK_ROWS + 1, 9999, 10000])
+def test_written_trace_matches_reference_at_chunk_and_digit_edges(rows):
+    # ``rows`` inputs with D low go out in chunks; the cycle digits widen at
+    # 10, 100 and 10000 of them
+    rng = random.Random(rows)
+    xs = [rng.randint(0, 1) for _ in range(rows + 1)]
+    ref_max, ref_rows = reference_trace(xs, [0] * rows + [1])
+    gm, trace = run_trace(xs)
+    assert gm == ref_max
+    assert trace_lines(gm, trace) == ref_rows
+
+
+@given(st.integers(1, 5), saturating_streams())
+@settings(max_examples=50, deadline=None)
+def test_written_trace_matches_reference_for_any_chunk_size(chunk_rows, bits):
+    flushed = bits + [0] * FLUSH_ZEROS + [0]
+    ref_max, ref_rows = reference_trace(flushed, [0] * (len(flushed) - 1) + [1])
+    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    with mock.patch.object(detector, "TRACE_CHUNK_ROWS", chunk_rows):
+        assert trace_lines(gm, trace) == ref_rows
+
+
+def test_full_array_trace_is_written_in_bounded_chunks():
+    class RecordingWriter:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+            return len(data)
+
+    rng = random.Random(65536)
+    gm, trace = run_cycle_accurate([rng.randint(0, 1) for _ in range(65536)],
+                                   record_trace=True)
+    out = RecordingWriter()
+    format_trace(trace, gm, out)
+    text = b"".join(out.writes)
+    row_width = max(map(len, text.splitlines(keepends=True)))
+    assert len(out.writes) >= 16
+    assert max(map(len, out.writes)) <= TRACE_CHUNK_ROWS * row_width
+    assert all(w.endswith(b"\n") for w in out.writes)
+
+
 def test_trace_compare_lands_before_reset():
     # for each zero, the max update is visible one cycle later and the
     # counter reset only on the cycle after that
@@ -317,7 +372,7 @@ def test_run_cycle_accurate_empty_stream():
 def test_trace_length_is_the_rows_format_trace_writes(bits):
     gm, trace = run_cycle_accurate(bits, record_trace=True)
     # every line but the header and the global_max line
-    assert len(trace) == len(format_trace(trace, gm).splitlines()) - 2
+    assert len(trace) == len(trace_text(gm, trace).splitlines()) - 2
     assert len(trace) == len(bits) + POST_STREAM_CYCLES + 1
 
 
@@ -326,7 +381,7 @@ def test_run_cycle_accurate_takes_list_tuple_or_uint8_array():
     forms = (bits, tuple(bits), np.array(bits, dtype=np.uint8))
     assert [run_cycle_accurate(b)[0] for b in forms] == [255] * 3
     traced = [run_cycle_accurate(b, record_trace=True) for b in forms]
-    assert len({format_trace(trace, gm) for gm, trace in traced}) == 1
+    assert len({trace_text(gm, trace) for gm, trace in traced}) == 1
 
 
 def test_run_cycle_accurate_counts_trailing_run():
@@ -374,8 +429,7 @@ def test_fsm_agrees_on_structured_streams():
 
 def test_format_trace_shape():
     gm, trace = run_trace("10", None)
-    text = format_trace(trace, gm)
-    lines = text.strip().splitlines()
+    lines = trace_text(gm, trace).strip().splitlines()
     assert lines[0].startswith("cycle,state,x,d,C1")
     assert lines[-1] == f"global_max,{gm}"
     assert all(len(line.split(",")) == 16 for line in lines[1:-1])

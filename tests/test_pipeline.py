@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repeatscan import acam
 from repeatscan.costmodel import CycleCounts
-from repeatscan.detector import oracle_max_tandem
+from repeatscan.detector import POST_STREAM_CYCLES, oracle_max_tandem
 from repeatscan.pipeline import default_active_blocks, make_request, scan
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, builtin_catalog,
                               find_entry, parse_pattern, parse_text)
@@ -107,9 +107,10 @@ def test_cycle_accurate_mode_agrees_and_traces():
                             rows=2, data_width=8, blocks=2,
                             cycle_accurate=True, record_detector_trace=True))
     assert res.global_max == oracle_max_tandem(text, "CAG")
-    assert res.detector_trace is not None
-    assert res.detector_trace.startswith("run,blocks=0-1\n")
-    assert f"global_max,{res.global_max}" in res.detector_trace
+    # one run of both blocks: two 8-bit streams, the flush and the Exit row
+    [(run, trace, fsm_max)] = res.detector_trace
+    assert run == [0, 1] and fsm_max == res.global_max
+    assert len(trace) == 2 * 8 + POST_STREAM_CYCLES + 1
 
 
 def test_cycle_accurate_requires_p3():
@@ -165,7 +166,9 @@ def test_trace_requires_cycle_accurate_detection():
     with pytest.raises(ValueError, match="trace requires cycle-accurate"):
         scan(request)
     traced = scan(replace(request, cycle_accurate=True))
-    assert traced.detector_trace.startswith("run,blocks=0-0\n")
+    assert [run for run, _, _ in traced.detector_trace] == [[0]]
+    untraced = scan(replace(request, cycle_accurate=True, record_detector_trace=False))
+    assert untraced.detector_trace == []
 
 
 def test_scan_on_disease_blocks_from_map():

@@ -230,6 +230,13 @@ def test_pattern_validation():
         Pattern("CAGX")
 
 
+def test_sequence_keeps_its_codes_outside_equality_and_repr():
+    seq = parse_text("gatc")
+    assert seq.codes == seqio.encode("GATC") == bytes([2, 0, 3, 1])
+    assert seq == Pattern("GATC") and hash(seq) == hash(Pattern("GATC"))
+    assert repr(seq) == "DnaSequence(symbols='GATC')"
+
+
 def test_entry_overlap_helper():
     e = DiseaseEntry("x", "G", Pattern("CAG"), (1, 10), (5, 20))
     assert e.overlapping
