@@ -15,6 +15,9 @@ other, and inside no MM interval, so a driven cell matches exactly when its
 code equals the searched character's code; the array searches by that
 equality, which is asserted against ``cell_matches`` at import.
 
+The array's shape is a ``TimingParams``, which checks it; the array checks
+only the text's length and each search cycle's arguments.
+
 The stored cells never change after loading, so the tags of a search depend
 only on the pattern, the block and the window.  The first search cycle of a
 block evaluates all W windows of that block in one broadcast and memoises the
@@ -29,6 +32,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from .costmodel import TimingParams
 from .seqio import ALPHABET, DnaSequence, Pattern, encode
 
 V_DD = Decimal("0.80")
@@ -44,11 +48,6 @@ class GeometryError(ValueError):
 class TextTooLong(GeometryError):
     def __init__(self, length: int, capacity: int) -> None:
         super().__init__(f"text of {length} characters exceeds array capacity {capacity}")
-
-
-class PatternTooLong(GeometryError):
-    def __init__(self, p: int, width: int) -> None:
-        super().__init__(f"pattern length {p} exceeds data width {width}")
 
 
 class WindowOutOfRange(IndexError):
@@ -149,7 +148,8 @@ assert all(cell_matches(cell, drive_for(c)) == (code == _CODE_OF_CHAR[c])
 
 
 class AcamArray:
-    """M x (W + p - 1) grid of cells, split into B equal row blocks.
+    """M x (W + p - 1) grid of cells, split into B equal row blocks; M, W,
+    p and B come from ``geometry``.
 
     Columns 0..W-1 hold text data; the trailing p-1 columns of row i replicate
     the first p-1 data cells of row i+1 so a pattern window can straddle a row
@@ -159,28 +159,18 @@ class AcamArray:
     ``codes`` is the array's only representation of the stored cells: one
     uint8 per cell, indexing ``STATES``.  The array keeps a read-only copy,
     so search results are memoised per ``(pattern, block)`` (see
-    ``search_cycle``).
+    ``search_cycle``), and binds the values ``search_cycle`` checks once.
     """
 
-    def __init__(self, rows: int, data_width: int, pattern_len: int, blocks: int,
-                 codes: np.ndarray):
-        if rows % blocks != 0:
-            raise GeometryError(f"rows {rows} not divisible into {blocks} blocks")
-        self.rows = rows
-        self.data_width = data_width
-        self.pattern_len = pattern_len
-        self.blocks = blocks
+    def __init__(self, geometry: TimingParams, codes: np.ndarray):
+        self.geometry = geometry
+        self.pattern_len = geometry.pattern_len
+        self.blocks = geometry.blocks
+        self.data_width = geometry.data_width
         self.codes = codes.astype(np.uint8)
         self.codes.flags.writeable = False
+        self.rows, self.total_cols = self.codes.shape
         self._tags: dict[tuple[str, int], np.ndarray] = {}
-
-    @property
-    def total_cols(self) -> int:
-        return self.data_width + self.pattern_len - 1
-
-    @property
-    def rows_per_block(self) -> int:
-        return self.rows // self.blocks
 
     @property
     def cells(self) -> tuple[tuple[CellContent, ...], ...]:
@@ -188,8 +178,7 @@ class AcamArray:
         return tuple(tuple(STATES[c] for c in row) for row in self.codes.tolist())
 
 
-def load_text(text: DnaSequence | str, rows: int, data_width: int,
-              pattern_len: int, blocks: int) -> AcamArray:
+def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
     """Load DNA text row by row and fill the replication columns.
 
     Row i receives text[i*W : (i+1)*W]; the final partial row and any rows
@@ -198,10 +187,7 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
     outside the alphabet raises InvalidCharacter.
     """
     symbols = str(text)
-    if pattern_len < 1:
-        raise GeometryError("pattern length must be at least 1")
-    if pattern_len > data_width:
-        raise PatternTooLong(pattern_len, data_width)
+    rows, data_width = geometry.rows, geometry.data_width
     capacity = rows * data_width
     if len(symbols) > capacity:
         raise TextTooLong(len(symbols), capacity)
@@ -212,8 +198,8 @@ def load_text(text: DnaSequence | str, rows: int, data_width: int,
     data = np.full((rows + 1) * data_width, MM_CODE, dtype=np.uint8)
     data[:len(codes)] = codes
     data = data.reshape(rows + 1, data_width)
-    grid = np.hstack([data[:rows], data[1:, :pattern_len - 1]])
-    return AcamArray(rows, data_width, pattern_len, blocks, grid)
+    grid = np.hstack([data[:rows], data[1:, :geometry.pattern_len - 1]])
+    return AcamArray(geometry, grid)
 
 
 def search_cycle(array: AcamArray, block: int, window: int,
@@ -247,10 +233,10 @@ def _search_block(array: AcamArray, block: int, pattern: str) -> np.ndarray:
     Window i drives columns i..i+p-1, so pattern character k meets the column
     slice k..k+W-1 of the block: p shifted compares replace W search cycles.
     """
-    r0 = block * array.rows_per_block
-    rows = slice(r0, r0 + array.rows_per_block)
+    m = array.geometry.mem_rows
+    rows = slice(block * m, (block + 1) * m)
     width = array.data_width
-    matched = np.ones((array.rows_per_block, width), dtype=bool)
+    matched = np.ones((m, width), dtype=bool)
     for k, c in enumerate(pattern):
         matched &= array.codes[rows, k:k + width] == _CODE_OF_CHAR[c]
     tags = np.ascontiguousarray(matched.T)
@@ -264,8 +250,7 @@ def run_block_search(array: AcamArray, block: int,
 
     Issues exactly W search cycles.
     """
-    m = array.rows_per_block
-    out = np.zeros((m, array.data_width), dtype=bool)
+    out = np.zeros((array.geometry.mem_rows, array.data_width), dtype=bool)
     for i in range(array.data_width):
         out[:, i] = search_cycle(array, block, i, pattern)
     return out

@@ -1,9 +1,10 @@
 """Command-line frontend.
 
-One flat command: scan a sequence for a pattern or disease preset, dump a
-cycle-accurate detector trace, or check the cost model against the reference
-figures of the characterized design instance (--paper-numbers).  Traces are
-streamed to the --trace file (or stdout for --bits) as they are formatted.
+One flat command: scan a sequence for a pattern or disease preset, dump the
+detector trace of a 0/1 string (--bits, D raised on its last input), or check
+the cost model against the reference figures of the characterized design
+instance (--paper-numbers).  Traces are streamed to the --trace file (or
+stdout for --bits) as they are formatted.
 The input file is raw text or one FASTA record; ``seqio.parse_text`` tells
 them apart by their header lines, so there is no format option.  Reports are
 flat JSON objects with times in ns and energies in nJ, rounded to three
@@ -13,21 +14,21 @@ decimals so report files diff cleanly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 from pathlib import Path
 
 from . import __version__, detector
-from .acam import GeometryError
 from .costmodel import (PHYSICAL_COLS, CycleCounts, CycleCountMismatch,
                         TimingParams, energy, energy_shares, geometry_for_text,
                         latency, latency_shares)
-from .detector import SteppedAfterExit, run_trace
+from .detector import run_trace
 from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
                        make_request, scan)
-from .seqio import (CatalogError, SequenceError, builtin_catalog, find_entry,
-                    load_catalog, parse_pattern, parse_text)
+from .seqio import (builtin_catalog, find_entry, load_catalog, parse_pattern,
+                    parse_text)
 
 # Published figures for the characterized instance (M=512, 130 columns, B=8,
 # T = T_w = 1 ns), with the acceptance tolerance per row.  The p=5 total is
@@ -68,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.add_argument("--paper-numbers", action="store_true",
                    help="check the cost model against the reference figures and exit")
-    p.add_argument("--bits", help="drive the detector FSM with this 0/1 string and exit")
-    p.add_argument("--d-bits", help="explicit end-of-sequence vector for --bits")
+    p.add_argument("--bits", help="drive the detector FSM with this 0/1 string, the "
+                   "end-of-sequence signal raised on its last input, and exit")
     return p
 
 
@@ -179,16 +180,15 @@ def run_paper_numbers(out=None) -> int:
 
 
 def run_bits_trace(args) -> int:
-    for name, value in (("--bits", args.bits), ("--d-bits", args.d_bits)):
-        if value is not None and set(value) - set("01"):
-            raise ValueError(f"{name} must be a string of 0s and 1s")
-    global_max, trace = run_trace(args.bits, args.d_bits)
+    if set(args.bits) - set("01"):
+        raise ValueError("--bits must be a string of 0s and 1s")
+    global_max, trace = run_trace(args.bits)
     if args.trace:
         with open(args.trace, "wb") as out:
-            detector.format_trace(trace, global_max, out)
+            detector.format_trace(trace, out)
         print(f"global_max {global_max}")
     else:
-        detector.format_trace(trace, global_max, sys.stdout.buffer)
+        detector.format_trace(trace, sys.stdout.buffer)
     return 0
 
 
@@ -203,9 +203,10 @@ def run_scan(args) -> int:
     disease = find_entry(catalog, args.disease) if args.disease else None
     pattern = disease.pattern if disease else parse_pattern(args.pattern)
 
-    active = None
-    if args.blocks:
-        active = [int(b) for b in args.blocks.split(",") if b.strip() != ""]
+    try:
+        active = [int(b) for b in args.blocks.split(",") if b.strip()] if args.blocks else None
+    except ValueError:
+        raise ValueError(f"--blocks must list block indices, not {args.blocks!r}") from None
     request = make_request(
         text, pattern, rows=args.rows, data_width=args.width,
         blocks=args.array_blocks, clock_ns=args.clock_ns, write_ns=args.write_ns,
@@ -217,15 +218,15 @@ def run_scan(args) -> int:
     # build_report names a non-finite figure; none may reach the JSON
     report = json.dumps(build_scan_report(request, result, args.mode),
                         indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if args.report:
-        Path(args.report).write_text(report)
-    else:
-        sys.stdout.write(report)
-    if args.trace:
-        with open(args.trace, "wb") as out:
-            for run, trace, fsm_max in result.detector_trace:
-                out.write(f"run,blocks={run[0]}-{run[-1]}\n".encode())
-                detector.format_trace(trace, fsm_max, out)
+    # an unwritable trace path fails before any report is written
+    with open(args.trace, "wb") if args.trace else contextlib.nullcontext() as out:
+        if args.report:
+            Path(args.report).write_text(report)
+        else:
+            sys.stdout.write(report)
+        for run, trace in result.detector_trace:
+            out.write(f"run,blocks={run[0]}-{run[-1]}\n".encode())
+            detector.format_trace(trace, out)
     return 0
 
 
@@ -243,8 +244,7 @@ def main(argv=None) -> int:
     except (InternalInvariantError, CycleCountMismatch) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except (SequenceError, CatalogError, GeometryError, SteppedAfterExit,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,8 @@ max-register compare lands one cycle later and the counter reset two cycles
 later; the end-of-sequence signal D is therefore delayed while four flush
 zeros drain the pipeline, and one further zero moves the FSM to Exit, where
 the counters are cleared (CLR) and the three max registers fold into the
-global maximum.
+global maximum.  Explicit input vectors (``run_trace``) likewise raise D
+with their last input.
 
 The registers are computed per phase from events, in one array pass per
 stream, not cycle by cycle.  Phase q's j-th input y_j arrives in cycle
@@ -82,11 +83,6 @@ _HEADS = _ascii_fields([_head(state, x) for state in range(len(_STATE_LABELS))
                        for x in (0, 1)])
 # indexed by register value: up to three digits and a comma
 _REGISTERS = _ascii_fields([f"{v}," for v in range(REGISTER_MAX + 1)])
-
-
-class SteppedAfterExit(RuntimeError):
-    def __init__(self) -> None:
-        super().__init__("detector stepped after reaching the exit state")
 
 
 def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
@@ -199,41 +195,25 @@ def run_cycle_accurate(bits: Sequence[int] | np.ndarray,
     """Run a match bitmap through the p = 3 detector under the hardware
     read-out protocol: the stream, then four flush zeros, then one final zero
     carrying the end-of-sequence signal, i.e. five post-stream cycles.
-    Explicit input vectors, with D raised anywhere, go through ``run_trace``.
-    The trace is None unless ``record_trace``.
+    Explicit input vectors go through ``run_trace``.  The trace is None
+    unless ``record_trace``.
     """
     return _run(bits, FLUSH_ZEROS, 0, record_trace)
 
 
-def run_trace(x_bits: Sequence[int] | str, d_bits: Sequence[int] | str | None = None,
-              ) -> tuple[int, Trace]:
-    """Drive the FSM with explicit X and D vectors and record the trace.
-
-    D defaults to all zeros with a final one.  The run must reach Exit, and
-    no input may follow the first raised D.
-    """
-    xs = [int(b) for b in x_bits]
-    if d_bits is None:
-        ds = [0] * (len(xs) - 1) + [1] if xs else [1]
-        if not xs:
-            xs = [0]
-    else:
-        ds = [int(b) for b in d_bits]
-    if len(xs) != len(ds):
-        raise ValueError("x and d input vectors differ in length")
-    end = next((i for i, d in enumerate(ds) if d), None)
-    if end is None:
-        raise ValueError("end-of-sequence signal never raised; detector did not exit")
-    if end + 1 < len(xs):
-        raise SteppedAfterExit()
-    return _run(xs[:end], 0, xs[end], True)
+def run_trace(x_bits: Sequence[int] | str) -> tuple[int, Trace]:
+    """Drive the FSM with an explicit X vector, D raised with its last input,
+    and record the trace.  An empty X is read as one zero."""
+    xs = [int(b) for b in x_bits] or [0]
+    return _run(xs[:-1], 0, xs[-1], True)
 
 
-def format_trace(trace: Trace, global_max: int, out: BinaryIO) -> None:
-    """Write the trace as CSV under ``TRACE_HEADER``, then a global_max line,
-    to the binary stream ``out``: the rows with D low ``TRACE_CHUNK_ROWS`` at
-    a time, each chunk laid out in one reused byte matrix (NUL-padded cycle
-    digits, the state..R3 head, six registers) whose NULs are deleted on write.
+def format_trace(trace: Trace, out: BinaryIO) -> None:
+    """Write the trace as CSV under ``TRACE_HEADER``, then a global_max line
+    (the largest max register of the Exit row), to the binary stream ``out``:
+    the rows with D low ``TRACE_CHUNK_ROWS`` at a time, each chunk laid out in
+    one reused byte matrix (NUL-padded cycle digits, the state..R3 head, six
+    registers) whose NULs are deleted on write.
     """
     x, regs = trace.x, trace.regs
     n = len(x) - 1                      # rows with D low
@@ -258,4 +238,4 @@ def format_trace(trace: Trace, global_max: int, out: BinaryIO) -> None:
     out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0,"
                + ",".join(map(str, regs[-2]))
                + f"\n{n + 2},Exit,-,-,0,0,0,0,0,0," + ",".join(map(str, regs[-1]))
-               + f"\nglobal_max,{global_max}\n").encode())
+               + f"\nglobal_max,{regs[-1, 3:].max()}\n").encode())

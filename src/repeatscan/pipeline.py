@@ -51,7 +51,7 @@ class ScanResult:
     set_events: int
     range_overlap_flagged: bool
     saturated: bool
-    detector_trace: list[tuple[list[int], detector.Trace, int]]
+    detector_trace: list[tuple[list[int], detector.Trace]]
 
 
 def default_active_blocks(text_len: int, timing: TimingParams) -> tuple[int, ...]:
@@ -126,8 +126,7 @@ def scan(request: ScanRequest) -> ScanResult:
     _validate(request)
     timing = request.timing
     pattern = str(request.pattern)
-    array = acam.load_text(request.text, timing.rows, timing.data_width,
-                           timing.pattern_len, timing.blocks)
+    array = acam.load_text(request.text, timing)
     m, n = timing.mem_rows, timing.mem_cols
 
     memory = matchmem.MatchIndexMemory(m, n)
@@ -165,7 +164,7 @@ def scan(request: ScanRequest) -> ScanResult:
                 raise InternalInvariantError(
                     f"cycle-accurate detector returned {fsm_max}, functional {segment_max}")
             if request.record_detector_trace:
-                traces.append((run, trace, fsm_max))
+                traces.append((run, trace))
         global_max = max(global_max, segment_max)
 
     metered = CycleCounts(search=search_cycles, write_columns=write_columns,

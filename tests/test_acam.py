@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan import acam, seqio
-from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, PatternTooLong,
-                             TextTooLong, WindowOutOfRange, cell_matches,
-                             drive_for, encode_char, load_text,
-                             run_block_search, search_cycle)
+from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, TextTooLong,
+                             WindowOutOfRange, cell_matches, drive_for,
+                             encode_char, load_text, run_block_search,
+                             search_cycle)
+from repeatscan.costmodel import TimingParams
 from repeatscan.seqio import InvalidCharacter, parse_text
 
 CHARS = "ACGT"
+
+
+def geometry(rows: int, width: int, p: int, blocks: int) -> TimingParams:
+    """An M x (W + p - 1) array of B blocks."""
+    return TimingParams(rows=rows, data_width=width, pattern_len=p, blocks=blocks)
 
 
 def brute_occurrences(text: str, pattern: str) -> set[int]:
@@ -78,7 +84,7 @@ def test_cell_match_examples():
 
 
 def test_load_text_layout():
-    arr = load_text("CAGCA", rows=2, data_width=4, pattern_len=3, blocks=1)
+    arr = load_text("CAGCA", geometry(2, 4, 3, 1))
     kinds = [[c.kind for c in row] for row in arr.cells]
     assert kinds[0] == ["C", "A", "G", "C", "A", "MM"]
     assert kinds[1] == ["A", "MM", "MM", "MM", "MM", "MM"]
@@ -89,15 +95,14 @@ def test_load_text_stores_a_sequences_codes_without_encoding_again(monkeypatch):
     seq = parse_text("CAGCA")
     encoded = []
     monkeypatch.setattr(acam, "encode", lambda s: encoded.append(s) or seqio.encode(s))
-    arr = load_text(seq, rows=2, data_width=4, pattern_len=3, blocks=1)
+    arr = load_text(seq, geometry(2, 4, 3, 1))
     assert encoded == []
-    assert arr.cells == load_text("CAGCA", rows=2, data_width=4, pattern_len=3,
-                                  blocks=1).cells
+    assert arr.cells == load_text("CAGCA", geometry(2, 4, 3, 1)).cells
     assert encoded == ["CAGCA"]     # a plain string is still encoded
 
 
 def test_load_text_full_array_has_no_mm_in_data_columns():
-    arr = load_text("ACGTACGTTGCATGCA", rows=2, data_width=8, pattern_len=3, blocks=1)
+    arr = load_text("ACGTACGTTGCATGCA", geometry(2, 8, 3, 1))
     for row in arr.cells:
         assert all(c.kind != "MM" for c in row[:8])
     # the first row's replicated columns copy the second row's first cells
@@ -107,24 +112,20 @@ def test_load_text_full_array_has_no_mm_in_data_columns():
 
 
 def test_load_text_pattern_len_one_has_no_replication():
-    arr = load_text("ACGT", rows=2, data_width=2, pattern_len=1, blocks=1)
+    arr = load_text("ACGT", geometry(2, 2, 1, 1))
     assert arr.total_cols == 2
 
 
 def test_load_text_errors():
     with pytest.raises(TextTooLong):
-        load_text("A" * 9, rows=2, data_width=4, pattern_len=2, blocks=1)
-    with pytest.raises(PatternTooLong):
-        load_text("ACGT", rows=2, data_width=2, pattern_len=3, blocks=1)
-    with pytest.raises(acam.GeometryError):
-        load_text("ACGT", rows=3, data_width=4, pattern_len=2, blocks=2)
+        load_text("A" * 9, geometry(2, 4, 2, 1))
     with pytest.raises(InvalidCharacter) as exc:
-        load_text("ACNT", rows=2, data_width=4, pattern_len=2, blocks=1)
+        load_text("ACNT", geometry(2, 4, 2, 1))
     assert (exc.value.position, exc.value.char) == (3, "N")
 
 
 def test_search_cycle_window_bounds():
-    arr = load_text("CAGCAG", rows=2, data_width=4, pattern_len=3, blocks=1)
+    arr = load_text("CAGCAG", geometry(2, 4, 3, 1))
     with pytest.raises(WindowOutOfRange):
         search_cycle(arr, 0, 4, "CAG")
     with pytest.raises(acam.GeometryError):
@@ -134,13 +135,13 @@ def test_search_cycle_window_bounds():
 
 
 def test_search_cycle_single_character_pattern():
-    arr = load_text("ACGT", rows=1, data_width=4, pattern_len=1, blocks=1)
+    arr = load_text("ACGT", geometry(1, 4, 1, 1))
     assert search_cycle(arr, 0, 0, "A") == [True]
     assert search_cycle(arr, 0, 1, "A") == [False]
 
 
 def test_window_over_mm_cells_never_matches():
-    arr = load_text("CA", rows=2, data_width=4, pattern_len=3, blocks=1)
+    arr = load_text("CA", geometry(2, 4, 3, 1))
     # windows covering MM padding in row 0 and the all-MM row 1
     matrix = run_block_search(arr, 0, "CAG")
     assert not matrix[1].any()
@@ -150,7 +151,7 @@ def test_window_over_mm_cells_never_matches():
 def test_block_isolation_and_row_straddling():
     # row 0 ends ...C,A and row 1 begins G: the replicated cells complete the
     # pattern at the second-to-last window of row 0
-    arr = load_text("TTCAGAGTT", rows=4, data_width=4, pattern_len=3, blocks=2)
+    arr = load_text("TTCAGAGTT", geometry(4, 4, 3, 2))
     m0 = run_block_search(arr, 0, "CAG")
     assert m0[0].tolist() == [False, False, True, False]
     m1 = run_block_search(arr, 1, "CAG")
@@ -158,7 +159,7 @@ def test_block_isolation_and_row_straddling():
 
 
 def test_run_block_search_issues_w_cycles():
-    arr = load_text("CAGCAGTT", rows=2, data_width=8, pattern_len=3, blocks=1)
+    arr = load_text("CAGCAGTT", geometry(2, 8, 3, 1))
     matrix = run_block_search(arr, 0, "CAG")
     assert matrix.shape == (2, 8)
     assert matrix[0].tolist() == [True, False, False, True, False, False, False, False]
@@ -183,13 +184,13 @@ def test_window_equivalence_against_substring_oracle(case):
     # matching linear position, for every window including the replicated
     # columns at the row boundary
     text, pattern, rows, width, p, blocks = case
-    arr = load_text(text, rows, width, p, blocks)
+    arr = load_text(text, geometry(rows, width, p, blocks))
     expected = brute_occurrences(text, pattern)
     for b in range(blocks):
         matrix = run_block_search(arr, b, pattern)
-        for r in range(arr.rows_per_block):
+        for r in range(arr.geometry.mem_rows):
             for i in range(width):
-                pos = (b * arr.rows_per_block + r) * width + i
+                pos = (b * arr.geometry.mem_rows + r) * width + i
                 assert matrix[r][i] == (pos in expected)
 
 
@@ -199,7 +200,7 @@ def test_dont_care_columns_never_affect_tags(case, data):
     # flipping the stored content of any cell outside the driven window
     # leaves every tag unchanged
     text, pattern, rows, width, p, blocks = case
-    arr = load_text(text, rows, width, p, blocks)
+    arr = load_text(text, geometry(rows, width, p, blocks))
     window = data.draw(st.integers(0, width - 1))
     block = data.draw(st.integers(0, blocks - 1))
     row = data.draw(st.integers(0, rows - 1))
@@ -213,7 +214,7 @@ def test_dont_care_columns_never_affect_tags(case, data):
     codes = arr.codes.copy()
     codes[row, col] = acam.STATES.index(
         MM_CELL if replacement == "MM" else CHAR_CELLS[replacement])
-    mutated = acam.AcamArray(rows, width, p, blocks, codes)
+    mutated = acam.AcamArray(geometry(rows, width, p, blocks), codes)
     after = search_cycle(mutated, block, window, pattern)
     assert np.array_equal(before, after)
 
@@ -224,7 +225,7 @@ def test_vectorized_search_agrees_with_cell_matches(case):
     # the fast path compares only the driven columns; it must equal the
     # per-cell Decimal semantics over the whole row, don't-care columns included
     text, pattern, rows, width, p, blocks = case
-    arr = load_text(text, rows, width, p, blocks)
+    arr = load_text(text, geometry(rows, width, p, blocks))
     cells = arr.cells
     for b in range(blocks):
         for window in range(width):
@@ -233,7 +234,7 @@ def test_vectorized_search_agrees_with_cell_matches(case):
             for k, ch in enumerate(pattern):
                 drives[window + k] = drive_for(ch)
             for r, tag in enumerate(tags):
-                row = cells[b * arr.rows_per_block + r]
+                row = cells[b * arr.geometry.mem_rows + r]
                 assert tag == all(cell_matches(c, d) for c, d in zip(row, drives))
 
 
@@ -247,7 +248,7 @@ def test_load_text_layout_matches_string_layout(case):
     data = [row + ["MM"] * (width - len(row)) for row in data]
     expected = [row + (data[r + 1][:p - 1] if r + 1 < rows else ["MM"] * (p - 1))
                 for r, row in enumerate(data)]
-    arr = load_text(text, rows, width, p, blocks)
+    arr = load_text(text, geometry(rows, width, p, blocks))
     assert [[c.kind for c in row] for row in arr.cells] == expected
 
 
@@ -259,16 +260,16 @@ def test_memoised_tags_equal_a_fresh_array_for_interleaved_searches(case, data):
     # would hand back another search's tags
     text, pattern, rows, width, p, blocks = case
     other = data.draw(st.text(alphabet=CHARS, min_size=p, max_size=p))
-    arr = load_text(text, rows, width, p, blocks)
+    arr = load_text(text, geometry(rows, width, p, blocks))
     searches = [(pat, b, i) for pat in (pattern, other)
                 for b in range(blocks) for i in range(width)]
     for pat, b, i in data.draw(st.permutations(searches)):
-        fresh = load_text(text, rows, width, p, blocks)
+        fresh = load_text(text, geometry(rows, width, p, blocks))
         assert np.array_equal(search_cycle(arr, b, i, pat), search_cycle(fresh, b, i, pat))
 
 
 def test_search_cycle_tags_are_read_only():
-    arr = load_text("CAGCAGTT", rows=2, data_width=8, pattern_len=3, blocks=2)
+    arr = load_text("CAGCAGTT", geometry(2, 8, 3, 2))
     tags = search_cycle(arr, 0, 0, "CAG")
     assert tags.dtype == bool and tags.tolist() == [True]
     with pytest.raises(ValueError):
@@ -277,7 +278,7 @@ def test_search_cycle_tags_are_read_only():
 
 
 def test_array_is_reusable_across_blocks_in_any_order():
-    arr = load_text("CAG" * 10, rows=4, data_width=8, pattern_len=3, blocks=2)
+    arr = load_text("CAG" * 10, geometry(4, 8, 3, 2))
     first = [run_block_search(arr, b, "CAG") for b in (0, 1)]
     second = [run_block_search(arr, b, "CAG") for b in (1, 0)]
     assert np.array_equal(first[0], second[1])

@@ -102,10 +102,10 @@ def test_criterion_4_energy():
 def test_criterion_5_golden_detector_trace():
     with criterion(5, "cycle-accurate trace for X=101110000 matches the "
                       "committed golden file byte-exactly, global max 2"):
-        gm, trace = run_trace("101110000", "000000001")
+        gm, trace = run_trace("101110000")
         assert gm == 2
         out = io.BytesIO()
-        format_trace(trace, gm, out)
+        format_trace(trace, out)
         text = out.getvalue().decode("ascii")
         assert text == GOLDEN.read_text()
         # the nine transitions: states visited and signal raised per cycle,

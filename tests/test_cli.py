@@ -184,12 +184,16 @@ ERROR_NAMES = {
     ("empty.fa",): "input contains no sequence data",
     ("two_records.fa",): "FASTA input holds 2 records",
     ("data_first.fa",): "FASTA input holds 2 records",
+    ("clean.txt", "--blocks", "a"): "--blocks must list block indices, not 'a'",
+    ("clean.txt", "--blocks", "9"): "block 9 outside [0, 2)",
     ("clean.txt", "--blocks", ",,"): "at least one block must be activated",
     ("clean.txt", "--catalog", "bad_catalog.csv"): "line 1: expected 7 fields",
     ("clean.txt", "--catalog", "bad_range.csv"): "line 1: bad range endpoint 'x'",
     ("clean.txt", "--write-ns", "1e308"): "t_load_ns is inf",
     ("clean.txt", "--clock-ns", "1e308"): "t_load_ns is inf",
     ("clean.txt", "--clock-ns", "1e308", "--write-ns", "1"): "dt12_ns is inf",
+    ("clean.txt", "--mode", "cycle", "--trace", "missing/t.csv"):
+        "No such file or directory: 'missing/t.csv'",
 }
 
 
@@ -211,6 +215,7 @@ ERROR_NAMES = {
     ("clean.txt", CLEAN, ["--clock-ns", "1e308", "--write-ns", "1"]),
     ("clean.txt", CLEAN, ["--blocks", ",,"]),
     ("clean.txt", CLEAN, ["--catalog", "bad_range.csv"]),
+    ("clean.txt", CLEAN, ["--mode", "cycle", "--trace", "missing/t.csv"]),
 ])
 def test_input_robustness(tmp_path, monkeypatch, capsys, name, content, extra):
     """Variant spellings of a clean text scan like it; malformed input or
@@ -322,18 +327,16 @@ def test_cycle_mode_rejects_non_trinucleotide(tmp_path, capsys):
 
 
 def test_bits_trace_reproduces_golden(capsys):
-    code = main(["--bits", "101110000", "--d-bits", "000000001"])
+    code = main(["--bits", "101110000"])
     assert code == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
 
 
 def test_main_calls_share_the_parser_but_no_flag_values(tmp_path, capsys):
     trace = tmp_path / "t.csv"
-    assert main(["--bits", "101110000", "--d-bits", "000000001",
-                 "--trace", str(trace)]) == 0
+    assert main(["--bits", "101110000", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == "global_max 2\n"
-    # neither --trace nor --d-bits carries over: the trace goes to stdout
-    # and D defaults to the last input
+    # --trace does not carry over: the trace goes to stdout
     assert main(["--bits", "10"]) == 0
     assert capsys.readouterr().out.startswith(TRACE_HEADER + "\n1,Initial,1,0,")
     assert build_parser() is build_parser()
@@ -341,8 +344,7 @@ def test_main_calls_share_the_parser_but_no_flag_values(tmp_path, capsys):
 
 def test_bits_trace_to_file(tmp_path, capsys):
     trace = tmp_path / "t.csv"
-    code = main(["--bits", "101110000", "--d-bits", "000000001",
-                 "--trace", str(trace)])
+    code = main(["--bits", "101110000", "--trace", str(trace)])
     assert code == 0
     assert trace.read_text() == GOLDEN.read_text()
     assert "global_max 2" in capsys.readouterr().out
@@ -359,15 +361,18 @@ def test_bits_trace_validates_characters(capsys):
     assert main(["--bits", "10a"]) == 1
 
 
-def test_bits_trace_inputs_after_exit_exit_1(capsys):
-    # D raised before the last input: the FSM cannot consume the rest
-    assert main(["--bits", "10", "--d-bits", "11"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: detector stepped after reaching the exit state")
-
-
 def test_bad_flag_exits_1(capsys):
     assert main(["--no-such-flag"]) == 1
+    # there is no D vector to give: D is raised with the last --bits input
+    assert main(["--bits", "101110000", "--d-bits", "000000001"]) == 1
+
+
+def test_option_set_is_pinned():
+    # adding or removing a setting shows up here as a reviewed diff
+    assert sorted(s for a in build_parser()._actions for s in a.option_strings) == [
+        "--array-blocks", "--bits", "--blocks", "--catalog", "--clock-ns", "--disease",
+        "--help", "--input", "--mode", "--paper-numbers", "--pattern", "--report",
+        "--rows", "--trace", "--version", "--width", "--write-ns", "-h"]
 
 
 def test_paper_numbers_all_pass(capsys):

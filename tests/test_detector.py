@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repeatscan import detector
 from repeatscan.detector import (FLUSH_ZEROS, POST_STREAM_CYCLES,
-                                 TRACE_CHUNK_ROWS, TRACE_HEADER, SteppedAfterExit,
+                                 TRACE_CHUNK_ROWS, TRACE_HEADER,
                                  detect_functional, format_trace,
                                  oracle_max_tandem, run_cycle_accurate,
                                  run_trace)
@@ -122,17 +122,17 @@ def test_oracle_matches_naive_enumeration(text, p, data):
 
 # ----------------------------------------------------------------------- fsm
 
-def trace_text(global_max, trace) -> str:
+def trace_text(trace) -> str:
     """What ``format_trace`` writes, read back from an in-memory stream."""
     out = io.BytesIO()
-    format_trace(trace, global_max, out)
+    format_trace(trace, out)
     return out.getvalue().decode("ascii")
 
 
 def trace_lines(global_max, trace):
     """``format_trace`` output split into its data rows, checking the header
-    and the global_max line on the way."""
-    lines = trace_text(global_max, trace).splitlines()
+    and that the global_max line is the detector's result on the way."""
+    lines = trace_text(trace).splitlines()
     assert lines[0] == TRACE_HEADER
     assert lines[-1] == f"global_max,{global_max}"
     return lines[1:-1]
@@ -147,7 +147,7 @@ def parsed_rows(global_max, trace):
 
 
 def test_fsm_worked_example_trace_values():
-    gm, trace = run_trace("101110000", "000000001")
+    gm, trace = run_trace("101110000")
     assert gm == 2
     rows = parsed_rows(gm, trace)
     states = [r["state"] for r in rows]
@@ -171,8 +171,8 @@ def test_fsm_worked_example_trace_values():
 
 
 def test_fsm_golden_file_byte_exact():
-    gm, trace = run_trace("101110000", "000000001")
-    assert trace_text(gm, trace) == GOLDEN.read_text()
+    gm, trace = run_trace("101110000")
+    assert trace_text(trace) == GOLDEN.read_text()
 
 
 def saturating_stream() -> list[int]:
@@ -185,7 +185,7 @@ def saturating_stream() -> list[int]:
 def test_fsm_saturating_golden_file_byte_exact():
     gm, trace = run_cycle_accurate(saturating_stream(), record_trace=True)
     assert gm == 255
-    assert trace_text(gm, trace) == GOLDEN_SATURATING.read_text()
+    assert trace_text(trace) == GOLDEN_SATURATING.read_text()
 
 
 def reference_trace(xs, ds):
@@ -254,20 +254,13 @@ def test_run_cycle_accurate_matches_reference_row_for_row(bits):
     assert trace_lines(gm, trace) == ref_rows
 
 
-@given(saturating_streams(), st.integers(0, 1),
-       st.lists(st.integers(0, 1), max_size=3))
+@given(saturating_streams(), st.integers(0, 1))
 @settings(max_examples=150, deadline=None)
-def test_run_trace_matches_reference_row_for_row(bits, exit_x, after):
-    # D raised on input len(bits), whose x is exit_x; inputs after it are
-    # rejected
-    xs = bits + [exit_x] + after
-    ds = [0] * len(bits) + [1] + [0] * len(after)
-    if after:
-        with pytest.raises(SteppedAfterExit):
-            run_trace(xs, ds)
-        return
-    ref_max, ref_rows = reference_trace(xs, ds)
-    gm, trace = run_trace(xs, ds)
+def test_run_trace_matches_reference_row_for_row(bits, exit_x):
+    # D raised with the last input, whose x is exit_x
+    xs = bits + [exit_x]
+    ref_max, ref_rows = reference_trace(xs, [0] * len(bits) + [1])
+    gm, trace = run_trace(xs)
     assert gm == ref_max
     assert trace_lines(gm, trace) == ref_rows
 
@@ -309,7 +302,7 @@ def test_full_array_trace_is_written_in_bounded_chunks():
     gm, trace = run_cycle_accurate([rng.randint(0, 1) for _ in range(65536)],
                                    record_trace=True)
     out = RecordingWriter()
-    format_trace(trace, gm, out)
+    format_trace(trace, out)
     text = b"".join(out.writes)
     row_width = max(map(len, text.splitlines(keepends=True)))
     assert len(out.writes) >= 16
@@ -320,7 +313,7 @@ def test_full_array_trace_is_written_in_bounded_chunks():
 def test_trace_compare_lands_before_reset():
     # for each zero, the max update is visible one cycle later and the
     # counter reset only on the cycle after that
-    by_cycle = {r["cycle"]: r for r in parsed_rows(*run_trace("111011000", None))}
+    by_cycle = {r["cycle"]: r for r in parsed_rows(*run_trace("111011000"))}
     # input 4 is the zero for phase 1 (ctr1 = 1 at that point)
     assert by_cycle[5]["max1"] == 1   # max1 updated at cycle 5
     assert by_cycle[5]["ctr1"] == 1   # ctr1 still holding at cycle 5
@@ -328,7 +321,7 @@ def test_trace_compare_lands_before_reset():
 
 
 def test_fsm_round_robin_follows_index_mod_3():
-    for r in parsed_rows(*run_trace("110110110", None))[:-1]:
+    for r in parsed_rows(*run_trace("110110110"))[:-1]:
         c = [r["C1"], r["C2"], r["C3"]]
         rr = [r["R1"], r["R2"], r["R3"]]
         phase = (r["cycle"] - 1) % 3
@@ -338,11 +331,6 @@ def test_fsm_round_robin_follows_index_mod_3():
             assert c[phase] == 1 and sum(c) == 1 and sum(rr) == 0
         else:
             assert rr[phase] == 1 and sum(rr) == 1 and sum(c) == 0
-
-
-def test_step_after_exit_rejected():
-    with pytest.raises(SteppedAfterExit):
-        run_trace("00", "11")
 
 
 def test_run_cycle_accurate_flush_protocol():
@@ -372,7 +360,7 @@ def test_run_cycle_accurate_empty_stream():
 def test_trace_length_is_the_rows_format_trace_writes(bits):
     gm, trace = run_cycle_accurate(bits, record_trace=True)
     # every line but the header and the global_max line
-    assert len(trace) == len(trace_text(gm, trace).splitlines()) - 2
+    assert len(trace) == len(trace_text(trace).splitlines()) - 2
     assert len(trace) == len(bits) + POST_STREAM_CYCLES + 1
 
 
@@ -381,7 +369,7 @@ def test_run_cycle_accurate_takes_list_tuple_or_uint8_array():
     forms = (bits, tuple(bits), np.array(bits, dtype=np.uint8))
     assert [run_cycle_accurate(b)[0] for b in forms] == [255] * 3
     traced = [run_cycle_accurate(b, record_trace=True) for b in forms]
-    assert len({trace_text(gm, trace) for gm, trace in traced}) == 1
+    assert len({trace_text(trace) for _, trace in traced}) == 1
 
 
 def test_run_cycle_accurate_counts_trailing_run():
@@ -394,13 +382,6 @@ def test_run_cycle_accurate_counts_trailing_run():
 def test_fsm_saturates_at_255():
     gm, _ = run_cycle_accurate([1, 0, 0] * 300)
     assert gm == 255
-
-
-def test_run_trace_requires_exit():
-    with pytest.raises(ValueError):
-        run_trace("1010", "0000")
-    with pytest.raises(ValueError):
-        run_trace("10", "001")
 
 
 def test_fsm_agrees_with_functional_exhaustive_short():
@@ -427,9 +408,13 @@ def test_fsm_agrees_on_structured_streams():
         assert run_cycle_accurate(bits)[0] == detect_functional(bits, 3)
 
 
+def test_run_trace_reads_an_empty_x_as_one_zero():
+    assert trace_text(run_trace("")[1]) == trace_text(run_trace("0")[1])
+
+
 def test_format_trace_shape():
-    gm, trace = run_trace("10", None)
-    lines = trace_text(gm, trace).strip().splitlines()
+    gm, trace = run_trace("10")
+    lines = trace_text(trace).strip().splitlines()
     assert lines[0].startswith("cycle,state,x,d,C1")
     assert lines[-1] == f"global_max,{gm}"
     assert all(len(line.split(",")) == 16 for line in lines[1:-1])

@@ -108,8 +108,8 @@ def test_cycle_accurate_mode_agrees_and_traces():
                             cycle_accurate=True, record_detector_trace=True))
     assert res.global_max == oracle_max_tandem(text, "CAG")
     # one run of both blocks: two 8-bit streams, the flush and the Exit row
-    [(run, trace, fsm_max)] = res.detector_trace
-    assert run == [0, 1] and fsm_max == res.global_max
+    [(run, trace)] = res.detector_trace
+    assert run == [0, 1] and trace.regs[-1, 3:].max() == res.global_max
     assert len(trace) == 2 * 8 + POST_STREAM_CYCLES + 1
 
 
@@ -166,7 +166,7 @@ def test_trace_requires_cycle_accurate_detection():
     with pytest.raises(ValueError, match="trace requires cycle-accurate"):
         scan(request)
     traced = scan(replace(request, cycle_accurate=True))
-    assert [run for run, _, _ in traced.detector_trace] == [[0]]
+    assert [run for run, _ in traced.detector_trace] == [[0]]
     untraced = scan(replace(request, cycle_accurate=True, record_detector_trace=False))
     assert untraced.detector_trace == []
 
