@@ -56,11 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disease", help="disease preset from the catalog (pattern implied)")
     p.add_argument("--catalog", help="catalog file overriding the built-in one")
     p.add_argument("--blocks", help="comma-separated activated block indices (0-based)")
-    p.add_argument("--rows", type=int, default=512, help="array rows M (default 512)")
-    p.add_argument("--width", type=int, default=128, help="data width W (default 128)")
-    p.add_argument("--array-blocks", type=int, default=8,
-                   help="row blocks B the array is split into (default 8)")
-    p.add_argument("--clock-ns", type=float, default=1.0, help="clock period T in ns")
+    p.add_argument("--rows", type=int, default=TimingParams.rows,
+                   help="array rows M (default %(default)s)")
+    p.add_argument("--width", type=int, default=TimingParams.data_width,
+                   help="data width W (default %(default)s)")
+    p.add_argument("--array-blocks", type=int, default=TimingParams.blocks,
+                   help="row blocks B the array is split into (default %(default)s)")
+    p.add_argument("--clock-ns", type=float, default=TimingParams.clock_ns,
+                   help="clock period T in ns")
     p.add_argument("--write-ns", type=float, default=None,
                    help="memristor write time in ns (default: one clock)")
     p.add_argument("--mode", choices=["functional", "cycle"], default="functional",
@@ -74,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def build_scan_report(request: ScanRequest, result: ScanResult, mode: str) -> dict:
+def build_scan_report(request: ScanRequest, result: ScanResult) -> dict:
+    """The flat JSON report of one scan; its mode is read from the request."""
     timing = request.timing
     cost = result.report
     lat = cost.latency
@@ -84,7 +88,7 @@ def build_scan_report(request: ScanRequest, result: ScanResult, mode: str) -> di
         "gene": request.disease.gene if request.disease else None,
         "classification": result.classification,
         "range_overlap_flagged": result.range_overlap_flagged,
-        "mode": mode,
+        "mode": "cycle" if request.cycle_accurate else "functional",
         "text_length": len(request.text),
         "global_max": result.global_max,
         "saturated": result.saturated,
@@ -147,8 +151,6 @@ def reference_rows() -> list[dict]:
 
 
 def row_passes(row: dict) -> bool:
-    if row["tol_pct"] == _EXACT:
-        return row["computed"] == row["reference"]
     dev = abs(row["computed"] - row["reference"]) / row["reference"]
     return dev <= row["tol_pct"] / 100.0
 
@@ -204,7 +206,8 @@ def run_scan(args) -> int:
     pattern = disease.pattern if disease else parse_pattern(args.pattern)
 
     try:
-        active = [int(b) for b in args.blocks.split(",") if b.strip()] if args.blocks else None
+        active = (None if args.blocks is None
+                  else [int(b) for b in args.blocks.split(",") if b.strip()])
     except ValueError:
         raise ValueError(f"--blocks must list block indices, not {args.blocks!r}") from None
     request = make_request(
@@ -216,14 +219,21 @@ def run_scan(args) -> int:
     result = scan(request)
 
     # build_report names a non-finite figure; none may reach the JSON
-    report = json.dumps(build_scan_report(request, result, args.mode),
+    report = json.dumps(build_scan_report(request, result),
                         indent=2, sort_keys=True, allow_nan=False) + "\n"
-    # an unwritable trace path fails before any report is written
+    # an unwritable trace path fails before any report is written, and a
+    # report that cannot be written takes the opened trace file with it
     with open(args.trace, "wb") if args.trace else contextlib.nullcontext() as out:
-        if args.report:
-            Path(args.report).write_text(report)
-        else:
-            sys.stdout.write(report)
+        try:
+            if args.report:
+                Path(args.report).write_text(report)
+            else:
+                sys.stdout.write(report)
+        except OSError:
+            if out:
+                out.close()
+                Path(args.trace).unlink()
+            raise
         for run, trace in result.detector_trace:
             out.write(f"run,blocks={run[0]}-{run[-1]}\n".encode())
             detector.format_trace(trace, out)

@@ -221,9 +221,6 @@ def geometry_for_text(chars: int, pattern_len: int) -> TimingParams:
     width shrinks as the pattern (and its replicated columns) grows.
     """
     width = PHYSICAL_COLS - (pattern_len - 1)
-    if width < pattern_len:
-        raise ValueError("pattern too long for the array width")
-    base = TimingParams()
-    arrays = math.ceil(math.ceil(chars / width) / base.rows)
-    return replace(base, data_width=width, pattern_len=pattern_len,
-                   searched_blocks=arrays * base.blocks)
+    params = TimingParams(data_width=width, pattern_len=pattern_len)
+    arrays = math.ceil(math.ceil(chars / width) / params.rows)
+    return replace(params, searched_blocks=arrays * params.blocks)

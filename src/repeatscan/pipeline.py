@@ -5,12 +5,14 @@ match-index memory.  Bit streams of consecutive activated blocks are
 concatenated before detection so a repeat run crossing a block boundary is
 counted whole; a gap in the activated set splits the detection into
 independent segments, and a traced scan returns each one's blocks and Trace.
-Cycle counts are metered from the actual simulation and must agree with the
-closed-form cost model.  SET events are counted as the set bits of each
-block's read-out: a write phase starts all-HRS and writes each column once,
-so that popcount equals the number of high tags written.  A global maximum at
-the 8-bit register limit is reported as saturated, since the true count may
-be any value from there up.
+A request is derived and checked once, when ``ScanRequest`` is built.  Cycle
+counts are metered from the actual simulation, detector ticks from each
+block's read-out, and must agree with the closed-form cost model.  SET
+events are counted as the set bits of each block's read-out: a write phase
+starts all-HRS and writes each column once, so that popcount equals the
+number of high tags written.  A global maximum at the 8-bit register limit
+is reported as saturated, since the true count may be any value from there
+up.
 """
 
 from __future__ import annotations
@@ -33,13 +35,35 @@ class InternalInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScanRequest:
+    """One scan, derived and checked when built, also by ``replace``: blocks
+    sorted and deduplicated (``None``: those the text occupies), and K and the
+    pattern length set in ``timing`` from the blocks and the pattern."""
+
     text: DnaSequence
     pattern: Pattern
     timing: TimingParams
-    active_blocks: tuple[int, ...] = ()
+    active_blocks: Iterable[int] | None = None
     disease: DiseaseEntry | None = None
     cycle_accurate: bool = False
     record_detector_trace: bool = False
+
+    def __post_init__(self) -> None:
+        blocks = (default_active_blocks(len(self.text), self.timing)
+                  if self.active_blocks is None
+                  else tuple(sorted(set(map(int, self.active_blocks)))))
+        if not blocks:
+            raise ValueError("at least one block must be activated")
+        outside = [b for b in blocks if not 0 <= b < self.timing.blocks]
+        if outside:
+            raise ValueError(f"block {outside[0]} outside [0, {self.timing.blocks})")
+        if self.cycle_accurate and len(self.pattern) != detector.PHASES:
+            raise ValueError("cycle-accurate detection is implemented for pattern "
+                             f"length {detector.PHASES}")
+        if self.record_detector_trace and not self.cycle_accurate:
+            raise ValueError("a detector trace requires cycle-accurate detection (--mode cycle)")
+        object.__setattr__(self, "active_blocks", blocks)
+        object.__setattr__(self, "timing", replace(
+            self.timing, pattern_len=len(self.pattern), searched_blocks=len(blocks)))
 
 
 @dataclass
@@ -61,33 +85,20 @@ def default_active_blocks(text_len: int, timing: TimingParams) -> tuple[int, ...
     return tuple(range(blocks_used))
 
 
-def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = 512,
-                 data_width: int = 128, blocks: int = 8, clock_ns: float = 1.0,
-                 write_ns: float | None = None,
+def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = TimingParams.rows,
+                 data_width: int = TimingParams.data_width, blocks: int = TimingParams.blocks,
+                 clock_ns: float = TimingParams.clock_ns, write_ns: float | None = None,
                  active_blocks: Iterable[int] | None = None,
-                 disease: DiseaseEntry | None = None,
-                 cycle_accurate: bool = False,
+                 disease: DiseaseEntry | None = None, cycle_accurate: bool = False,
                  record_detector_trace: bool = False) -> ScanRequest:
-    """Build a consistent request: K always equals the activated block count."""
-    timing = TimingParams(
-        clock_ns=clock_ns,
-        write_ns=clock_ns if write_ns is None else write_ns,
-        rows=rows,
-        data_width=data_width,
-        pattern_len=len(pattern),
-        blocks=blocks,
-    )
-    if active_blocks is None:
-        active = default_active_blocks(len(text), timing)
-    else:
-        active = tuple(sorted(set(int(b) for b in active_blocks)))
-    if not active:
-        raise ValueError("at least one block must be activated")
-    timing = replace(timing, searched_blocks=len(active))
-    return ScanRequest(
-        text=text, pattern=pattern, timing=timing,
-        active_blocks=active, disease=disease, cycle_accurate=cycle_accurate,
-        record_detector_trace=record_detector_trace)
+    """Build a request from loose geometry values, the write time one clock
+    unless given; ``ScanRequest`` derives and checks the rest."""
+    timing = TimingParams(clock_ns=clock_ns,
+                          write_ns=clock_ns if write_ns is None else write_ns,
+                          rows=rows, data_width=data_width, pattern_len=len(pattern),
+                          blocks=blocks)
+    return ScanRequest(text, pattern, timing, active_blocks, disease,
+                       cycle_accurate, record_detector_trace)
 
 
 def _consecutive_runs(blocks: Sequence[int]) -> list[list[int]]:
@@ -100,50 +111,25 @@ def _consecutive_runs(blocks: Sequence[int]) -> list[list[int]]:
     return runs
 
 
-def _validate(request: ScanRequest) -> None:
-    timing = request.timing
-    if len(request.pattern) != timing.pattern_len:
-        raise ValueError("pattern length does not match the timing geometry")
-    if not request.active_blocks:
-        raise ValueError("at least one block must be activated")
-    if len(set(request.active_blocks)) != len(request.active_blocks):
-        raise ValueError("duplicate block indices")
-    if list(request.active_blocks) != sorted(request.active_blocks):
-        raise ValueError("active blocks must be in ascending order")
-    for b in request.active_blocks:
-        if not 0 <= b < timing.blocks:
-            raise ValueError(f"block {b} outside [0, {timing.blocks})")
-    if len(request.active_blocks) != timing.searched_blocks:
-        raise ValueError("searched_blocks must equal the activated block count")
-    if request.cycle_accurate and timing.pattern_len != 3:
-        raise ValueError("cycle-accurate detection is implemented for pattern length 3")
-    if request.record_detector_trace and not request.cycle_accurate:
-        raise ValueError("a detector trace requires cycle-accurate detection (--mode cycle)")
-
-
 def scan(request: ScanRequest) -> ScanResult:
     """Run the full load -> search -> record -> detect -> reset pipeline."""
-    _validate(request)
     timing = request.timing
     pattern = str(request.pattern)
     array = acam.load_text(request.text, timing)
-    m, n = timing.mem_rows, timing.mem_cols
-
-    memory = matchmem.MatchIndexMemory(m, n)
-    search_cycles = write_columns = read_groups = ticks = resets = set_events = 0
+    memory = matchmem.MatchIndexMemory(timing.mem_rows, timing.mem_cols)
+    windows = read_groups = ticks = resets = set_events = 0
     streams: dict[int, np.ndarray] = {}
 
     for block in request.active_blocks:
         memory.set_mode(matchmem.Mode.WRITE)
         for window in range(timing.data_width):
             memory.write_column(window, acam.search_cycle(array, block, window, pattern))
-            search_cycles += 1
-            write_columns += 1
+            windows += 1
         memory.set_mode(matchmem.Mode.READ)
-        streams[block] = memory.read_all()
-        set_events += int(np.count_nonzero(streams[block]))
+        stream = streams[block] = memory.read_all()
+        set_events += int(np.count_nonzero(stream))
         read_groups += memory.read_group_count()
-        ticks += m * n + POST_STREAM_CYCLES
+        ticks += len(stream) + POST_STREAM_CYCLES
         memory.set_mode(matchmem.Mode.RESET)
         memory.reset_all()
         resets += 1
@@ -167,7 +153,7 @@ def scan(request: ScanRequest) -> ScanResult:
                 traces.append((run, trace))
         global_max = max(global_max, segment_max)
 
-    metered = CycleCounts(search=search_cycles, write_columns=write_columns,
+    metered = CycleCounts(search=windows, write_columns=windows,
                           read_groups=read_groups, detector_ticks=ticks,
                           resets=resets, blocks=len(request.active_blocks))
     report = build_report(timing, metered)

@@ -133,8 +133,7 @@ def parse_text(raw: str | bytes) -> DnaSequence:
     return DnaSequence(normalize(raw))
 
 
-def parse_pattern(raw: str) -> Pattern:
-    return Pattern(normalize(raw))
+parse_pattern = parse_text  # a Pattern is a DnaSequence, parsed the same way
 
 
 def in_range(count: int, rng: Range) -> bool:

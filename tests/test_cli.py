@@ -1,10 +1,12 @@
 import contextlib
+import inspect
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan.cli import build_parser, main, reference_rows, row_passes
+from repeatscan.costmodel import TimingParams
 from repeatscan.detector import REGISTER_MAX, TRACE_HEADER, oracle_max_tandem
+from repeatscan.pipeline import ScanRequest, make_request
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "trace_101110000.csv"
@@ -187,6 +191,7 @@ ERROR_NAMES = {
     ("clean.txt", "--blocks", "a"): "--blocks must list block indices, not 'a'",
     ("clean.txt", "--blocks", "9"): "block 9 outside [0, 2)",
     ("clean.txt", "--blocks", ",,"): "at least one block must be activated",
+    ("clean.txt", "--blocks", ""): "at least one block must be activated",
     ("clean.txt", "--catalog", "bad_catalog.csv"): "line 1: expected 7 fields",
     ("clean.txt", "--catalog", "bad_range.csv"): "line 1: bad range endpoint 'x'",
     ("clean.txt", "--write-ns", "1e308"): "t_load_ns is inf",
@@ -216,6 +221,7 @@ ERROR_NAMES = {
     ("clean.txt", CLEAN, ["--blocks", ",,"]),
     ("clean.txt", CLEAN, ["--catalog", "bad_range.csv"]),
     ("clean.txt", CLEAN, ["--mode", "cycle", "--trace", "missing/t.csv"]),
+    ("clean.txt", CLEAN, ["--blocks", ""]),
 ])
 def test_input_robustness(tmp_path, monkeypatch, capsys, name, content, extra):
     """Variant spellings of a clean text scan like it; malformed input or
@@ -240,6 +246,17 @@ def test_input_robustness(tmp_path, monkeypatch, capsys, name, content, extra):
         assert report is None
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ERROR_NAMES.get((name, *extra), "") in err
+
+
+def test_unwritable_report_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
+    # a run that exits 1 leaves neither of the files it was asked to write
+    monkeypatch.chdir(tmp_path)
+    inp = write_seq(tmp_path, CLEAN)
+    code = main(["--input", inp, *SMALL_ARRAY, "--mode", "cycle", "--trace", "t.csv",
+                 "--report", "missing/r.json"])
+    assert code == 1
+    assert "No such file or directory: 'missing/r.json'" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 # Pieces of the robustness inputs: bases in both cases, header lines, line
@@ -373,6 +390,21 @@ def test_option_set_is_pinned():
         "--array-blocks", "--bits", "--blocks", "--catalog", "--clock-ns", "--disease",
         "--help", "--input", "--mode", "--paper-numbers", "--pattern", "--report",
         "--rows", "--trace", "--version", "--width", "--write-ns", "-h"]
+
+
+def test_scan_settings_are_pinned():
+    # a new knob of a scan shows up here as a reviewed diff; the pattern
+    # length and K of a request's timing are derived, not set
+    assert [name for name, param in inspect.signature(make_request).parameters.items()
+            if param.kind is param.KEYWORD_ONLY] == [
+        "rows", "data_width", "blocks", "clock_ns", "write_ns", "active_blocks",
+        "disease", "cycle_accurate", "record_detector_trace"]
+    assert [f.name for f in fields(ScanRequest)] == [
+        "text", "pattern", "timing", "active_blocks", "disease", "cycle_accurate",
+        "record_detector_trace"]
+    assert [f.name for f in fields(TimingParams)] == [
+        "clock_ns", "write_ns", "rows", "data_width", "pattern_len", "blocks",
+        "searched_blocks"]
 
 
 def test_paper_numbers_all_pass(capsys):

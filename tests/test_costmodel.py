@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeatscan.costmodel import (PHASE_ENERGY, CostReport, CycleCountMismatch,
-                                  CycleCounts, TimingParams, build_report,
-                                  energy, energy_shares, geometry_for_text,
-                                  latency, latency_shares)
+from repeatscan.costmodel import (PHASE_ENERGY, PHYSICAL_COLS, CostReport,
+                                  CycleCountMismatch, CycleCounts, TimingParams,
+                                  build_report, energy, energy_shares,
+                                  geometry_for_text, latency, latency_shares)
 
 DEFAULTS = TimingParams()
 
@@ -128,6 +128,8 @@ def test_params_validation():
         TimingParams(data_width=2, pattern_len=3)
     with pytest.raises(ValueError):
         geometry_for_text(100, 100)
+    with pytest.raises(ValueError):  # no data column left, not a division by zero
+        geometry_for_text(100, PHYSICAL_COLS + 1)
 
 
 @pytest.mark.parametrize("field", ["clock_ns", "write_ns"])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeatscan import acam
-from repeatscan.costmodel import CycleCounts
+from repeatscan import acam, matchmem
+from repeatscan.costmodel import CycleCountMismatch, CycleCounts, TimingParams
 from repeatscan.detector import POST_STREAM_CYCLES, oracle_max_tandem
-from repeatscan.pipeline import default_active_blocks, make_request, scan
+from repeatscan.pipeline import ScanRequest, default_active_blocks, make_request, scan
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, builtin_catalog,
                               find_entry, parse_pattern, parse_text)
 
@@ -101,6 +101,29 @@ def test_metered_cycles_match_closed_form():
     assert result.report.cycles == CycleCounts.closed_form(result.report.params)
 
 
+def test_detector_ticks_are_metered_from_each_read_out(monkeypatch):
+    # a read-out one bit short is caught against the closed form: 2 blocks of
+    # 31 bits plus the flush, against 2 * (2 * 16 + 5)
+    read_all = matchmem.MatchIndexMemory.read_all
+    monkeypatch.setattr(matchmem.MatchIndexMemory, "read_all",
+                        lambda memory: read_all(memory)[:-1])
+    with pytest.raises(CycleCountMismatch, match="detector_ticks=72,"):
+        quick_scan("CAG" * 20, "CAG", rows=4, data_width=16, blocks=2)
+
+
+def test_request_derives_its_blocks_and_timing_when_built():
+    stale = TimingParams(rows=4, data_width=8, pattern_len=5, blocks=4, searched_blocks=7)
+    request = ScanRequest(parse_text("CAG" * 8), parse_pattern("CAG"), stale,
+                          active_blocks=[2, 0, 2])
+    assert request.active_blocks == (0, 2)
+    assert (request.timing.searched_blocks, request.timing.pattern_len) == (2, 3)
+    # replace derives again: one block scanned, K = 1
+    result = scan(replace(request, active_blocks=[1]))
+    assert result.report.params.searched_blocks == 1
+    assert result.report.cycles == CycleCounts.closed_form(result.report.params)
+    assert len(result.per_block_max) == 1
+
+
 def test_cycle_accurate_mode_agrees_and_traces():
     text = "CAGCAGTTCAG"
     res = scan(make_request(parse_text(text), parse_pattern("CAG"),
@@ -161,13 +184,16 @@ def test_request_validation():
 
 
 def test_trace_requires_cycle_accurate_detection():
-    request = make_request(parse_text("CAGCAG"), parse_pattern("CAG"), rows=2,
-                           data_width=4, blocks=1, record_detector_trace=True)
+    text, pattern = parse_text("CAGCAG"), parse_pattern("CAG")
     with pytest.raises(ValueError, match="trace requires cycle-accurate"):
-        scan(request)
-    traced = scan(replace(request, cycle_accurate=True))
+        make_request(text, pattern, rows=2, data_width=4, blocks=1,
+                     record_detector_trace=True)
+    request = make_request(text, pattern, rows=2, data_width=4, blocks=1)
+    with pytest.raises(ValueError, match="trace requires cycle-accurate"):
+        replace(request, record_detector_trace=True)
+    traced = scan(replace(request, cycle_accurate=True, record_detector_trace=True))
     assert [run for run, _ in traced.detector_trace] == [[0]]
-    untraced = scan(replace(request, cycle_accurate=True, record_detector_trace=False))
+    untraced = scan(replace(request, cycle_accurate=True))
     assert untraced.detector_trace == []
 
 
