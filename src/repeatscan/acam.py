@@ -22,7 +22,7 @@ The stored cells never change after loading, so the tags of a search depend
 only on the pattern, the block and the window.  The first search cycle of a
 block evaluates all W windows of that block in one broadcast and memoises the
 result per ``(pattern, block)``; each search cycle then reads its window's
-tags from that memo.
+tags from that memo, and ``run_block_search`` gathers a block's W of them.
 """
 
 from __future__ import annotations
@@ -246,11 +246,8 @@ def _search_block(array: AcamArray, block: int, pattern: str) -> np.ndarray:
 
 def run_block_search(array: AcamArray, block: int,
                      pattern: Pattern | str) -> np.ndarray:
-    """All W windows over one block; entry (row, i) is the tag of window i.
-
-    Issues exactly W search cycles.
-    """
-    out = np.zeros((array.geometry.mem_rows, array.data_width), dtype=bool)
-    for i in range(array.data_width):
-        out[:, i] = search_cycle(array, block, i, pattern)
-    return out
+    """The scan's search of one block: its W search cycles' tags as one
+    (m, W) matrix, ``MatchIndexMemory.write_columns``'s input."""
+    width = array.data_width
+    tags = [search_cycle(array, block, i, pattern) for i in range(width)]
+    return np.concatenate(tags).reshape(width, -1).T

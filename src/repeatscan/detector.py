@@ -101,11 +101,11 @@ def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
     grid[p:p + len(x)] = x
     # read phase by phase, a run of 1s is a stretch of consecutive ones; a
     # match stream holds few ones, so index them rather than its many zeros
-    ones = np.flatnonzero(grid.reshape(rows, p).T.ravel())
+    ones = np.flatnonzero(grid.reshape(rows, p).T)
     if not ones.size:
         return 0
-    starts = np.flatnonzero(np.diff(ones, prepend=-2) != 1)
-    return min(int(np.diff(starts, append=len(ones)).max()), REGISTER_MAX)
+    ends = np.concatenate(([-1], np.flatnonzero(ones[1:] - ones[:-1] != 1), [len(ones) - 1]))
+    return min(int((ends[1:] - ends[:-1]).max()), REGISTER_MAX)
 
 
 def oracle_max_tandem(text: DnaSequence | str, pattern: Pattern | str) -> int:

@@ -2,11 +2,11 @@
 
 The memory records, per search cycle, which rows of the active block matched
 (LRS = recorded match, HRS = no match).  Access order is part of the
-contract: columns are written one per cycle in ascending order while all
-rows fill in parallel, reads stream the whole array row-major through an
-8-cell parallel-in serial-out stage, and reset clears everything in one
-cycle.  Mode changes follow the fixed ring Idle -> Write -> Read -> Reset ->
-Idle.
+contract: columns are written one per cycle in ascending order, all rows in
+parallel (the simulator takes a write phase's W cycles in one call, metered
+as W), reads stream the whole array row-major through an 8-cell
+parallel-in serial-out stage, and reset clears everything in one cycle.
+Mode changes follow the fixed ring Idle -> Write -> Read -> Reset -> Idle.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ class OutOfOrderColumn(RuntimeError):
         super().__init__(f"column {col} written out of order (expected {expected})")
 
 
+class ColumnPastEnd(IndexError):
+    """A write past the last column of the memory."""
+
+
 class MatchIndexMemory:
     """m x n binary resistive array plus its access-mode state machine."""
 
@@ -73,21 +77,26 @@ class MatchIndexMemory:
         if mode is Mode.WRITE:
             self._next_col = 0
 
-    def write_column(self, col: int, tag: Sequence[bool]) -> None:
-        """SET the cells of one column where the tag is high.
-
-        Columns must be written in ascending order (the column selector is a
-        counter), so each column is written once per write phase, and the
-        write phase starts from an all-HRS array (see set_mode).
-        """
+    def write_columns(self, tags: np.ndarray) -> None:
+        """k write cycles in one call: SET the cells of the next k columns (the
+        column selector is a counter) where the (m x k) ``tags`` are high.  Each
+        column is written once per write phase, which starts all-HRS (see set_mode)."""
         if self.mode is not Mode.WRITE:
-            raise ModeViolation("write_column", self.mode)
-        if col != self._next_col:
+            raise ModeViolation("write_columns", self.mode)
+        rows, k = np.shape(tags)
+        if rows != self.rows:
+            raise ValueError(f"tag length {rows} != memory rows {self.rows}")
+        end = self._next_col + k
+        if end > self.cols:
+            raise ColumnPastEnd(f"column {end - 1} is past the last column {self.cols - 1}")
+        self.cells[:, self._next_col:end] = tags
+        self._next_col = end
+
+    def write_column(self, col: int, tag: Sequence[bool]) -> None:
+        """One write cycle: ``write_columns`` of ``tag``, which must go to the next column."""
+        if self.mode is Mode.WRITE and col != self._next_col:
             raise OutOfOrderColumn(col, self._next_col)
-        if len(tag) != self.rows:
-            raise ValueError(f"tag length {len(tag)} != memory rows {self.rows}")
-        self.cells[:, col] = tag
-        self._next_col += 1
+        self.write_columns(np.reshape(tag, (-1, 1)))
 
     def read_all(self) -> np.ndarray:
         """Row-major bit stream, latched 8 columns at a time per row.

@@ -1,18 +1,18 @@
 """End-to-end orchestration: load, per-block search/write/read/detect/reset.
 
 Activated blocks are processed in ascending index order through one shared
-match-index memory.  Bit streams of consecutive activated blocks are
-concatenated before detection so a repeat run crossing a block boundary is
-counted whole; a gap in the activated set splits the detection into
-independent segments, and a traced scan returns each one's blocks and Trace.
-A request is derived and checked once, when ``ScanRequest`` is built.  Cycle
-counts are metered from the actual simulation, detector ticks from each
-block's read-out, and must agree with the closed-form cost model.  SET
-events are counted as the set bits of each block's read-out: a write phase
-starts all-HRS and writes each column once, so that popcount equals the
-number of high tags written.  A global maximum at the 8-bit register limit
-is reported as saturated, since the true count may be any value from there
-up.
+match-index memory, which takes a block's W tag columns in one call (metered
+as W writes).  Bit streams of consecutive activated blocks are concatenated
+before detection so a repeat run crossing a block boundary is counted whole;
+a gap in the activated set splits the detection into independent segments,
+and a traced scan returns each one's blocks and Trace.  A request is derived
+and checked once, when ``ScanRequest`` is built.  Cycle counts are metered
+from the actual simulation, detector ticks from each block's read-out, and
+must agree with the closed-form cost model.  SET events are counted as the
+set bits of each block's read-out: a write phase starts all-HRS and writes
+each column once, so that popcount equals the number of high tags written.
+A global maximum at the 8-bit register limit is reported as saturated, since
+the true count may be any value from there up.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def scan(request: ScanRequest) -> ScanResult:
 
     for block in request.active_blocks:
         memory.set_mode(matchmem.Mode.WRITE)
-        for window in range(timing.data_width):
-            memory.write_column(window, acam.search_cycle(array, block, window, pattern))
-            windows += 1
+        tags = acam.run_block_search(array, block, pattern)
+        memory.write_columns(tags)
+        windows += tags.shape[1]
         memory.set_mode(matchmem.Mode.READ)
         stream = streams[block] = memory.read_all()
         set_events += int(np.count_nonzero(stream))

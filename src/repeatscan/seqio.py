@@ -21,6 +21,7 @@ from pathlib import Path
 
 ALPHABET = "ACGT"
 _NOT_A_BASE = 0xFF
+_WHITESPACE = b" \t\n\r\x0b\x0c"  # ASCII whitespace, as bytes.split() sees it
 
 # The one byte -> code table: A, C, G, T -> 0..3, every other byte -> _NOT_A_BASE.
 _BASE_CODE = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else _NOT_A_BASE
@@ -113,14 +114,17 @@ def normalize(raw: str | bytes) -> str:
     encoding = "utf-8" if isinstance(raw, str) else "latin-1"
     if isinstance(raw, str):  # UTF-8 puts no ASCII byte inside another character
         raw = raw.encode(encoding)
-    lines = raw.splitlines()
-    data = [ln for ln in lines if not ln.lstrip().startswith(b">")]
-    records = len(lines) - len(data)
-    if records and next(ln for ln in lines if ln.strip()).lstrip()[:1] != b">":
-        records += 1
+    raw = raw.replace(b"\r", b"\n") + b"\n"   # every line, the last too, ends in LF
+    records, start, at = 0, 0, raw.find(b">")
+    while at >= 0:
+        line, end = raw.rfind(b"\n", 0, at) + 1, raw.find(b"\n", at)
+        if not raw[line:at].strip():  # a header; sequence before the first is a record
+            records += 1 if records or not raw[:line].strip() else 2
+            start = end
+        at = raw.find(b">", end)
     if records > 1:
         raise MultipleRecords(records)
-    return b"".join(b"".join(data).split()).upper().decode(encoding)
+    return raw[start:].translate(None, _WHITESPACE).upper().decode(encoding)
 
 
 def parse_text(raw: str | bytes) -> DnaSequence:

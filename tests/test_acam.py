@@ -194,6 +194,45 @@ def test_window_equivalence_against_substring_oracle(case):
                 assert matrix[r][i] == (pos in expected)
 
 
+@st.composite
+def text_at_a_boundary(draw):
+    """Tandem copies of the pattern across the end of the first row, the
+    first block or the whole array, in random bases.  The text ends at or
+    just short of that end (MM padding, and MM replication columns after the
+    last row) or runs on across it."""
+    p = draw(st.integers(1, 4))
+    width = draw(st.integers(max(p, 2), 12))
+    rows_per_block = draw(st.integers(1, 4))
+    blocks = draw(st.integers(1, 3))
+    rows = rows_per_block * blocks
+    pattern = draw(st.text(alphabet=CHARS, min_size=p, max_size=p))
+    boundary = width * draw(st.sampled_from(sorted({1, rows_per_block, rows})))
+    length = draw(st.one_of(st.integers(max(1, boundary - p), boundary),
+                            st.integers(boundary, rows * width)))
+    text = draw(st.text(alphabet=CHARS, min_size=length, max_size=length))
+    start = max(0, boundary - 3 * p - draw(st.integers(0, p)))
+    text = (text[:start] + pattern * 6 + text[start + 6 * p:])[:length]
+    return text, pattern, rows, width, p, blocks
+
+
+@given(text_at_a_boundary())
+@settings(max_examples=200, deadline=None)
+def test_block_search_is_a_row_slice_of_one_array_wide_match_grid(case):
+    # the tags of block b are rows b*m..(b+1)*m of AND_k(codes[:, k:k+W] ==
+    # code(pattern[k])) over the whole array, so the blocks' read-outs in
+    # order are that grid's row-major flattening
+    text, pattern, rows, width, p, blocks = case
+    arr = load_text(text, geometry(rows, width, p, blocks))
+    grid = np.ones((rows, width), dtype=bool)
+    for k, c in enumerate(pattern):
+        grid &= arr.codes[:, k:k + width] == seqio.ALPHABET.index(c)
+    m = arr.geometry.mem_rows
+    for b in range(blocks):
+        assert np.array_equal(run_block_search(arr, b, pattern), grid[b * m:(b + 1) * m])
+    # the grid itself: a tag is set exactly where the text holds the pattern
+    assert set(np.flatnonzero(grid)) == brute_occurrences(text, pattern)
+
+
 @given(text_and_geometry(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_dont_care_columns_never_affect_tags(case, data):

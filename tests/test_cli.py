@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -174,6 +175,21 @@ def test_report_is_byte_stable(tmp_path):
                  "--blocks", "0,2,3", "--clock-ns", "0.7", "--write-ns", "1.3",
                  "--report", str(r1)]) == 0
     assert r1.read_bytes() == (GOLDEN_DIR / "report_htt_gapped.json").read_bytes()
+
+
+def test_full_array_report_is_byte_stable(tmp_path):
+    # all 8 blocks of the default 512 x 128 array, the first 65,536 bases of
+    # a seeded text with 60 CAG copies across the block 3/4 boundary at base
+    # 32,768: blocks 3 and 4 hold 31 and 29 copies, the run counts whole
+    rng = random.Random(2205)
+    text = "".join(rng.choices("ACGT", k=65536))
+    start = 4 * 8192 - 91
+    text = text[:start] + "CAG" * 60 + text[start + 180:]
+    assert oracle_max_tandem(text, "CAG") == 60
+    report = tmp_path / "r.json"
+    assert main(["--input", write_seq(tmp_path, text), "--disease", "Huntington's disease",
+                 "--report", str(report)]) == 0
+    assert report.read_bytes() == (GOLDEN_DIR / "report_full_array_cag.json").read_bytes()
 
 
 CLEAN = "TTCAGCAGCAGCAGCAGAAT"   # five tandem CAG copies

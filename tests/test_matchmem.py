@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeatscan.matchmem import (IllegalTransition, MatchIndexMemory,
-                                 MemoryNotReset, Mode, ModeViolation,
-                                 OutOfOrderColumn)
+from repeatscan.matchmem import (ColumnPastEnd, IllegalTransition,
+                                 MatchIndexMemory, MemoryNotReset, Mode,
+                                 ModeViolation, OutOfOrderColumn)
 
 
 def write_matrix(mem: MatchIndexMemory, matrix) -> None:
@@ -223,3 +223,60 @@ def test_random_round_trip_sweep():
         assert bits.dtype == np.uint8
         assert bits.tolist() == matrix.flatten().tolist()
         assert not mem.cells.any()
+
+
+@st.composite
+def matrix_and_splits(draw):
+    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    matrix = np.array([[draw(st.booleans()) for _ in range(cols)] for _ in range(rows)])
+    cuts = sorted(draw(st.sets(st.integers(0, cols), max_size=cols)) | {0, cols})
+    return matrix, cuts
+
+
+@given(matrix_and_splits())
+@settings(max_examples=100, deadline=None)
+def test_block_write_in_chunks_equals_column_by_column(case):
+    # a write phase taken in chunks of columns, empty chunks included, leaves
+    # the cells and the read-out of one write_column call per column
+    matrix, cuts = case
+    by_column = MatchIndexMemory(*matrix.shape)
+    write_matrix(by_column, matrix)
+    chunked = MatchIndexMemory(*matrix.shape)
+    chunked.set_mode(Mode.WRITE)
+    for start, end in zip(cuts, cuts[1:]):
+        chunked.write_columns(matrix[:, start:end])
+    assert np.array_equal(chunked.cells, by_column.cells)
+    streams = []
+    for mem in (by_column, chunked):
+        mem.set_mode(Mode.READ)
+        streams.append(mem.read_all())
+    assert np.array_equal(*streams)
+    assert streams[0].tolist() == matrix.astype(int).ravel().tolist()
+
+
+def test_block_write_keeps_every_protocol_check():
+    mem = MatchIndexMemory(2, 3)
+    with pytest.raises(ModeViolation):
+        mem.write_columns(np.ones((2, 3), dtype=bool))
+    mem.set_mode(Mode.WRITE)
+    with pytest.raises(ValueError, match="tag length 3 != memory rows 2"):
+        mem.write_columns(np.ones((3, 1), dtype=bool))
+    mem.write_columns(np.array([[True, False], [False, False]]))
+    # the third column follows the first two; a fourth is past the end
+    with pytest.raises(ColumnPastEnd):
+        mem.write_columns(np.zeros((2, 2), dtype=bool))
+    with pytest.raises(OutOfOrderColumn):
+        mem.write_column(1, [True, True])
+    mem.write_column(2, [False, True])
+    with pytest.raises(ColumnPastEnd):
+        mem.write_column(3, [True, True])
+    assert mem.cells.tolist() == [[True, False, False], [False, False, True]]
+    mem.set_mode(Mode.READ)
+    with pytest.raises(ModeViolation):
+        mem.write_columns(np.ones((2, 1), dtype=bool))
+    with pytest.raises(ModeViolation):
+        mem.write_column(0, [True, True])
+    mem.set_mode(Mode.RESET)  # reset_all() skipped
+    mem.set_mode(Mode.IDLE)
+    with pytest.raises(MemoryNotReset):
+        mem.set_mode(Mode.WRITE)

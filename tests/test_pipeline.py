@@ -173,6 +173,23 @@ def test_full_scan_broadcasts_once_per_block_and_meters_every_cycle(monkeypatch)
     assert result.report.cycles.search == 1024
 
 
+def test_full_scan_writes_each_block_in_one_call_and_meters_every_column(monkeypatch):
+    # the memory takes a block's W tag columns in one call, and the meter
+    # still charges one write cycle per column written
+    calls = {"write_columns": [], "write_column": []}
+    for name in calls:
+        def counted(self, *args, _fn=getattr(matchmem.MatchIndexMemory, name), _name=name):
+            calls[_name].append(args[-1])
+            return _fn(self, *args)
+        monkeypatch.setattr(matchmem.MatchIndexMemory, name, counted)
+    rng = random.Random(7)
+    text = "".join(rng.choice("ACGT") for _ in range(65536))
+    result = quick_scan(text, "CAG")
+    assert [tags.shape for tags in calls["write_columns"]] == [(64, 128)] * 8
+    assert calls["write_column"] == []
+    assert result.report.cycles.write_columns == 1024
+
+
 def test_request_validation():
     text, pat = parse_text("ACGT"), parse_pattern("CAG")
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan import seqio
@@ -74,6 +74,48 @@ def test_parse_multi_record_fasta_is_rejected():
 
 def test_parse_accepts_bytes():
     assert str(parse_text(b"acgt")) == "ACGT"
+
+
+def line_based_normalize(raw: str | bytes) -> str:
+    """Reference: the line-by-line normalize that ``seqio.normalize`` replaced.
+
+    ``bytes.splitlines`` ends lines at LF, CR and CRLF only; a line whose
+    first non-blank byte is '>' is a header, and the first non-blank line not
+    being one makes the sequence before the first header a record of its own.
+    """
+    encoding = "utf-8" if isinstance(raw, str) else "latin-1"
+    if isinstance(raw, str):
+        raw = raw.encode(encoding)
+    lines = raw.splitlines()
+    data = [ln for ln in lines if not ln.lstrip().startswith(b">")]
+    records = len(lines) - len(data)
+    if records and next(ln for ln in lines if ln.strip()).lstrip()[:1] != b">":
+        records += 1
+    if records > 1:
+        raise MultipleRecords(records)
+    return b"".join(b"".join(data).split()).upper().decode(encoding)
+
+
+def normalized_or_records(normalize, raw):
+    try:
+        return normalize(raw)
+    except MultipleRecords as exc:
+        return exc.count
+
+
+# Header marks, every ASCII whitespace byte, and bytes Unicode but not ASCII
+# counts as whitespace or line breaks.
+AWKWARD = "ACGTacgtN>> \t\r\n\x0b\x0c\x1c\x1d\x85\xa0"
+
+
+@given(st.one_of(st.text(alphabet=AWKWARD, max_size=40).map(lambda t: t.encode("latin-1")),
+                 st.text(alphabet=AWKWARD + "\u00e9\u2028", max_size=40),
+                 st.binary(max_size=40)))
+@settings(max_examples=1000)
+def test_normalize_equals_the_line_based_reference(raw):
+    # the same text or the same MultipleRecords count, for str and bytes
+    assert (normalized_or_records(seqio.normalize, raw)
+            == normalized_or_records(line_based_normalize, raw))
 
 
 @given(dna_text)
