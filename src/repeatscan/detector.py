@@ -53,9 +53,6 @@ assert CMP_DELAY < RST_DELAY < PHASES + min(INC_DELAY, CMP_DELAY)
 assert FLUSH_ZEROS >= PHASES - 1 + CMP_DELAY
 
 _STATE_LABELS = ("Initial", "S1", "S2", "S3", "S4", "S5", "S6")
-# Phase (0-based) whose input each state consumes next: S1/S2 follow phase 0,
-# S3/S4 follow phase 1, S5/S6 follow phase 2.
-_NEXT_PHASE = (0, 1, 1, 2, 2, 0, 0)
 
 TRACE_CHUNK_ROWS = 4096     # rows format_trace lays out per write
 TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
@@ -64,25 +61,39 @@ TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
 def _ascii_fields(fields: list[str]) -> np.ndarray:
     """Each field as one fixed-width scalar of ASCII bytes, right-aligned
     with NUL fill, which ``format_trace`` drops; ``take`` on the result
-    gathers whole fields."""
+    gathers whole fields.  Read-only, as is every table below."""
     width = max(map(len, fields))
     return np.frombuffer("".join(f.rjust(width, "\0") for f in fields).encode(),
                          dtype=f"V{width}")
 
 
 def _head(state: int, x: int) -> str:
-    """Trace columns state..R3 for input x consumed in a state with d low:
-    a one raises the C signal of the state's phase, a zero its R signal."""
+    """Trace columns state..R3 for input x consumed in a state with d low: a one
+    raises C, a zero R, of the state's phase (1 in S1/S2, 2 in S3/S4, else 0)."""
     signals = ["0"] * 6
-    signals[_NEXT_PHASE[state] + (0 if x else 3)] = "1"
+    signals[(state + 1) // 2 % PHASES + (0 if x else 3)] = "1"
     return f",{_STATE_LABELS[state]},{x},0,{','.join(signals)},"
 
 
-# indexed by 2 * state + x
-_HEADS = _ascii_fields([_head(state, x) for state in range(len(_STATE_LABELS))
-                       for x in (0, 1)])
-# indexed by register value: up to three digits and a comma
-_REGISTERS = _ascii_fields([f"{v}," for v in range(REGISTER_MAX + 1)])
+# 20 bytes each, indexed by 2 * (state - 1) + x for the states S1..S6
+_HEADS = _ascii_fields([_head(s, x) for s in range(1, len(_STATE_LABELS)) for x in (0, 1)])
+# one uint32 word each, indexed by register value: up to three digits and a comma
+_REGISTERS = _ascii_fields([f"{v}," for v in range(REGISTER_MAX + 1)]).view(np.uint32)
+# the cycle's 4-digit groups by value, as uint32 words: 0000..9999, then NUL-led
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+_GROUPS = np.frombuffer(np.concatenate(
+    [_DIGITS, _DIGITS * np.logical_or.accumulate(_DIGITS > ord("0"), axis=1)]).tobytes(), np.uint32)
+
+
+def _write_cycles(first: int, out: np.ndarray) -> None:
+    """Write first, first + 1, ... down ``out``, a uint32 word per 4-digit group:
+    up to each multiple of 10^4 the lowest counts up through _GROUPS."""
+    for a in range(first - first % 10**4, first + len(out), 10**4):
+        seg = out[max(a - first, 0):a + 10**4 - first]
+        high, low = divmod(max(a, first), 10**4)
+        seg[:, :-1] = np.frombuffer(str(high or "").rjust(seg[0, :-1].nbytes, "\0").encode(),
+                                    np.uint32)
+        seg[:, -1] = _GROUPS[low + (not high) * 10**4:][:len(seg)]  # NUL-led: no digit above
 
 
 def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
@@ -157,16 +168,15 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
     y[:n] = stream
     y[n:k] = False
     y = y.reshape(rounds, PHASES)
-    j = np.arange(rounds, dtype=np.int32)[:, None]
+    j = np.arange(1, rounds + 1, dtype=np.int32)[:, None]
     # run of ones ending at each input of its phase, not yet capped
-    run = j - np.maximum.accumulate(np.where(y, -1, j), axis=0)
+    run = j - np.maximum.accumulate(~y * j, axis=0)
     if not record_trace:
         # every zero's compare lands by the exit cycle, carrying r_(j-1)
         return min(int(run[:-1][~y[1:]].max(initial=0)), REGISTER_MAX), None
 
-    run = np.minimum(run, REGISTER_MAX)
-    prev = np.zeros_like(run)
-    prev[1:] = run[:-1]
+    run = np.minimum(run, REGISTER_MAX).astype(np.uint8)
+    prev = np.pad(run[:-1], ((1, 0), (0, 0)))      # r_(j-1), 0 before the first
     # Registers of phase q for the PHASES cycles from c_j + INC_DELAY: the
     # counter after the increment or before the reset (the larger of r_j and
     # r_(j-1)) until the reset is due, r_j after it, and the running maximum
@@ -175,7 +185,7 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
     events = np.empty((rounds, PHASES, 6), dtype=np.uint8)
     events[:, :hold, :3] = np.maximum(run, prev)[:, None]
     events[:, hold:, :3] = run[:, None]
-    events[:, :, 3:] = np.maximum.accumulate(np.where(y, 0, prev), axis=0)[:, None]
+    events[:, :, 3:] = np.maximum.accumulate(~y * prev, axis=0)[:, None]
     events = events.reshape(rounds * PHASES, 6)
     # cycles 0..k, the exit row, and room for the padding's late events
     regs = np.zeros((len(events) + PHASES - 1 + INC_DELAY, 6), dtype=np.uint8)
@@ -184,9 +194,7 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
     regs = regs[:k + 2]
     regs[-1, :3] = 0                    # Exit: CLR, max registers kept
     regs[-1, 3:] = regs[-2, 3:]
-    xs = np.empty(k + 1, dtype=np.uint8)
-    xs[:k] = y.ravel()[:k]
-    xs[k] = exit_x
+    xs = np.append(y.ravel()[:k], np.uint8(exit_x))
     return int(regs[-1, 3:].max()), Trace(xs, regs)
 
 
@@ -210,32 +218,34 @@ def run_trace(x_bits: Sequence[int] | str) -> tuple[int, Trace]:
 
 def format_trace(trace: Trace, out: BinaryIO) -> None:
     """Write the trace as CSV under ``TRACE_HEADER``, then a global_max line
-    (the largest max register of the Exit row), to the binary stream ``out``:
-    the rows with D low ``TRACE_CHUNK_ROWS`` at a time, each chunk laid out in
-    one reused byte matrix (NUL-padded cycle digits, the state..R3 head, six
-    registers) whose NULs are deleted on write.
-    """
+    (the Exit row's largest max register), to the binary stream ``out``.  The
+    Initial row and the last two are written apart.  The rows between go
+    ``TRACE_CHUNK_ROWS`` at a time into one reused table of uint32 words, each
+    field (4-digit cycle groups, 20-byte S1..S6 head, six registers) copied
+    whole from a read-only table; a chunk's NULs are deleted on write."""
     x, regs = trace.x, trace.regs
     n = len(x) - 1                      # rows with D low
-    digits = len(str(n))
-    head_end = digits + _HEADS.itemsize
-    table = np.empty((min(n, TRACE_CHUNK_ROWS), head_end + 6 * _REGISTERS.itemsize), np.uint8)
-    out.write(f"{TRACE_HEADER}\n".encode())
-    for start in range(0, n, TRACE_CHUNK_ROWS):
-        row = np.arange(start, min(start + TRACE_CHUNK_ROWS, n), dtype=np.int32)
-        chunk = table[:len(row)]
-        cycle = row + 1
-        for i in reversed(range(digits)):
-            chunk[:, i] = np.where(cycle > 0, cycle % 10 + ord("0"), 0)
-            cycle //= 10
-        # state of each row: Initial, then S(2q+1+x) after a phase-q input x
-        state = np.where(row > 0, 2 * ((row - 1) % PHASES) + 1 + x[row - 1], 0)
-        chunk[:, digits:head_end] = _HEADS.take((2 * state + x[row])[:, None]).view(np.uint8)
-        chunk[:, head_end:] = _REGISTERS.take(regs[row]).view(np.uint8)
-        chunk[:, -1] = ord("\n")
-        out.write(chunk.tobytes().translate(None, b"\0"))
+    initial = f"1{_head(0, x[0])}" + ",".join(map(str, regs[0])) + "\n" if n else ""
+    out.write(f"{TRACE_HEADER}\n{initial}".encode())
+    # head of row r >= 1: x[r] in state S(2q+1+x[r - 1]), input r - 1 of phase q
+    head = 2 * x[:max(n - 1, 0)] + x[1:n]
+    for q in range(1, PHASES):
+        head[q::PHASES] += 4 * q
+    groups = -(-len(str(n)) // 4)
+    head_end = groups + _HEADS.itemsize // 4
+    table = np.empty((min(len(head), TRACE_CHUNK_ROWS), head_end + 6), np.uint32)
+    heads = table[:, groups:head_end].view(_HEADS.dtype)[:, 0]
+    # every index is in range; take's default mode would buffer the copy into out
+    for start in range(1, n, TRACE_CHUNK_ROWS):
+        stop = min(start + TRACE_CHUNK_ROWS, n)
+        chunk = table[:stop - start]
+        _write_cycles(start + 1, chunk[:, :groups])
+        _HEADS.take(head[start - 1:stop - 1], out=heads[:stop - start], mode="clip")
+        _REGISTERS.take(regs[start:stop], out=chunk[:, head_end:], mode="clip")
+        text = chunk.view(np.uint8)
+        text[:, -1] = ord("\n")
+        out.write(text.tobytes().translate(None, b"\0"))
     last = 2 * ((n - 1) % PHASES) + 1 + x[n - 1] if n else 0
-    out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0,"
-               + ",".join(map(str, regs[-2]))
+    out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0," + ",".join(map(str, regs[-2]))
                + f"\n{n + 2},Exit,-,-,0,0,0,0,0,0," + ",".join(map(str, regs[-1]))
                + f"\nglobal_max,{regs[-1, 3:].max()}\n").encode())

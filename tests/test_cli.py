@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -350,6 +351,25 @@ def test_gapped_cycle_scan_writes_one_trace_section_per_run(tmp_path):
                  "--report", str(report), "--trace", str(trace)]) == 0
     assert report.read_bytes() == (GOLDEN_DIR / "report_cag_cycle_gapped.json").read_bytes()
     assert trace.read_bytes() == (GOLDEN_DIR / "trace_cag_gapped.csv").read_bytes()
+
+
+def test_full_array_gapped_cycle_trace_is_byte_stable(tmp_path):
+    # blocks 0, 1 and 3 of the default 512 x 128 array: a 16,389-row section
+    # for run 0-1, where 300 CAG copies across the block 0/1 boundary saturate
+    # the counter, and an 8,197-row one for block 3.  The digest was recorded
+    # before the trace's chunk layout changed.
+    rng = random.Random(1515)
+    text = "".join(rng.choices("ACGT", k=65536))
+    start = 8192 - 450
+    text = text[:start] + "CAG" * 300 + text[start + 900:]
+    report, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    assert main(["--input", write_seq(tmp_path, text), "--pattern", "CAG", "--mode", "cycle",
+                 "--blocks", "0,1,3", "--report", str(report), "--trace", str(trace)]) == 0
+    data = trace.read_bytes()
+    assert data.count(b"run,blocks=") == 2 and json.loads(report.read_text())["saturated"]
+    assert len(data) == 906_517
+    assert hashlib.sha256(data).hexdigest() == \
+        "d8547e1cc30eadb3d6daa1051cba00736f30f6b3b257d38fdd15ec8c26ed0778"
 
 
 def test_cycle_mode_rejects_non_trinucleotide(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from pathlib import Path
@@ -267,10 +268,12 @@ def test_run_trace_matches_reference_row_for_row(bits, exit_x):
 
 @pytest.mark.parametrize("rows", [0, 1, 9, 10, 99, 100, TRACE_CHUNK_ROWS - 1,
                                   TRACE_CHUNK_ROWS, TRACE_CHUNK_ROWS + 1,
-                                  2 * TRACE_CHUNK_ROWS + 1, 9999, 10000])
+                                  2 * TRACE_CHUNK_ROWS + 1, 9999, 10000,
+                                  99999, 100000, 100001])
 def test_written_trace_matches_reference_at_chunk_and_digit_edges(rows):
-    # ``rows`` inputs with D low go out in chunks; the cycle digits widen at
-    # 10, 100 and 10000 of them
+    # ``rows`` inputs with D low go out in chunks after the Initial row, which
+    # is written apart (0 rows: none; 1 row: it alone); the cycle digits widen
+    # at 10, 100, 10000 and 100000 of them, the last into a second 4-digit group
     rng = random.Random(rows)
     xs = [rng.randint(0, 1) for _ in range(rows + 1)]
     ref_max, ref_rows = reference_trace(xs, [0] * rows + [1])
@@ -308,6 +311,68 @@ def test_full_array_trace_is_written_in_bounded_chunks():
     assert len(out.writes) >= 16
     assert max(map(len, out.writes)) <= TRACE_CHUNK_ROWS * row_width
     assert all(w.endswith(b"\n") for w in out.writes)
+
+
+def full_size_stream() -> list[int]:
+    """65,536 seeded bits with a 300-fold run in phase 1, past the 8-bit
+    limit (see golden/NOTES.md)."""
+    rng = random.Random(65536)
+    bits = [rng.randint(0, 1) for _ in range(65536)]
+    bits[30000:30900] = [0, 1, 0] * 300
+    return bits
+
+
+def test_full_size_trace_is_byte_stable():
+    # a full array's read-out: 65,542 rows, so 17 chunks after the Initial
+    # row and five-digit cycles; every phase's max register is set and phase
+    # 1 saturates.  The digest was recorded before the chunk layout changed.
+    gm, trace = run_cycle_accurate(full_size_stream(), record_trace=True)
+    assert gm == 255 and trace.regs[-1, 3:].min() > 0
+    assert -(-(len(trace) - 3) // TRACE_CHUNK_ROWS) == 17
+    data = trace_text(trace).encode()
+    assert len(data) == 2_636_843
+    assert hashlib.sha256(data).hexdigest() == \
+        "68d4f04339cd28243727ba19960884831984470fccf26cfb4e97b1920a468c67"
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cycle_column_matches_str_across_each_power_of_ten(k):
+    # three numbers up to 10^12 + 1: 13 digits in four NUL-led groups
+    out = np.empty((3, 4), dtype=np.uint32)
+    detector._write_cycles(10**k - 1, out)
+    assert [bytes(row) for row in out.view(np.uint8)] == \
+        [str(c).rjust(16, "\0").encode() for c in (10**k - 1, 10**k, 10**k + 1)]
+
+
+def test_cycle_column_matches_str_through_whole_groups():
+    # 25,000 numbers cross 10^4 and 2 * 10^4 and run through the whole table
+    out = np.empty((25000, 2), dtype=np.uint32)
+    detector._write_cycles(1, out)
+    assert [bytes(row) for row in out.view(np.uint8)] == \
+        [str(c).rjust(8, "\0").encode() for c in range(1, 25001)]
+
+
+def test_lookup_tables_are_read_only_and_decode_to_their_text():
+    tables = (detector._HEADS, detector._REGISTERS, detector._GROUPS)
+    assert not any(table.flags.writeable for table in tables)
+
+    def entries(table, width):
+        return [table.tobytes()[i:i + width] for i in range(0, table.nbytes, width)]
+
+    # heads of S1..S6: the phase served is 1, 1, 2, 2, 0, 0; a one raises C,
+    # a zero R
+    heads = []
+    for state, phase in zip(range(1, 7), (1, 1, 2, 2, 0, 0)):
+        for x in (0, 1):
+            signals = ["0"] * 6
+            signals[phase if x else 3 + phase] = "1"
+            heads.append(f",S{state},{x},0,{','.join(signals)},".encode())
+    assert entries(detector._HEADS, 20) == heads
+    assert entries(detector._REGISTERS, 4) == [f"{v},".rjust(4, "\0").encode()
+                                               for v in range(256)]
+    assert entries(detector._GROUPS, 4) == (
+        [f"{v:04d}".encode() for v in range(10**4)]
+        + [(str(v) if v else "").rjust(4, "\0").encode() for v in range(10**4)])
 
 
 def test_trace_compare_lands_before_reset():

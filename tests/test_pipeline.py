@@ -111,6 +111,24 @@ def test_detector_ticks_are_metered_from_each_read_out(monkeypatch):
         quick_scan("CAG" * 20, "CAG", rows=4, data_width=16, blocks=2)
 
 
+@pytest.mark.parametrize("blocks, consumed, charged", [
+    (None, 65541, 65576),           # one run of 8 blocks: 1 flush against 8
+    ([0, 2, 3], 24586, 24591),      # runs 0 and 2-3: 2 flushes against 3
+])
+def test_fsm_flushes_once_per_run_while_ticks_charge_a_flush_per_block(blocks, consumed,
+                                                                       charged):
+    # A known mismatch, pinned as it stands so that settling it (ROADMAP item
+    # 5: a flush per block, or per run with D raised once) shows up as a
+    # deliberate test change.  The FSM consumes each run's stream plus
+    # POST_STREAM_CYCLES inputs, one per trace row but the Exit row.
+    rng = random.Random(5)
+    text = "".join(rng.choice("ACGT") for _ in range(65536))
+    result = quick_scan(text, "CAG", active_blocks=blocks, cycle_accurate=True,
+                        record_detector_trace=True)
+    assert sum(len(trace) - 1 for _, trace in result.detector_trace) == consumed
+    assert result.report.cycles.detector_ticks == charged
+
+
 def test_request_derives_its_blocks_and_timing_when_built():
     stale = TimingParams(rows=4, data_width=8, pattern_len=5, blocks=4, searched_blocks=7)
     request = ScanRequest(parse_text("CAG" * 8), parse_pattern("CAG"), stale,
