@@ -137,13 +137,12 @@ def cell_matches(cell: CellContent, drive: SearchDrive) -> bool:
 # ``seqio.encode`` gives index this tuple directly.
 STATES: tuple[CellContent, ...] = (*(CHAR_CELLS[c] for c in ALPHABET), MM_CELL)
 MM_CODE = STATES.index(MM_CELL)
-_CODE_OF_CHAR = {c: code for code, c in enumerate(ALPHABET)}
 
 # search_cycle compares only the driven columns, and compares their codes;
 # that is exact because a don't-care drive matches every stored state and a
 # character's drive matches the state of that character and of no other.
 assert all(cell_matches(cell, DONT_CARE) for cell in STATES)
-assert all(cell_matches(cell, drive_for(c)) == (code == _CODE_OF_CHAR[c])
+assert all(cell_matches(cell, drive_for(c)) == (code == ALPHABET.index(c))
            for c in SEARCH_MIDPOINTS for code, cell in enumerate(STATES))
 
 
@@ -159,23 +158,15 @@ class AcamArray:
     ``codes`` is the array's only representation of the stored cells: one
     uint8 per cell, indexing ``STATES``.  The array keeps a read-only copy,
     so search results are memoised per ``(pattern, block)`` (see
-    ``search_cycle``), and binds the values ``search_cycle`` checks once.
+    ``search_cycle``).
     """
 
     def __init__(self, geometry: TimingParams, codes: np.ndarray):
         self.geometry = geometry
-        self.pattern_len = geometry.pattern_len
-        self.blocks = geometry.blocks
-        self.data_width = geometry.data_width
         self.codes = codes.astype(np.uint8)
         self.codes.flags.writeable = False
         self.rows, self.total_cols = self.codes.shape
         self._tags: dict[tuple[str, int], np.ndarray] = {}
-
-    @property
-    def cells(self) -> tuple[tuple[CellContent, ...], ...]:
-        """The stored state of every cell, decoded from ``codes``."""
-        return tuple(tuple(STATES[c] for c in row) for row in self.codes.tolist())
 
 
 def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
@@ -211,14 +202,14 @@ def search_cycle(array: AcamArray, block: int, window: int,
     Returns the block's m tags as a read-only bool array, a view into the
     array's memo of this block's search (filled by the block's first cycle).
     """
-    pat = str(pattern)
-    if len(pat) != array.pattern_len:
-        raise GeometryError(
-            f"pattern length {len(pat)} does not match array pattern length {array.pattern_len}")
-    if not 0 <= block < array.blocks:
-        raise GeometryError(f"block {block} outside [0, {array.blocks})")
-    if not 0 <= window < array.data_width:
-        raise WindowOutOfRange(window, array.data_width)
+    pat, geometry = str(pattern), array.geometry
+    if len(pat) != geometry.pattern_len:
+        raise GeometryError(f"pattern length {len(pat)} does not match array "
+                            f"pattern length {geometry.pattern_len}")
+    if not 0 <= block < geometry.blocks:
+        raise GeometryError(f"block {block} outside [0, {geometry.blocks})")
+    if not 0 <= window < geometry.data_width:
+        raise WindowOutOfRange(window, geometry.data_width)
 
     tags = array._tags.get((pat, block))
     if tags is None:
@@ -232,13 +223,13 @@ def _search_block(array: AcamArray, block: int, pattern: str) -> np.ndarray:
 
     Window i drives columns i..i+p-1, so pattern character k meets the column
     slice k..k+W-1 of the block: p shifted compares replace W search cycles.
+    A character outside the alphabet raises InvalidCharacter.
     """
-    m = array.geometry.mem_rows
+    m, width = array.geometry.mem_rows, array.geometry.data_width
     rows = slice(block * m, (block + 1) * m)
-    width = array.data_width
     matched = np.ones((m, width), dtype=bool)
-    for k, c in enumerate(pattern):
-        matched &= array.codes[rows, k:k + width] == _CODE_OF_CHAR[c]
+    for k, code in enumerate(encode(pattern)):
+        matched &= array.codes[rows, k:k + width] == code
     tags = np.ascontiguousarray(matched.T)
     tags.flags.writeable = False
     return tags
@@ -248,6 +239,6 @@ def run_block_search(array: AcamArray, block: int,
                      pattern: Pattern | str) -> np.ndarray:
     """The scan's search of one block: its W search cycles' tags as one
     (m, W) matrix, ``MatchIndexMemory.write_columns``'s input."""
-    width = array.data_width
+    width = array.geometry.data_width
     tags = [search_cycle(array, block, i, pattern) for i in range(width)]
     return np.concatenate(tags).reshape(width, -1).T

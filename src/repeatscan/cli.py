@@ -18,12 +18,12 @@ import contextlib
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, detector
-from .costmodel import (PHYSICAL_COLS, CycleCounts, CycleCountMismatch,
-                        TimingParams, energy, energy_shares, geometry_for_text,
-                        latency, latency_shares)
+from .costmodel import (CycleCounts, CycleCountMismatch, TimingParams, energy,
+                        energy_shares, geometry_for_text, latency, latency_shares)
 from .detector import run_trace
 from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
                        make_request, scan)
@@ -87,7 +87,7 @@ def build_scan_report(request: ScanRequest, result: ScanResult) -> dict:
         "disease": request.disease.name if request.disease else None,
         "gene": request.disease.gene if request.disease else None,
         "classification": result.classification,
-        "range_overlap_flagged": result.range_overlap_flagged,
+        "range_overlap_flagged": request.disease is not None and request.disease.overlapping,
         "mode": "cycle" if request.cycle_accurate else "functional",
         "text_length": len(request.text),
         "global_max": result.global_max,
@@ -100,7 +100,7 @@ def build_scan_report(request: ScanRequest, result: ScanResult) -> dict:
         **{k: round(v, 3) for k, v in vars(lat).items()},
         "search_time_ns": round(lat.t_total_ns - lat.t_load_ns, 3),
         **{f"cycles_{'reset' if k == 'resets' else k}": v
-           for k, v in vars(cost.cycles).items() if k != "blocks"},
+           for k, v in vars(cost.cycles).items()},
         "set_events": result.set_events,
         **{f"energy_{k}": round(v, 3) for k, v in vars(cost.energy).items()},
         "energy_per_char_divisor": "searched_blocks * mem_rows * mem_cols",
@@ -137,8 +137,7 @@ def reference_rows() -> list[dict]:
     energies = [(3, 5.2, 1.0, ""), (5, 5.09, 5.0, "informational"), (10, 4.9, 3.0, "")]
     per_char = None
     for p, ref_nj, tol, note in energies:
-        params = TimingParams(data_width=PHYSICAL_COLS - (p - 1), pattern_len=p,
-                              searched_blocks=1)
+        params = replace(geometry_for_text(1_000_000, p), searched_blocks=1)
         fig = energy(CycleCounts.closed_form(params))
         rows.append({"name": f"energy_block_p{p}_nj", "computed": fig.total_nj,
                      "reference": ref_nj, "tol_pct": tol, "note": note})

@@ -9,8 +9,9 @@ Latency closed forms (times in nanoseconds, T = clock period):
     t_total    = t_load + K * (dt12 + dt23 + dt34)
 
 W is the number of search windows per row (data width), m x n the
-match-index memory, K the number of searched blocks.  The detector consumes
-m*n stream bits plus five post-stream cycles, hence the +5.
+match-index memory, K the number of searched blocks.  The detector is
+charged m*n stream bits plus five post-stream cycles per block, hence the +5;
+``pipeline`` states how that meets a run of consecutive blocks.
 
 Block energy comes from one table, PHASE_ENERGY: each phase's energy per
 block as characterized on the 64 x 128 memory instance, with the phase's
@@ -95,7 +96,6 @@ class CycleCounts:
     read_groups: int
     detector_ticks: int
     resets: int
-    blocks: int
 
     @classmethod
     def closed_form(cls, params: TimingParams) -> "CycleCounts":
@@ -107,12 +107,12 @@ class CycleCounts:
             read_groups=k * m * math.ceil(n / 8),
             detector_ticks=k * (m * n + POST_STREAM_CYCLES),
             resets=k,
-            blocks=k,
         )
 
     @property
     def read_cells(self) -> int:
-        return self.detector_ticks - POST_STREAM_CYCLES * self.blocks
+        # one reset per searched block
+        return self.detector_ticks - POST_STREAM_CYCLES * self.resets
 
 
 @dataclass(frozen=True)

@@ -202,9 +202,10 @@ def run_cycle_accurate(bits: Sequence[int] | np.ndarray,
                        record_trace: bool = False) -> tuple[int, Trace | None]:
     """Run a match bitmap through the p = 3 detector under the hardware
     read-out protocol: the stream, then four flush zeros, then one final zero
-    carrying the end-of-sequence signal, i.e. five post-stream cycles.
-    Explicit input vectors go through ``run_trace``.  The trace is None
-    unless ``record_trace``.
+    carrying the end-of-sequence signal, i.e. five post-stream cycles; a scan
+    streams one run of consecutive blocks (``pipeline`` states the boundary
+    rule).  Explicit input vectors go through ``run_trace``.  The trace is
+    None unless ``record_trace``.
     """
     return _run(bits, FLUSH_ZEROS, 0, record_trace)
 

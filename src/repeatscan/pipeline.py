@@ -2,17 +2,22 @@
 
 Activated blocks are processed in ascending index order through one shared
 match-index memory, which takes a block's W tag columns in one call (metered
-as W writes).  Bit streams of consecutive activated blocks are concatenated
-before detection so a repeat run crossing a block boundary is counted whole;
-a gap in the activated set splits the detection into independent segments,
-and a traced scan returns each one's blocks and Trace.  A request is derived
-and checked once, when ``ScanRequest`` is built.  Cycle counts are metered
-from the actual simulation, detector ticks from each block's read-out, and
-must agree with the closed-form cost model.  SET events are counted as the
-set bits of each block's read-out: a write phase starts all-HRS and writes
-each column once, so that popcount equals the number of high tags written.
-A global maximum at the 8-bit register limit is reported as saturated, since
-the true count may be any value from there up.
+as W writes).  One run of consecutive activated blocks is one detection
+segment, and a traced scan returns each segment's blocks and Trace.  At a
+block boundary the simulator assumes (of arXiv 2205.15505, whose text beyond
+the abstract is not at hand) one rule: the detector's counters carry across
+the boundaries inside a run, so a repeat crossing them is counted whole; the
+FSM takes the run's stream and then one flush of ``POST_STREAM_CYCLES``
+inputs; and each block is still charged m*n + ``POST_STREAM_CYCLES``
+detector ticks, the dt23 closed form, the ticks beyond the run's inputs
+being drain ticks that consume no input.  A request is derived and checked
+once, when ``ScanRequest`` is built.  Cycle counts are metered from the
+actual simulation, detector ticks from each block's read-out, and must agree
+with the closed-form cost model.  SET events are counted as the set bits of
+each block's read-out: a write phase starts all-HRS and writes each column
+once, so that popcount equals the number of high tags written.  A global
+maximum at the 8-bit register limit is reported as saturated, since the true
+count may be any value from there up.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ class ScanResult:
     classification: str | None
     report: CostReport
     set_events: int
-    range_overlap_flagged: bool
     saturated: bool
     detector_trace: list[tuple[list[int], detector.Trace]]
 
@@ -117,31 +121,30 @@ def scan(request: ScanRequest) -> ScanResult:
     pattern = str(request.pattern)
     array = acam.load_text(request.text, timing)
     memory = matchmem.MatchIndexMemory(timing.mem_rows, timing.mem_cols)
-    windows = read_groups = ticks = resets = set_events = 0
-    streams: dict[int, np.ndarray] = {}
-
-    for block in request.active_blocks:
-        memory.set_mode(matchmem.Mode.WRITE)
-        tags = acam.run_block_search(array, block, pattern)
-        memory.write_columns(tags)
-        windows += tags.shape[1]
-        memory.set_mode(matchmem.Mode.READ)
-        stream = streams[block] = memory.read_all()
-        set_events += int(np.count_nonzero(stream))
-        read_groups += memory.read_group_count()
-        ticks += len(stream) + POST_STREAM_CYCLES
-        memory.set_mode(matchmem.Mode.RESET)
-        memory.reset_all()
-        resets += 1
-        memory.set_mode(matchmem.Mode.IDLE)
-
-    per_block_max = [detector.detect_functional(streams[b], timing.pattern_len)
-                     for b in request.active_blocks]
-
-    global_max = 0
+    windows = read_groups = ticks = resets = set_events = global_max = 0
+    per_block_max: list[int] = []
     traces = []
+
     for run in _consecutive_runs(request.active_blocks):
-        bits = np.concatenate([streams[b] for b in run])
+        streams = []
+        for block in run:
+            memory.set_mode(matchmem.Mode.WRITE)
+            tags = acam.run_block_search(array, block, pattern)
+            memory.write_columns(tags)
+            windows += tags.shape[1]
+            memory.set_mode(matchmem.Mode.READ)
+            stream = memory.read_all()
+            streams.append(stream)
+            set_events += int(np.count_nonzero(stream))
+            read_groups += memory.read_group_count()
+            ticks += len(stream) + POST_STREAM_CYCLES
+            memory.set_mode(matchmem.Mode.RESET)
+            memory.reset_all()
+            resets += 1
+            memory.set_mode(matchmem.Mode.IDLE)
+            per_block_max.append(detector.detect_functional(stream, timing.pattern_len))
+
+        bits = np.concatenate(streams)
         segment_max = detector.detect_functional(bits, timing.pattern_len)
         if request.cycle_accurate:
             fsm_max, trace = detector.run_cycle_accurate(
@@ -154,25 +157,18 @@ def scan(request: ScanRequest) -> ScanResult:
         global_max = max(global_max, segment_max)
 
     metered = CycleCounts(search=windows, write_columns=windows,
-                          read_groups=read_groups, detector_ticks=ticks,
-                          resets=resets, blocks=len(request.active_blocks))
+                          read_groups=read_groups, detector_ticks=ticks, resets=resets)
     report = build_report(timing, metered)
 
     saturated = global_max >= REGISTER_MAX
-    classification = None
-    overlap = False
-    if request.disease is not None:
-        classification = classify(global_max, request.disease, saturated)
-        overlap = request.disease.overlapping
-
+    classification = (None if request.disease is None
+                      else classify(global_max, request.disease, saturated))
     return ScanResult(
         global_max=global_max,
         per_block_max=per_block_max,
         classification=classification,
         report=report,
         set_events=set_events,
-        range_overlap_flagged=overlap,
         saturated=saturated,
         detector_trace=traces,
     )
-

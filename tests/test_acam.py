@@ -21,6 +21,11 @@ def geometry(rows: int, width: int, p: int, blocks: int) -> TimingParams:
     return TimingParams(rows=rows, data_width=width, pattern_len=p, blocks=blocks)
 
 
+def cells(arr: acam.AcamArray) -> list[list[acam.CellContent]]:
+    """The stored state of every cell, decoded from its code."""
+    return [[acam.STATES[c] for c in row] for row in arr.codes.tolist()]
+
+
 def brute_occurrences(text: str, pattern: str) -> set[int]:
     """Independent oracle: 0-based start positions of exact occurrences."""
     p = len(pattern)
@@ -85,7 +90,7 @@ def test_cell_match_examples():
 
 def test_load_text_layout():
     arr = load_text("CAGCA", geometry(2, 4, 3, 1))
-    kinds = [[c.kind for c in row] for row in arr.cells]
+    kinds = [[c.kind for c in row] for row in cells(arr)]
     assert kinds[0] == ["C", "A", "G", "C", "A", "MM"]
     assert kinds[1] == ["A", "MM", "MM", "MM", "MM", "MM"]
     assert arr.total_cols == 6
@@ -97,18 +102,18 @@ def test_load_text_stores_a_sequences_codes_without_encoding_again(monkeypatch):
     monkeypatch.setattr(acam, "encode", lambda s: encoded.append(s) or seqio.encode(s))
     arr = load_text(seq, geometry(2, 4, 3, 1))
     assert encoded == []
-    assert arr.cells == load_text("CAGCA", geometry(2, 4, 3, 1)).cells
+    assert cells(arr) == cells(load_text("CAGCA", geometry(2, 4, 3, 1)))
     assert encoded == ["CAGCA"]     # a plain string is still encoded
 
 
 def test_load_text_full_array_has_no_mm_in_data_columns():
     arr = load_text("ACGTACGTTGCATGCA", geometry(2, 8, 3, 1))
-    for row in arr.cells:
+    for row in cells(arr):
         assert all(c.kind != "MM" for c in row[:8])
     # the first row's replicated columns copy the second row's first cells
-    assert [c.kind for c in arr.cells[0][8:]] == ["T", "G"]
+    assert [c.kind for c in cells(arr)[0][8:]] == ["T", "G"]
     # last row replicates MM
-    assert [c.kind for c in arr.cells[1][8:]] == ["MM", "MM"]
+    assert [c.kind for c in cells(arr)[1][8:]] == ["MM", "MM"]
 
 
 def test_load_text_pattern_len_one_has_no_replication():
@@ -132,6 +137,19 @@ def test_search_cycle_window_bounds():
         search_cycle(arr, 2, 0, "CAG")
     with pytest.raises(acam.GeometryError):
         search_cycle(arr, 0, 0, "CA")
+
+
+@pytest.mark.parametrize("search, position, char", [
+    (lambda arr: search_cycle(arr, 0, 0, "CAN"), 3, "N"),
+    (lambda arr: run_block_search(arr, 0, "cag"), 1, "c"),
+], ids=["search_cycle", "run_block_search"])
+def test_pattern_outside_the_alphabet_is_a_typed_error(search, position, char):
+    # the search encodes the pattern with the text's own table, so a str
+    # pattern that bypassed parse_pattern fails as the text would
+    arr = load_text("CAGCAG", geometry(2, 4, 3, 1))
+    with pytest.raises(InvalidCharacter) as exc:
+        search(arr)
+    assert (exc.value.position, exc.value.char) == (position, char)
 
 
 def test_search_cycle_single_character_pattern():
@@ -265,7 +283,7 @@ def test_vectorized_search_agrees_with_cell_matches(case):
     # per-cell Decimal semantics over the whole row, don't-care columns included
     text, pattern, rows, width, p, blocks = case
     arr = load_text(text, geometry(rows, width, p, blocks))
-    cells = arr.cells
+    stored = cells(arr)
     for b in range(blocks):
         for window in range(width):
             tags = search_cycle(arr, b, window, pattern)
@@ -273,7 +291,7 @@ def test_vectorized_search_agrees_with_cell_matches(case):
             for k, ch in enumerate(pattern):
                 drives[window + k] = drive_for(ch)
             for r, tag in enumerate(tags):
-                row = cells[b * arr.geometry.mem_rows + r]
+                row = stored[b * arr.geometry.mem_rows + r]
                 assert tag == all(cell_matches(c, d) for c, d in zip(row, drives))
 
 
@@ -288,7 +306,7 @@ def test_load_text_layout_matches_string_layout(case):
     expected = [row + (data[r + 1][:p - 1] if r + 1 < rows else ["MM"] * (p - 1))
                 for r, row in enumerate(data)]
     arr = load_text(text, geometry(rows, width, p, blocks))
-    assert [[c.kind for c in row] for row in arr.cells] == expected
+    assert [[c.kind for c in row] for row in cells(arr)] == expected
 
 
 @given(text_and_geometry(), st.data())

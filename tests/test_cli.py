@@ -85,6 +85,20 @@ def test_scan_disease_preset(tmp_path):
     assert report["classification"] == "Disease"
 
 
+@pytest.mark.parametrize("target, flagged", [
+    (["--disease", "Huntington's disease-like 2"], True),   # JPH3: 6-28 and 4-60 overlap
+    (["--disease", "Huntington's disease"], False),
+    (["--pattern", "CAG"], False),                           # no disease, no ranges
+])
+def test_report_flags_overlapping_catalog_ranges(tmp_path, target, flagged):
+    inp = write_seq(tmp_path, "CTG" * 20 + "CAG" * 20)
+    code, report = run_scan_to_report(
+        tmp_path, "--input", inp, *target,
+        "--rows", "4", "--width", "64", "--array-blocks", "2")
+    assert code == 0
+    assert report["range_overlap_flagged"] is flagged
+
+
 def test_scan_invalid_pattern_exits_1(tmp_path, capsys):
     inp = write_seq(tmp_path, "CAGCAG")
     code = main(["--input", inp, "--pattern", "CAGX"])

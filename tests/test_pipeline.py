@@ -26,7 +26,6 @@ def test_embedded_repeat_run_with_disease_classification():
                         disease=entry)
     assert result.global_max == oracle_max_tandem(text, "CAG") == 50
     assert result.classification == DISEASE
-    assert not result.range_overlap_flagged
     assert not result.saturated
 
 
@@ -112,15 +111,14 @@ def test_detector_ticks_are_metered_from_each_read_out(monkeypatch):
 
 
 @pytest.mark.parametrize("blocks, consumed, charged", [
-    (None, 65541, 65576),           # one run of 8 blocks: 1 flush against 8
-    ([0, 2, 3], 24586, 24591),      # runs 0 and 2-3: 2 flushes against 3
+    (None, 65541, 65576),           # one run of 8 blocks: 1 flush, 8 charged
+    ([0, 2, 3], 24586, 24591),      # runs 0 and 2-3: 2 flushes, 3 charged
 ])
-def test_fsm_flushes_once_per_run_while_ticks_charge_a_flush_per_block(blocks, consumed,
-                                                                       charged):
-    # A known mismatch, pinned as it stands so that settling it (ROADMAP item
-    # 5: a flush per block, or per run with D raised once) shows up as a
-    # deliberate test change.  The FSM consumes each run's stream plus
-    # POST_STREAM_CYCLES inputs, one per trace row but the Exit row.
+def test_fsm_flushes_once_per_run_and_drains_per_block(blocks, consumed, charged):
+    # The block-boundary rule (pipeline docstring): the FSM consumes each
+    # run's stream plus POST_STREAM_CYCLES inputs, one per trace row but the
+    # Exit row, while every block is charged m*n + POST_STREAM_CYCLES ticks;
+    # the ticks no input meets are drain ticks.
     rng = random.Random(5)
     text = "".join(rng.choice("ACGT") for _ in range(65536))
     result = quick_scan(text, "CAG", active_blocks=blocks, cycle_accurate=True,
@@ -281,6 +279,24 @@ def test_end_to_end_oracle_equivalence(case):
         text[run[0] * block_chars:(run[-1] + 1) * block_chars + tail], pattern), 255)
         for run in runs)
     assert result.global_max == expected
+
+
+@given(pipeline_case())
+@example(("T" + "CAG" * 10, "CAG", 8, 4, 4, [0, 1, 2, 3]))   # one run over every boundary
+@example(("T" + "CAG" * 10, "CAG", 8, 4, 4, [0, 2, 3]))      # a gap, then a run of two
+@example(("A" * 512, "A", 32, 16, 2, [0, 1]))               # saturates in each block
+@settings(max_examples=150, deadline=None)
+def test_per_block_max_is_the_oracle_over_each_blocks_rows(case):
+    # each block alone, whatever run it is in: its rows' text plus the p-1
+    # characters replicated from the next row, capped at the register limit
+    text, pattern, rows, width, blocks, active = case
+    result = quick_scan(text, pattern, rows=rows, data_width=width,
+                        blocks=blocks, active_blocks=active)
+    block_chars = rows // blocks * width
+    tail = len(pattern) - 1
+    assert result.per_block_max == [
+        min(oracle_max_tandem(text[b * block_chars:(b + 1) * block_chars + tail], pattern), 255)
+        for b in active]
 
 
 @given(pipeline_case())
