@@ -24,10 +24,11 @@ of the last input whose event is due by t.  A zero's compare lands at
 c_j + 1 and carries r_(j-1).  The exit cycle, the one whose input carries D,
 retires only the events due in it.  This holds because a zero's compare
 lands before its reset, which lands before the phase's next event; that
-order is asserted at import on the delay constants below.  Untraced runs
-take the global maximum from the compares alone; traced runs expand the
-events into per-cycle register columns, a ``Trace``, which ``format_trace``
-streams to a file a fixed number of rows at a time.
+order is asserted at import on the delay constants below.  Inputs are laid
+out phase-major, each phase's row behind a zero sentinel: runs come from the
+stream's few ones, and max registers from a running maximum along the row.
+Untraced runs take the largest compare; traced runs write a row of cycles
+per register, a ``Trace``, which ``format_trace`` streams in chunks.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ TRACE_CHUNK_ROWS = 4096     # rows format_trace lays out per write
 TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
 
 
-def _ascii_fields(fields: list[str]) -> np.ndarray:
-    """Each field as one fixed-width scalar of ASCII bytes, right-aligned
-    with NUL fill, which ``format_trace`` drops; ``take`` on the result
-    gathers whole fields.  Read-only, as is every table below."""
-    width = max(map(len, fields))
-    return np.frombuffer("".join(f.rjust(width, "\0") for f in fields).encode(),
-                         dtype=f"V{width}")
-
-
 def _head(state: int, x: int) -> str:
     """Trace columns state..R3 for input x consumed in a state with d low: a one
     raises C, a zero R, of the state's phase (1 in S1/S2, 2 in S3/S4, else 0)."""
@@ -75,25 +67,43 @@ def _head(state: int, x: int) -> str:
     return f",{_STATE_LABELS[state]},{x},0,{','.join(signals)},"
 
 
+_HEAD_FIELDS = [_head(s, x) for s in range(1, len(_STATE_LABELS)) for x in (0, 1)]
 # 20 bytes each, indexed by 2 * (state - 1) + x for the states S1..S6
-_HEADS = _ascii_fields([_head(s, x) for s in range(1, len(_STATE_LABELS)) for x in (0, 1)])
-# one uint32 word each, indexed by register value: up to three digits and a comma
-_REGISTERS = _ascii_fields([f"{v}," for v in range(REGISTER_MAX + 1)]).view(np.uint32)
-# the cycle's 4-digit groups by value, as uint32 words: 0000..9999, then NUL-led
-_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
-_GROUPS = np.frombuffer(np.concatenate(
-    [_DIGITS, _DIGITS * np.logical_or.accumulate(_DIGITS > ord("0"), axis=1)]).tobytes(), np.uint32)
+_HEADS = np.frombuffer("".join(_HEAD_FIELDS).encode(), dtype=f"V{len(_HEAD_FIELDS[0])}")
+
+
+def _lookup_tables() -> tuple[np.ndarray, list[np.ndarray]]:
+    """Read-only views of one buffer filled in place: _GROUPS, the 4-digit
+    groups 0000..9999 and a NUL-led copy, and _REGISTERS[w - 1], each value
+    0..255 NUL-led to w = 1..3 digits and a comma (looked up below 10^w)."""
+    buf = np.empty(8 * 10**4 + (REGISTER_MAX + 1) * (2 + 3 + 4), dtype=np.uint8)
+    digits = buf[:8 * 10**4].reshape(2, 10, 10, 10, 10, 4)
+    for i in range(4):
+        digits[..., i] = np.frombuffer(b"0123456789", np.uint8).reshape((10,) + (1,) * (3 - i))
+        digits[(1,) + (0,) * (i + 1) + (..., i)] = 0    # NUL above the highest digit
+    tables, at = [buf[:8 * 10**4].view("V4")], 8 * 10**4
+    for w in range(1, 4):
+        fields = buf[at:at + (REGISTER_MAX + 1) * (w + 1)].reshape(-1, w + 1)
+        fields[:, :w] = digits[1].reshape(-1, 4)[:REGISTER_MAX + 1, 4 - w:]
+        fields[0, w - 1], fields[:, w] = ord("0"), ord(",")
+        tables.append(fields.view(f"V{w + 1}")[:, 0])
+        at += fields.size
+    for table in tables:
+        table.flags.writeable = False
+    return tables[0], tables[1:]
+
+
+_GROUPS, _REGISTERS = _lookup_tables()
 
 
 def _write_cycles(first: int, out: np.ndarray) -> None:
-    """Write first, first + 1, ... down ``out``, a uint32 word per 4-digit group:
-    up to each multiple of 10^4 the lowest counts up through _GROUPS."""
+    """Write first, first + 1, ... down the byte rows of ``out``, NUL-led: up to
+    each multiple of 10^4 the lowest four digits count up through _GROUPS."""
     for a in range(first - first % 10**4, first + len(out), 10**4):
         seg = out[max(a - first, 0):a + 10**4 - first]
         high, low = divmod(max(a, first), 10**4)
-        seg[:, :-1] = np.frombuffer(str(high or "").rjust(seg[0, :-1].nbytes, "\0").encode(),
-                                    np.uint32)
-        seg[:, -1] = _GROUPS[low + (not high) * 10**4:][:len(seg)]  # NUL-led: no digit above
+        seg[:, :-4] = list(str(high or "").rjust(seg.shape[1] - 4, "\0").encode())
+        seg[:, -4:].view(_GROUPS.dtype)[:, 0] = _GROUPS[low + (not high) * 10**4:][:len(seg)]
 
 
 def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
@@ -146,7 +156,8 @@ class Trace:
 
     ``x`` holds the inputs consumed, the last one carrying D; ``regs`` holds
     the end-of-cycle registers ctr1..ctr3, max1..max3 of each of those
-    cycles and of the final Exit cycle.  States and signals follow from x.
+    cycles and of the final Exit cycle, column-major (``regs.T`` is one
+    contiguous row per register).  States and signals follow from x.
     """
     x: np.ndarray        # uint8, one per consumed input
     regs: np.ndarray     # uint8, (len(x) + 1, 6)
@@ -162,40 +173,37 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
     n = len(stream)
     k = n + zeros                       # inputs consumed with D low
     rounds = -(-k // PHASES)
-    # one row per round of PHASES inputs; padding ones schedule no compare,
-    # and every event of a padded input lands after the exit cycle
-    y = np.ones(rounds * PHASES, dtype=bool)
-    y[:n] = stream
-    y[n:k] = False
-    y = y.reshape(rounds, PHASES)
-    j = np.arange(1, rounds + 1, dtype=np.int32)[:, None]
-    # run of ones ending at each input of its phase, not yet capped
-    run = j - np.maximum.accumulate(~y * j, axis=0)
+    # a round of sentinel zeros, the inputs, then padding ones, which schedule
+    # no compare; read phase-major, row q is y_-1 = 0, y_0, y_1, ... of phase q
+    x = np.zeros((rounds + 1) * PHASES, dtype=bool)
+    x[PHASES:PHASES + n] = stream
+    x[PHASES + k:] = True
+    y = x.reshape(rounds + 1, PHASES).T.copy()
+    # r_j, the run of ones ending at y_j, capped: a run restarts after a zero,
+    # where two ones' flat indices differ by more than 1
+    ones = y.ravel().nonzero()[0]
+    zero = ones - 1
+    zero[1:] *= ones[1:] - ones[:-1] != 1
+    run = np.zeros(y.shape, dtype=np.uint8)
+    run.ravel()[ones] = np.minimum(ones - np.maximum.accumulate(zero), REGISTER_MAX)
+    compare = run[:, :-1] * ~y[:, 1:]   # a zero y_j compares r_(j-1)
     if not record_trace:
-        # every zero's compare lands by the exit cycle, carrying r_(j-1)
-        return min(int(run[:-1][~y[1:]].max(initial=0)), REGISTER_MAX), None
+        return int(compare.max()), None
 
-    run = np.minimum(run, REGISTER_MAX).astype(np.uint8)
-    prev = np.pad(run[:-1], ((1, 0), (0, 0)))      # r_(j-1), 0 before the first
     # Registers of phase q for the PHASES cycles from c_j + INC_DELAY: the
     # counter after the increment or before the reset (the larger of r_j and
     # r_(j-1)) until the reset is due, r_j after it, and the running maximum
-    # of the compares throughout.
-    hold = RST_DELAY - INC_DELAY
-    events = np.empty((rounds, PHASES, 6), dtype=np.uint8)
-    events[:, :hold, :3] = np.maximum(run, prev)[:, None]
-    events[:, hold:, :3] = run[:, None]
-    events[:, :, 3:] = np.maximum.accumulate(~y * prev, axis=0)[:, None]
-    events = events.reshape(rounds * PHASES, 6)
-    # cycles 0..k, the exit row, and room for the padding's late events
-    regs = np.zeros((len(events) + PHASES - 1 + INC_DELAY, 6), dtype=np.uint8)
-    for q in range(PHASES):
-        regs[q + INC_DELAY:q + INC_DELAY + len(events), q::PHASES] = events[:, q::PHASES]
-    regs = regs[:k + 2]
-    regs[-1, :3] = 0                    # Exit: CLR, max registers kept
-    regs[-1, 3:] = regs[-2, 3:]
-    xs = np.append(y.ravel()[:k], np.uint8(exit_x))
-    return int(regs[-1, 3:].max()), Trace(xs, regs)
+    # of the compares throughout.  Cycles 0..k, then the Exit column.
+    held = np.maximum(run[:, 1:], run[:, :-1])
+    top = np.maximum.accumulate(compare, axis=1)
+    regs = np.zeros((2 * PHASES, k + 2), dtype=np.uint8)
+    for q, d in np.ndindex(PHASES, PHASES):
+        ctr = regs[q, q + INC_DELAY + d:k + 1:PHASES]
+        ctr[:] = (held if d < RST_DELAY - INC_DELAY else run[:, 1:])[q, :len(ctr)]
+        regs[PHASES + q, q + INC_DELAY + d:k + 1:PHASES] = top[q, :len(ctr)]
+    regs[PHASES:, -1] = regs[PHASES:, -2]   # Exit: CLR, max registers kept
+    xs = np.append(x[PHASES:PHASES + k], np.uint8(exit_x))
+    return int(regs[PHASES:, -1].max()), Trace(xs, regs.T)
 
 
 def run_cycle_accurate(bits: Sequence[int] | np.ndarray,
@@ -221,9 +229,11 @@ def format_trace(trace: Trace, out: BinaryIO) -> None:
     """Write the trace as CSV under ``TRACE_HEADER``, then a global_max line
     (the Exit row's largest max register), to the binary stream ``out``.  The
     Initial row and the last two are written apart.  The rows between go
-    ``TRACE_CHUNK_ROWS`` at a time into one reused table of uint32 words, each
-    field (4-digit cycle groups, 20-byte S1..S6 head, six registers) copied
-    whole from a read-only table; a chunk's NULs are deleted on write."""
+    ``TRACE_CHUNK_ROWS`` at a time into one reused byte table, each field
+    copied whole from a read-only table at the chunk's own width: the cycle's
+    digits (at least four), the 20-byte S1..S6 head, and each register as wide
+    as its largest value in the chunk.  Narrower fields are NUL-led; only a
+    chunk that holds NULs has them deleted on write."""
     x, regs = trace.x, trace.regs
     n = len(x) - 1                      # rows with D low
     initial = f"1{_head(0, x[0])}" + ",".join(map(str, regs[0])) + "\n" if n else ""
@@ -232,20 +242,25 @@ def format_trace(trace: Trace, out: BinaryIO) -> None:
     head = 2 * x[:max(n - 1, 0)] + x[1:n]
     for q in range(1, PHASES):
         head[q::PHASES] += 4 * q
-    groups = -(-len(str(n)) // 4)
-    head_end = groups + _HEADS.itemsize // 4
-    table = np.empty((min(len(head), TRACE_CHUNK_ROWS), head_end + 6), np.uint32)
-    heads = table[:, groups:head_end].view(_HEADS.dtype)[:, 0]
+    rows = min(len(head), TRACE_CHUNK_ROWS)
+    table = np.empty(rows * (max(len(str(n)), 4) + _HEADS.itemsize + 6 * 4), np.uint8)
+    heads = np.empty(rows, _HEADS.dtype)   # a gather into a strided view is slower
     # every index is in range; take's default mode would buffer the copy into out
     for start in range(1, n, TRACE_CHUNK_ROWS):
         stop = min(start + TRACE_CHUNK_ROWS, n)
-        chunk = table[:stop - start]
-        _write_cycles(start + 1, chunk[:, :groups])
+        digits = [len(str(v)) for v in regs[start:stop].max(axis=0).tolist()]
+        at = max(len(str(stop)), 4) + _HEADS.itemsize     # the cycle and head fields
+        chunk = table[:(stop - start) * (at + sum(digits) + 6)].reshape(stop - start, -1)
+        _write_cycles(start + 1, chunk[:, :at - _HEADS.itemsize])
         _HEADS.take(head[start - 1:stop - 1], out=heads[:stop - start], mode="clip")
-        _REGISTERS.take(regs[start:stop], out=chunk[:, head_end:], mode="clip")
-        text = chunk.view(np.uint8)
-        text[:, -1] = ord("\n")
-        out.write(text.tobytes().translate(None, b"\0"))
+        chunk[:, at - _HEADS.itemsize:at].view(_HEADS.dtype)[:, 0] = heads[:stop - start]
+        for column, w in zip(regs[start:stop].T, digits):
+            fields = _REGISTERS[w - 1]
+            fields.take(column, out=chunk[:, at:at + w + 1].view(fields.dtype)[:, 0], mode="clip")
+            at += w + 1
+        chunk[:, -1] = ord("\n")
+        text = chunk.tobytes()
+        out.write(text.translate(None, b"\0") if b"\0" in text else text)
     last = 2 * ((n - 1) % PHASES) + 1 + x[n - 1] if n else 0
     out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0," + ",".join(map(str, regs[-2]))
                + f"\n{n + 2},Exit,-,-,0,0,0,0,0,0," + ",".join(map(str, regs[-1]))

@@ -335,26 +335,78 @@ def test_full_size_trace_is_byte_stable():
         "68d4f04339cd28243727ba19960884831984470fccf26cfb4e97b1920a468c67"
 
 
+@st.composite
+def width_change_streams(draw):
+    """Sparse random bits (one in eight set) over three chunks of rows, and
+    one phase run of 9 or 10, 99 or 100, or 255-300 ones placed so that a row
+    where a register may widen (the 10th or 100th one's increment, or the
+    compare after the run) falls up to four rows before or after the first
+    row of the second or third chunk."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = [int(rng.random() < 0.125) for _ in range(2 * TRACE_CHUNK_ROWS + 1000)]
+    length = draw(st.sampled_from([9, 10, 99, 100]) | st.integers(255, 300))
+    widen = draw(st.sampled_from([i for i in (9, 99, length) if i <= length]))
+    row = 1 + draw(st.sampled_from([1, 2])) * TRACE_CHUNK_ROWS + draw(st.integers(-4, 4))
+    # input i's increment or compare lands in row i + 1
+    first = row - 1 - 3 * widen
+    bits[first - 3:first + 3 * length + 1:3] = [0] + [1] * length + [0]
+    return bits
+
+
+@given(width_change_streams())
+@settings(max_examples=30, deadline=None)
+def test_written_trace_matches_reference_where_registers_widen(bits):
+    flushed = bits + [0] * FLUSH_ZEROS + [0]
+    ref_max, ref_rows = reference_trace(flushed, [0] * (len(flushed) - 1) + [1])
+    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    assert gm == ref_max == detect_functional(bits, 3)
+    assert trace_lines(gm, trace) == ref_rows
+
+
+def width_crossing_stream() -> list[int]:
+    """65,536 sparse seeded bits (one in eight set) with phase runs of 12 and
+    150 ones: max3 crosses 10 inside the second chunk of rows and max2 jumps
+    past 100 inside the fifth (see golden/NOTES.md)."""
+    rng = random.Random(2205)
+    bits = [int(rng.random() < 0.125) for _ in range(65536)]
+    bits[6000:6036] = [0, 0, 1] * 12
+    bits[18000:18450] = [0, 1, 0] * 150
+    return bits
+
+
+def test_width_crossing_trace_is_byte_stable():
+    # registers widen mid-chunk, so those chunks mix field widths; the digest
+    # was recorded before fields took per-chunk widths
+    gm, trace = run_cycle_accurate(width_crossing_stream(), record_trace=True)
+    assert gm == 150 and trace.regs[-1, 3:].tolist() == [4, 150, 13]
+    data = trace_text(trace).encode()
+    assert len(data) == 2_568_308
+    assert hashlib.sha256(data).hexdigest() == \
+        "3c270d3cd48af79425256c44e860d8b9cba290864815190bcadbe1a2ebb1e8bc"
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_cycle_column_matches_str_across_each_power_of_ten(k):
-    # three numbers up to 10^12 + 1: 13 digits in four NUL-led groups
-    out = np.empty((3, 4), dtype=np.uint32)
+    # three numbers up to 10^12 + 1: 13 digits, NUL-led in 16-byte rows
+    out = np.empty((3, 16), dtype=np.uint8)
     detector._write_cycles(10**k - 1, out)
-    assert [bytes(row) for row in out.view(np.uint8)] == \
+    assert [bytes(row) for row in out] == \
         [str(c).rjust(16, "\0").encode() for c in (10**k - 1, 10**k, 10**k + 1)]
 
 
 def test_cycle_column_matches_str_through_whole_groups():
     # 25,000 numbers cross 10^4 and 2 * 10^4 and run through the whole table
-    out = np.empty((25000, 2), dtype=np.uint32)
+    out = np.empty((25000, 8), dtype=np.uint8)
     detector._write_cycles(1, out)
-    assert [bytes(row) for row in out.view(np.uint8)] == \
+    assert [bytes(row) for row in out] == \
         [str(c).rjust(8, "\0").encode() for c in range(1, 25001)]
 
 
 def test_lookup_tables_are_read_only_and_decode_to_their_text():
-    tables = (detector._HEADS, detector._REGISTERS, detector._GROUPS)
+    tables = (detector._HEADS, detector._GROUPS, *detector._REGISTERS)
     assert not any(table.flags.writeable for table in tables)
+    # the cycle groups and every register width share one buffer
+    assert all(table.base is detector._GROUPS.base for table in detector._REGISTERS)
 
     def entries(table, width):
         return [table.tobytes()[i:i + width] for i in range(0, table.nbytes, width)]
@@ -368,8 +420,11 @@ def test_lookup_tables_are_read_only_and_decode_to_their_text():
             signals[phase if x else 3 + phase] = "1"
             heads.append(f",S{state},{x},0,{','.join(signals)},".encode())
     assert entries(detector._HEADS, 20) == heads
-    assert entries(detector._REGISTERS, 4) == [f"{v},".rjust(4, "\0").encode()
-                                               for v in range(256)]
+    # a field w digits wide holds each value below 10^w NUL-led, then a comma
+    for w, fields in enumerate(detector._REGISTERS, start=1):
+        assert len(fields) == 256
+        assert entries(fields, w + 1)[:10**w] == [f"{v},".rjust(w + 1, "\0").encode()
+                                                  for v in range(min(10**w, 256))]
     assert entries(detector._GROUPS, 4) == (
         [f"{v:04d}".encode() for v in range(10**4)]
         + [(str(v) if v else "").rjust(4, "\0").encode() for v in range(10**4)])
