@@ -21,8 +21,9 @@ only the text's length and each search cycle's arguments.
 The stored cells never change after loading, so the tags of a search depend
 only on the pattern, the block and the window.  The first search cycle of a
 block evaluates all W windows of that block in one broadcast and memoises the
-result per ``(pattern, block)``; each search cycle then reads its window's
-tags from that memo, and ``run_block_search`` gathers a block's W of them.
+result per ``(pattern, block)`` as W immutable ``bytes`` of m tags, one per
+window; each search cycle then returns its window's bytes from that memo,
+and ``run_block_search`` gathers a block's W of them with one join.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class AcamArray:
 
     ``codes`` is the array's only representation of the stored cells: one
     uint8 per cell, indexing ``STATES``.  The array keeps a read-only copy,
-    so search results are memoised per ``(pattern, block)`` (see
-    ``search_cycle``).
+    so search results are memoised per ``(pattern, block)``: W ``bytes``
+    of m tags, window by window (see ``search_cycle``).
     """
 
     def __init__(self, geometry: TimingParams, codes: np.ndarray):
@@ -166,7 +167,7 @@ class AcamArray:
         self.codes = codes.astype(np.uint8)
         self.codes.flags.writeable = False
         self.rows, self.total_cols = self.codes.shape
-        self._tags: dict[tuple[str, int], np.ndarray] = {}
+        self._tags: dict[tuple[str, int], list[bytes]] = {}
 
 
 def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
@@ -194,32 +195,33 @@ def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
 
 
 def search_cycle(array: AcamArray, block: int, window: int,
-                 pattern: Pattern | str) -> np.ndarray:
+                 pattern: Pattern | str) -> bytes:
     """One search cycle: drive columns window..window+p-1 with the pattern,
     everything else don't-care, and AND each row of the selected block.
 
     Only the selected block produces tags; other blocks stay deactivated.
-    Returns the block's m tags as a read-only bool array, a view into the
-    array's memo of this block's search (filled by the block's first cycle).
+    Returns the block's m tags as immutable bytes, one per row, 1 where the
+    row matched and 0 elsewhere, taken from the array's memo of this
+    block's search.  The block's first cycle fills the memo and checks the
+    pattern length and the block then; the window is checked every cycle.
     """
     pat, geometry = str(pattern), array.geometry
-    if len(pat) != geometry.pattern_len:
-        raise GeometryError(f"pattern length {len(pat)} does not match array "
-                            f"pattern length {geometry.pattern_len}")
-    if not 0 <= block < geometry.blocks:
-        raise GeometryError(f"block {block} outside [0, {geometry.blocks})")
     if not 0 <= window < geometry.data_width:
         raise WindowOutOfRange(window, geometry.data_width)
-
     tags = array._tags.get((pat, block))
     if tags is None:
+        if len(pat) != geometry.pattern_len:
+            raise GeometryError(f"pattern length {len(pat)} does not match array "
+                                f"pattern length {geometry.pattern_len}")
+        if not 0 <= block < geometry.blocks:
+            raise GeometryError(f"block {block} outside [0, {geometry.blocks})")
         tags = array._tags[pat, block] = _search_block(array, block, pat)
     return tags[window]
 
 
-def _search_block(array: AcamArray, block: int, pattern: str) -> np.ndarray:
-    """Tags of every window of one block in one broadcast, as a read-only
-    (W, m) array whose row i holds window i's tags.
+def _search_block(array: AcamArray, block: int, pattern: str) -> list[bytes]:
+    """Tags of every window of one block in one broadcast, as W bytes of m
+    tags each, window i's at index i.
 
     Window i drives columns i..i+p-1, so pattern character k meets the column
     slice k..k+W-1 of the block: p shifted compares replace W search cycles.
@@ -230,15 +232,15 @@ def _search_block(array: AcamArray, block: int, pattern: str) -> np.ndarray:
     matched = np.ones((m, width), dtype=bool)
     for k, code in enumerate(encode(pattern)):
         matched &= array.codes[rows, k:k + width] == code
-    tags = np.ascontiguousarray(matched.T)
-    tags.flags.writeable = False
-    return tags
+    tags = matched.T.tobytes()
+    return [tags[i:i + m] for i in range(0, width * m, m)]
 
 
 def run_block_search(array: AcamArray, block: int,
                      pattern: Pattern | str) -> np.ndarray:
-    """The scan's search of one block: its W search cycles' tags as one
-    (m, W) matrix, ``MatchIndexMemory.write_columns``'s input."""
+    """The scan's search of one block: its W search cycles' tags joined into
+    one buffer and read as a read-only (m, W) bool matrix,
+    ``MatchIndexMemory.write_columns``'s input."""
     width = array.geometry.data_width
-    tags = [search_cycle(array, block, i, pattern) for i in range(width)]
-    return np.concatenate(tags).reshape(width, -1).T
+    tags = b"".join([search_cycle(array, block, i, pattern) for i in range(width)])
+    return np.frombuffer(tags, dtype=bool).reshape(width, -1).T

@@ -22,6 +22,7 @@ from pathlib import Path
 ALPHABET = "ACGT"
 _NOT_A_BASE = 0xFF
 _WHITESPACE = b" \t\n\r\x0b\x0c"  # ASCII whitespace, as bytes.split() sees it
+_UPPER = bytes(range(256)).upper()  # folds ASCII case, as bytes.upper() does
 
 # The one byte -> code table: A, C, G, T -> 0..3, every other byte -> _NOT_A_BASE.
 _BASE_CODE = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else _NOT_A_BASE
@@ -124,7 +125,7 @@ def normalize(raw: str | bytes) -> str:
         at = raw.find(b">", end)
     if records > 1:
         raise MultipleRecords(records)
-    return raw[start:].translate(None, _WHITESPACE).upper().decode(encoding)
+    return raw[start:].translate(_UPPER, _WHITESPACE).decode(encoding)
 
 
 def parse_text(raw: str | bytes) -> DnaSequence:

@@ -154,8 +154,8 @@ def test_pattern_outside_the_alphabet_is_a_typed_error(search, position, char):
 
 def test_search_cycle_single_character_pattern():
     arr = load_text("ACGT", geometry(1, 4, 1, 1))
-    assert search_cycle(arr, 0, 0, "A") == [True]
-    assert search_cycle(arr, 0, 1, "A") == [False]
+    assert search_cycle(arr, 0, 0, "A") == b"\x01"
+    assert search_cycle(arr, 0, 1, "A") == b"\x00"
 
 
 def test_window_over_mm_cells_never_matches():
@@ -328,10 +328,24 @@ def test_memoised_tags_equal_a_fresh_array_for_interleaved_searches(case, data):
 def test_search_cycle_tags_are_read_only():
     arr = load_text("CAGCAGTT", geometry(2, 8, 3, 2))
     tags = search_cycle(arr, 0, 0, "CAG")
-    assert tags.dtype == bool and tags.tolist() == [True]
-    with pytest.raises(ValueError):
-        tags[0] = False
-    assert search_cycle(arr, 0, 0, "CAG").tolist() == [True]
+    assert tags == b"\x01"
+    with pytest.raises(TypeError):
+        tags[0] = 0
+    assert search_cycle(arr, 0, 0, "CAG") == b"\x01"
+
+
+def test_search_cycle_checks_every_key_once_the_memo_is_warm():
+    # the pattern and block checks run where the memo is filled, so a key
+    # that failed them is never stored and is checked again on every call
+    arr = load_text("CAGCAG", geometry(2, 4, 3, 1))
+    assert search_cycle(arr, 0, 0, "CAG") == b"\x01\x00"
+    with pytest.raises(acam.GeometryError):
+        search_cycle(arr, 0, 0, "CA")
+    with pytest.raises(acam.GeometryError):
+        search_cycle(arr, 1, 0, "CAG")
+    for window in (4, -1):  # a negative index would wrap into the memo
+        with pytest.raises(WindowOutOfRange):
+            search_cycle(arr, 0, window, "CAG")
 
 
 def test_array_is_reusable_across_blocks_in_any_order():
