@@ -70,10 +70,6 @@ class TimingParams:
     def mem_cols(self) -> int:
         return self.data_width
 
-    @property
-    def total_cols(self) -> int:
-        return self.data_width + self.pattern_len - 1
-
 
 # phase: (nJ per block, the phase's cycle count per block) on the
 # characterized instance, W = 128, m = 64, n = 128; energy() sums the phases

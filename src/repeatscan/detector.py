@@ -72,28 +72,25 @@ _HEAD_FIELDS = [_head(s, x) for s in range(1, len(_STATE_LABELS)) for x in (0, 1
 _HEADS = np.frombuffer("".join(_HEAD_FIELDS).encode(), dtype=f"V{len(_HEAD_FIELDS[0])}")
 
 
-def _lookup_tables() -> tuple[np.ndarray, list[np.ndarray]]:
+def _lookup_tables() -> tuple[np.ndarray, np.ndarray]:
     """Read-only views of one buffer filled in place: _GROUPS, the 4-digit
-    groups 0000..9999 and a NUL-led copy, and _REGISTERS[w - 1], each value
-    0..255 NUL-led to w = 1..3 digits and a comma (looked up below 10^w)."""
-    buf = np.empty(8 * 10**4 + (REGISTER_MAX + 1) * (2 + 3 + 4), dtype=np.uint8)
+    groups 0000..9999 and a NUL-led copy, and _FIELDS, each value 0..255
+    NUL-led to three digits and a comma, one 4-byte item."""
+    buf = np.empty(8 * 10**4 + (REGISTER_MAX + 1) * 4, dtype=np.uint8)
     digits = buf[:8 * 10**4].reshape(2, 10, 10, 10, 10, 4)
     for i in range(4):
         digits[..., i] = np.frombuffer(b"0123456789", np.uint8).reshape((10,) + (1,) * (3 - i))
         digits[(1,) + (0,) * (i + 1) + (..., i)] = 0    # NUL above the highest digit
-    tables, at = [buf[:8 * 10**4].view("V4")], 8 * 10**4
-    for w in range(1, 4):
-        fields = buf[at:at + (REGISTER_MAX + 1) * (w + 1)].reshape(-1, w + 1)
-        fields[:, :w] = digits[1].reshape(-1, 4)[:REGISTER_MAX + 1, 4 - w:]
-        fields[0, w - 1], fields[:, w] = ord("0"), ord(",")
-        tables.append(fields.view(f"V{w + 1}")[:, 0])
-        at += fields.size
+    fields = buf[8 * 10**4:].reshape(-1, 4)
+    fields[:, :3] = digits[1].reshape(-1, 4)[:REGISTER_MAX + 1, 1:]
+    fields[0, 2], fields[:, 3] = ord("0"), ord(",")
+    tables = buf[:8 * 10**4].view("V4"), fields.view("V4")[:, 0]
     for table in tables:
         table.flags.writeable = False
-    return tables[0], tables[1:]
+    return tables
 
 
-_GROUPS, _REGISTERS = _lookup_tables()
+_GROUPS, _FIELDS = _lookup_tables()
 
 
 def _write_cycles(first: int, out: np.ndarray) -> None:
@@ -155,15 +152,15 @@ class Trace:
     """Columnar detector trace, one row per clock cycle.
 
     ``x`` holds the inputs consumed, the last one carrying D; ``regs`` holds
-    the end-of-cycle registers ctr1..ctr3, max1..max3 of each of those
-    cycles and of the final Exit cycle, column-major (``regs.T`` is one
-    contiguous row per register).  States and signals follow from x.
+    one row per register, ctr1..ctr3 then max1..max3, of its end-of-cycle
+    values in each of those cycles and in the final Exit cycle.  States and
+    signals follow from x.
     """
     x: np.ndarray        # uint8, one per consumed input
-    regs: np.ndarray     # uint8, (len(x) + 1, 6)
+    regs: np.ndarray     # uint8, (6, len(x) + 1), one row per register
 
     def __len__(self) -> int:
-        return len(self.regs)
+        return self.regs.shape[1]
 
 
 def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
@@ -203,7 +200,7 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
         regs[PHASES + q, q + INC_DELAY + d:k + 1:PHASES] = top[q, :len(ctr)]
     regs[PHASES:, -1] = regs[PHASES:, -2]   # Exit: CLR, max registers kept
     xs = np.append(x[PHASES:PHASES + k], np.uint8(exit_x))
-    return int(regs[PHASES:, -1].max()), Trace(xs, regs.T)
+    return int(regs[PHASES:, -1].max()), Trace(xs, regs)
 
 
 def run_cycle_accurate(bits: Sequence[int] | np.ndarray,
@@ -230,13 +227,13 @@ def format_trace(trace: Trace, out: BinaryIO) -> None:
     (the Exit row's largest max register), to the binary stream ``out``.  The
     Initial row and the last two are written apart.  The rows between go
     ``TRACE_CHUNK_ROWS`` at a time into one reused byte table, each field
-    copied whole from a read-only table at the chunk's own width: the cycle's
-    digits (at least four), the 20-byte S1..S6 head, and each register as wide
-    as its largest value in the chunk.  Narrower fields are NUL-led; only a
-    chunk that holds NULs has them deleted on write."""
+    copied whole from a read-only table: the cycle's digits (at least four),
+    the 20-byte S1..S6 head, and each register's 4-byte _FIELDS item, in a
+    field as wide as the register's largest value in the chunk.  Narrower
+    fields are NUL-led; only a chunk that holds NULs has them deleted on write."""
     x, regs = trace.x, trace.regs
     n = len(x) - 1                      # rows with D low
-    initial = f"1{_head(0, x[0])}" + ",".join(map(str, regs[0])) + "\n" if n else ""
+    initial = f"1{_head(0, x[0])}" + ",".join(map(str, regs[:, 0])) + "\n" if n else ""
     out.write(f"{TRACE_HEADER}\n{initial}".encode())
     # head of row r >= 1: x[r] in state S(2q+1+x[r - 1]), input r - 1 of phase q
     head = 2 * x[:max(n - 1, 0)] + x[1:n]
@@ -248,20 +245,23 @@ def format_trace(trace: Trace, out: BinaryIO) -> None:
     # every index is in range; take's default mode would buffer the copy into out
     for start in range(1, n, TRACE_CHUNK_ROWS):
         stop = min(start + TRACE_CHUNK_ROWS, n)
-        digits = [len(str(v)) for v in regs[start:stop].max(axis=0).tolist()]
-        at = max(len(str(stop)), 4) + _HEADS.itemsize     # the cycle and head fields
-        chunk = table[:(stop - start) * (at + sum(digits) + 6)].reshape(stop - start, -1)
-        _write_cycles(start + 1, chunk[:, :at - _HEADS.itemsize])
+        digits = [len(str(v)) for v in regs[:, start:stop].max(axis=1).tolist()]
+        end = max(len(str(stop)), 4) + _HEADS.itemsize + sum(digits) + 6   # the row's width
+        chunk = table[:(stop - start) * end].reshape(stop - start, end)
+        # Registers right to left, then heads, then cycles: each _FIELDS item
+        # ends at its field's comma, and its leading NULs spill into the field
+        # before it, written next; the first register's into the head.
+        for row, w in zip(regs[::-1, start:stop], digits[::-1]):
+            _FIELDS.take(row, out=chunk[:, end - 4:end].view(_FIELDS.dtype)[:, 0], mode="clip")
+            end -= w + 1
         _HEADS.take(head[start - 1:stop - 1], out=heads[:stop - start], mode="clip")
-        chunk[:, at - _HEADS.itemsize:at].view(_HEADS.dtype)[:, 0] = heads[:stop - start]
-        for column, w in zip(regs[start:stop].T, digits):
-            fields = _REGISTERS[w - 1]
-            fields.take(column, out=chunk[:, at:at + w + 1].view(fields.dtype)[:, 0], mode="clip")
-            at += w + 1
+        chunk[:, end - _HEADS.itemsize:end].view(_HEADS.dtype)[:, 0] = heads[:stop - start]
+        _write_cycles(start + 1, chunk[:, :end - _HEADS.itemsize])
         chunk[:, -1] = ord("\n")
         text = chunk.tobytes()
         out.write(text.translate(None, b"\0") if b"\0" in text else text)
     last = 2 * ((n - 1) % PHASES) + 1 + x[n - 1] if n else 0
-    out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0," + ",".join(map(str, regs[-2]))
-               + f"\n{n + 2},Exit,-,-,0,0,0,0,0,0," + ",".join(map(str, regs[-1]))
-               + f"\nglobal_max,{regs[-1, 3:].max()}\n").encode())
+    out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0,"
+               + ",".join(map(str, regs[:, -2]))
+               + f"\n{n + 2},Exit,-,-,0,0,0,0,0,0," + ",".join(map(str, regs[:, -1]))
+               + f"\nglobal_max,{regs[PHASES:, -1].max()}\n").encode())

@@ -103,12 +103,12 @@ class MatchIndexMemory:
 
         The row selector only advances once every column group of the current
         row has been emitted, so the output order equals a plain row-major
-        flattening.  Returns a fresh uint8 array of m*n bits, a copy, so a
+        flattening.  Returns a fresh bool array of m*n bits, a copy, so a
         later ``reset_all`` leaves a stream already read unchanged.
         """
         if self.mode is not Mode.READ:
             raise ModeViolation("read_all", self.mode)
-        return self.cells.reshape(-1).astype(np.uint8)
+        return self.cells.flatten()
 
     def read_group_count(self) -> int:
         """Parallel-read latch operations needed for one full read."""

@@ -232,7 +232,7 @@ def test_criterion_8_memory_round_trip():
                 mem.write_column(col, [matrix[r][col] for r in range(m)])
             mem.set_mode(Mode.READ)
             bits = mem.read_all()
-            assert bits.dtype == np.uint8
+            assert bits.dtype == bool
             assert bits.tolist() == [int(b) for row in matrix for b in row]
             mem.set_mode(Mode.RESET)
             mem.reset_all()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeatscan.acam import load_text
 from repeatscan.costmodel import (PHASE_ENERGY, PHYSICAL_COLS, CostReport,
                                   CycleCountMismatch, CycleCounts, TimingParams,
                                   build_report, energy, energy_shares,
@@ -16,7 +17,8 @@ DEFAULTS = TimingParams()
 def test_default_geometry():
     assert DEFAULTS.mem_rows == 64
     assert DEFAULTS.mem_cols == 128
-    assert DEFAULTS.total_cols == 130
+    grid = load_text("ACGT", DEFAULTS)
+    assert (grid.rows, grid.total_cols) == (512, 130)
 
 
 def test_latency_reference_instance_exact():

@@ -167,8 +167,8 @@ def test_fsm_worked_example_trace_values():
             signals.append("-")
     assert signals == ["C1", "R2", "C3", "C1", "C2", "R3", "R1", "R2", "-"]
     # final registers: every zero folded its counter through the comparator
-    assert trace.regs[-1, :3].tolist() == [0, 0, 0]    # counters cleared in Exit
-    assert trace.regs[-1, 3:].tolist() == [2, 1, 1]    # max registers
+    assert trace.regs[:3, -1].tolist() == [0, 0, 0]    # counters cleared in Exit
+    assert trace.regs[3:, -1].tolist() == [2, 1, 1]    # max registers
 
 
 def test_fsm_golden_file_byte_exact():
@@ -327,7 +327,7 @@ def test_full_size_trace_is_byte_stable():
     # row and five-digit cycles; every phase's max register is set and phase
     # 1 saturates.  The digest was recorded before the chunk layout changed.
     gm, trace = run_cycle_accurate(full_size_stream(), record_trace=True)
-    assert gm == 255 and trace.regs[-1, 3:].min() > 0
+    assert gm == 255 and trace.regs[3:, -1].min() > 0
     assert -(-(len(trace) - 3) // TRACE_CHUNK_ROWS) == 17
     data = trace_text(trace).encode()
     assert len(data) == 2_636_843
@@ -378,7 +378,7 @@ def test_width_crossing_trace_is_byte_stable():
     # registers widen mid-chunk, so those chunks mix field widths; the digest
     # was recorded before fields took per-chunk widths
     gm, trace = run_cycle_accurate(width_crossing_stream(), record_trace=True)
-    assert gm == 150 and trace.regs[-1, 3:].tolist() == [4, 150, 13]
+    assert gm == 150 and trace.regs[3:, -1].tolist() == [4, 150, 13]
     data = trace_text(trace).encode()
     assert len(data) == 2_568_308
     assert hashlib.sha256(data).hexdigest() == \
@@ -403,10 +403,10 @@ def test_cycle_column_matches_str_through_whole_groups():
 
 
 def test_lookup_tables_are_read_only_and_decode_to_their_text():
-    tables = (detector._HEADS, detector._GROUPS, *detector._REGISTERS)
+    tables = (detector._HEADS, detector._GROUPS, detector._FIELDS)
     assert not any(table.flags.writeable for table in tables)
-    # the cycle groups and every register width share one buffer
-    assert all(table.base is detector._GROUPS.base for table in detector._REGISTERS)
+    # the cycle groups and the register fields share one buffer
+    assert detector._FIELDS.base is detector._GROUPS.base
 
     def entries(table, width):
         return [table.tobytes()[i:i + width] for i in range(0, table.nbytes, width)]
@@ -420,11 +420,8 @@ def test_lookup_tables_are_read_only_and_decode_to_their_text():
             signals[phase if x else 3 + phase] = "1"
             heads.append(f",S{state},{x},0,{','.join(signals)},".encode())
     assert entries(detector._HEADS, 20) == heads
-    # a field w digits wide holds each value below 10^w NUL-led, then a comma
-    for w, fields in enumerate(detector._REGISTERS, start=1):
-        assert len(fields) == 256
-        assert entries(fields, w + 1)[:10**w] == [f"{v},".rjust(w + 1, "\0").encode()
-                                                  for v in range(min(10**w, 256))]
+    # each register value NUL-led to three digits, then a comma
+    assert entries(detector._FIELDS, 4) == [f"{v},".rjust(4, "\0").encode() for v in range(256)]
     assert entries(detector._GROUPS, 4) == (
         [f"{v:04d}".encode() for v in range(10**4)]
         + [(str(v) if v else "").rjust(4, "\0").encode() for v in range(10**4)])
@@ -472,7 +469,7 @@ def test_run_cycle_accurate_empty_stream():
     assert gm == 0
     assert len(trace) == POST_STREAM_CYCLES + 1
     assert len(parsed_rows(gm, trace)) == POST_STREAM_CYCLES + 1
-    assert trace.regs[-1, 3:].tolist() == [0, 0, 0]
+    assert trace.regs[3:, -1].tolist() == [0, 0, 0]
 
 
 @given(bit_streams)
@@ -484,11 +481,13 @@ def test_trace_length_is_the_rows_format_trace_writes(bits):
     assert len(trace) == len(bits) + POST_STREAM_CYCLES + 1
 
 
-def test_run_cycle_accurate_takes_list_tuple_or_uint8_array():
+def test_detectors_take_list_tuple_uint8_or_bool_array():
     bits = saturating_stream()
-    forms = (bits, tuple(bits), np.array(bits, dtype=np.uint8))
-    assert [run_cycle_accurate(b)[0] for b in forms] == [255] * 3
+    forms = (bits, tuple(bits), np.array(bits, dtype=np.uint8), np.array(bits, dtype=bool))
+    assert [detect_functional(b, 3) for b in forms] == [255] * 4
+    assert [run_cycle_accurate(b)[0] for b in forms] == [255] * 4
     traced = [run_cycle_accurate(b, record_trace=True) for b in forms]
+    assert all(trace.x.dtype == np.uint8 for _, trace in traced)
     assert len({trace_text(trace) for _, trace in traced}) == 1
 
 

@@ -89,7 +89,7 @@ def test_read_stream_is_row_major():
     row1 = [1, 0, 0, 0, 0, 0, 0, 0]
     row2 = [0, 0, 0, 0, 0, 0, 0, 1]
     bits = full_cycle_read(mem, [row1, row2])
-    assert bits.dtype == np.uint8
+    assert bits.dtype == bool
     assert bits.tolist() == row1 + row2
 
 
@@ -98,7 +98,7 @@ def test_all_hrs_reads_zero_stream():
     mem.set_mode(Mode.WRITE)
     mem.set_mode(Mode.READ)
     bits = mem.read_all()
-    assert bits.dtype == np.uint8
+    assert bits.dtype == bool
     assert bits.tolist() == [0] * 24
 
 
@@ -115,7 +115,7 @@ def test_group_count_with_partial_final_group():
     mem = MatchIndexMemory(2, 13)
     matrix = [[(r + c) % 2 for c in range(13)] for r in range(2)]
     bits = full_cycle_read(mem, matrix)
-    assert bits.dtype == np.uint8
+    assert bits.dtype == bool
     assert bits.tolist() == [b for row in matrix for b in row]
 
 
@@ -131,7 +131,7 @@ def test_reset_clears_everything_and_composes():
     mem.set_mode(Mode.WRITE)
     mem.set_mode(Mode.READ)
     bits = mem.read_all()
-    assert bits.dtype == np.uint8
+    assert bits.dtype == bool
     assert bits.tolist() == [0] * 15
 
 
@@ -207,7 +207,7 @@ def test_write_read_round_trip(rows, cols, data):
     matrix = [[data.draw(st.booleans()) for _ in range(cols)] for _ in range(rows)]
     mem = MatchIndexMemory(rows, cols)
     bits = full_cycle_read(mem, matrix)
-    assert bits.dtype == np.uint8
+    assert bits.dtype == bool
     assert bits.tolist() == [int(b) for row in matrix for b in row]
     assert len(bits) == rows * cols
 
@@ -220,7 +220,7 @@ def test_random_round_trip_sweep():
         matrix = rng.integers(0, 2, size=(rows, cols))
         mem = MatchIndexMemory(rows, cols)
         bits = full_cycle_read(mem, matrix)
-        assert bits.dtype == np.uint8
+        assert bits.dtype == bool
         assert bits.tolist() == matrix.flatten().tolist()
         assert not mem.cells.any()
 

@@ -148,7 +148,7 @@ def test_cycle_accurate_mode_agrees_and_traces():
     assert res.global_max == oracle_max_tandem(text, "CAG")
     # one run of both blocks: two 8-bit streams, the flush and the Exit row
     [(run, trace)] = res.detector_trace
-    assert run == [0, 1] and trace.regs[-1, 3:].max() == res.global_max
+    assert run == [0, 1] and trace.regs[3:, -1].max() == res.global_max
     assert len(trace) == 2 * 8 + POST_STREAM_CYCLES + 1
 
 
