@@ -18,12 +18,12 @@ equality, which is asserted against ``cell_matches`` at import.
 The array's shape is a ``TimingParams``, which checks it; the array checks
 only the text's length and each search cycle's arguments.
 
-The stored cells never change after loading, so the tags of a search depend
-only on the pattern, the block and the window.  The first search cycle of a
-block evaluates all W windows of that block in one broadcast and memoises the
-result per ``(pattern, block)`` as W immutable ``bytes`` of m tags, one per
-window; each search cycle then returns its window's bytes from that memo,
-and ``run_block_search`` gathers a block's W of them with one join.
+The stored cells never change after loading, so every tag is a row slice of
+the pattern's (M, W) match grid ``AND_k(codes[:, k:k+W] == code(pattern[k]))``.
+A pattern's first search cycle fills that grid once per array; a block's
+first cycle splits the block's rows into W immutable ``bytes`` of m tags, one
+per window, in one C-level call.  Each search cycle returns its window's
+bytes, and ``run_block_search`` gathers a block's W of them with one join.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ class AcamArray:
 
     ``codes`` is the array's only representation of the stored cells: one
     uint8 per cell, indexing ``STATES``.  The array keeps a read-only copy,
-    so search results are memoised per ``(pattern, block)``: W ``bytes``
-    of m tags, window by window (see ``search_cycle``).
+    so one memo keyed by pattern holds the pattern's match grid and each
+    searched block's W ``bytes`` of m tags (see ``search_cycle``).
     """
 
     def __init__(self, geometry: TimingParams, codes: np.ndarray):
@@ -167,7 +167,7 @@ class AcamArray:
         self.codes = codes.astype(np.uint8)
         self.codes.flags.writeable = False
         self.rows, self.total_cols = self.codes.shape
-        self._tags: dict[tuple[str, int], list[bytes]] = {}
+        self._searches: dict[str, tuple[np.ndarray, dict[int, list[bytes]]]] = {}
 
 
 def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
@@ -201,46 +201,46 @@ def search_cycle(array: AcamArray, block: int, window: int,
 
     Only the selected block produces tags; other blocks stay deactivated.
     Returns the block's m tags as immutable bytes, one per row, 1 where the
-    row matched and 0 elsewhere, taken from the array's memo of this
-    block's search.  The block's first cycle fills the memo and checks the
-    pattern length and the block then; the window is checked every cycle.
+    row matched and 0 elsewhere, taken from the array's memo.  The pattern is
+    checked where its grid is filled, the block where its tags are split from
+    the grid, and the window every cycle, so every stored key passed them.
     """
     pat, geometry = str(pattern), array.geometry
     if not 0 <= window < geometry.data_width:
         raise WindowOutOfRange(window, geometry.data_width)
-    tags = array._tags.get((pat, block))
+    grid, blocks = array._searches.get(pat) or _fill_grid(array, pat)
+    tags = blocks.get(block)
     if tags is None:
-        if len(pat) != geometry.pattern_len:
-            raise GeometryError(f"pattern length {len(pat)} does not match array "
-                                f"pattern length {geometry.pattern_len}")
         if not 0 <= block < geometry.blocks:
             raise GeometryError(f"block {block} outside [0, {geometry.blocks})")
-        tags = array._tags[pat, block] = _search_block(array, block, pat)
+        m = geometry.mem_rows
+        # m-byte voids, unlike ``S{m}``, keep the trailing zeros of no-match rows
+        tags = blocks[block] = np.ascontiguousarray(
+            grid[block * m:(block + 1) * m].T).view(f"V{m}")[:, 0].tolist()
     return tags[window]
 
 
-def _search_block(array: AcamArray, block: int, pattern: str) -> list[bytes]:
-    """Tags of every window of one block in one broadcast, as W bytes of m
-    tags each, window i's at index i.
-
-    Window i drives columns i..i+p-1, so pattern character k meets the column
-    slice k..k+W-1 of the block: p shifted compares replace W search cycles.
-    A character outside the alphabet raises InvalidCharacter.
-    """
-    m, width = array.geometry.mem_rows, array.geometry.data_width
-    rows = slice(block * m, (block + 1) * m)
-    matched = np.ones((m, width), dtype=bool)
-    for k, code in enumerate(encode(pattern)):
-        matched &= array.codes[rows, k:k + width] == code
-    tags = matched.T.tobytes()
-    return [tags[i:i + m] for i in range(0, width * m, m)]
+def _fill_grid(array: AcamArray, pattern: str) -> tuple[np.ndarray, dict[int, list[bytes]]]:
+    """Store and return the pattern's memo entry: its (M, W) match grid, row
+    r's window i at [r, i], and no blocks yet.  Window i drives columns
+    i..i+p-1, so pattern character k meets columns k..k+W-1 of every row."""
+    geometry = array.geometry
+    if len(pattern) != geometry.pattern_len:
+        raise GeometryError(f"pattern length {len(pattern)} does not match array "
+                            f"pattern length {geometry.pattern_len}")
+    codes, width = encode(pattern), geometry.data_width
+    grid = array.codes[:, :width] == codes[0]
+    for k in range(1, len(codes)):
+        grid &= array.codes[:, k:k + width] == codes[k]
+    entry = array._searches[pattern] = (grid, {})
+    return entry
 
 
 def run_block_search(array: AcamArray, block: int,
                      pattern: Pattern | str) -> np.ndarray:
     """The scan's search of one block: its W search cycles' tags joined into
-    one buffer and read as a read-only (m, W) bool matrix,
-    ``MatchIndexMemory.write_columns``'s input."""
+    one buffer and read back as the block's rows of the pattern's match grid,
+    a read-only (m, W) bool matrix, ``MatchIndexMemory.write_columns``'s input."""
     width = array.geometry.data_width
     tags = b"".join([search_cycle(array, block, i, pattern) for i in range(width)])
     return np.frombuffer(tags, dtype=bool).reshape(width, -1).T

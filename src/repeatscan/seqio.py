@@ -198,28 +198,27 @@ def classify(count: int, entry: DiseaseEntry, saturated: bool = False) -> str:
     return INDETERMINATE
 
 
-def builtin_catalog() -> list[DiseaseEntry]:
-    """The built-in ten-disorder catalog.
+# The built-in ten-disorder catalog, built once per process: entries are frozen.
+# Strict bounds from the source material are stored as the equivalent
+# inclusive integer endpoints (e.g. "more than 40" becomes lower bound 41).
+_BUILTIN = tuple(DiseaseEntry(name, gene, Pattern(pat), normal, disease)
+                 for name, gene, pat, normal, disease in [
+    ("Ataxia syndrome", "FMR1", "CGG", (6, 54), (55, 200)),
+    ("Friedreich's ataxia", "FXN", "GAA", (5, 33), (66, 1300)),
+    ("Huntington's disease", "HTT", "CAG", (None, 26), (41, None)),
+    ("Fragile XE syndrome", "AFF2", "CCG", (6, 25), (201, None)),
+    ("Myotonic dystrophy 2", "DMPK", "CCTG", (11, 26), (75, 11000)),
+    ("Spinocerebellar ataxia 1", "ATXN1", "CAG", (6, 35), (39, None)),
+    ("Huntington's disease-like 2", "JPH3", "CTG", (6, 28), (4, 60)),
+    ("Spinal and bulbar muscular atrophy", "AR", "CAG", (11, 24), (40, 62)),
+    ("Dentatorubral-pallidoluysian atrophy", "ATN1", "CAG", (7, 25), (49, 88)),
+    ("Oculopharyngeal muscular dystrophy", "PABPN1", "GCG", (None, 10), (12, 17)),
+])
 
-    Strict bounds from the source material are stored as the equivalent
-    inclusive integer endpoints (e.g. "more than 40" becomes lower bound 41).
-    """
-    rows = [
-        ("Ataxia syndrome", "FMR1", "CGG", (6, 54), (55, 200)),
-        ("Friedreich's ataxia", "FXN", "GAA", (5, 33), (66, 1300)),
-        ("Huntington's disease", "HTT", "CAG", (None, 26), (41, None)),
-        ("Fragile XE syndrome", "AFF2", "CCG", (6, 25), (201, None)),
-        ("Myotonic dystrophy 2", "DMPK", "CCTG", (11, 26), (75, 11000)),
-        ("Spinocerebellar ataxia 1", "ATXN1", "CAG", (6, 35), (39, None)),
-        ("Huntington's disease-like 2", "JPH3", "CTG", (6, 28), (4, 60)),
-        ("Spinal and bulbar muscular atrophy", "AR", "CAG", (11, 24), (40, 62)),
-        ("Dentatorubral-pallidoluysian atrophy", "ATN1", "CAG", (7, 25), (49, 88)),
-        ("Oculopharyngeal muscular dystrophy", "PABPN1", "GCG", (None, 10), (12, 17)),
-    ]
-    return [
-        DiseaseEntry(name, gene, Pattern(pat), normal, disease)
-        for name, gene, pat, normal, disease in rows
-    ]
+
+def builtin_catalog() -> list[DiseaseEntry]:
+    """The built-in ten-disorder catalog, as a fresh list on every call."""
+    return list(_BUILTIN)
 
 
 def find_entry(catalog: list[DiseaseEntry], name: str) -> DiseaseEntry:

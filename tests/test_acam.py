@@ -335,17 +335,31 @@ def test_search_cycle_tags_are_read_only():
 
 
 def test_search_cycle_checks_every_key_once_the_memo_is_warm():
-    # the pattern and block checks run where the memo is filled, so a key
-    # that failed them is never stored and is checked again on every call
+    # the pattern is checked where its grid is filled and the block where its
+    # tags are split from the grid, so a key that failed either is never
+    # stored and is checked again on every call, also once the grid is filled
     arr = load_text("CAGCAG", geometry(2, 4, 3, 1))
     assert search_cycle(arr, 0, 0, "CAG") == b"\x01\x00"
-    with pytest.raises(acam.GeometryError):
-        search_cycle(arr, 0, 0, "CA")
-    with pytest.raises(acam.GeometryError):
-        search_cycle(arr, 1, 0, "CAG")
-    for window in (4, -1):  # a negative index would wrap into the memo
-        with pytest.raises(WindowOutOfRange):
-            search_cycle(arr, 0, window, "CAG")
+    for _ in range(2):
+        for block in (1, -1):  # CAG's grid is filled, these blocks never are
+            with pytest.raises(acam.GeometryError):
+                search_cycle(arr, block, 0, "CAG")
+        with pytest.raises(acam.GeometryError):  # a second pattern, too short
+            search_cycle(arr, 0, 0, "CA")
+        for window in (4, -1):  # a negative index would wrap into the memo
+            with pytest.raises(WindowOutOfRange):
+                search_cycle(arr, 0, window, "CAG")
+
+
+def test_search_cycle_keeps_the_trailing_no_match_rows_of_a_block():
+    # every window's tags are m bytes, the block's no-match rows at the end
+    # included as b"\x00"; compared with ==, since numpy's string compare
+    # ignores trailing NULs
+    arr = load_text("CAGTTTTT", geometry(6, 4, 3, 2))  # rows 2..5 hold MM
+    assert search_cycle(arr, 0, 0, "CAG") == b"\x01\x00\x00"
+    assert search_cycle(arr, 0, 1, "CAG") == b"\x00\x00\x00"
+    assert search_cycle(arr, 0, 1, "TTT") == b"\x00\x01\x00"
+    assert search_cycle(arr, 1, 0, "TTT") == b"\x00\x00\x00"
 
 
 def test_array_is_reusable_across_blocks_in_any_order():

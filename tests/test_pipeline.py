@@ -172,21 +172,33 @@ def test_set_events_count_matches_occurrences():
     assert res.set_events == 2
 
 
-def test_full_scan_broadcasts_once_per_block_and_meters_every_cycle(monkeypatch):
-    # work done, not time: one block broadcast per active block behind the
-    # W per-window search cycles, and the metered count is the calls made
-    calls = {"search_cycle": 0, "_search_block": 0}
+def test_full_scan_fills_one_grid_per_pattern_and_meters_every_cycle(monkeypatch):
+    # work done, not time: one match grid per (array, pattern) behind the W
+    # per-window search cycles of every block, and the metered count is the
+    # calls made
+    calls = {"search_cycle": 0, "_fill_grid": 0}
     for name in calls:
         def counted(*args, _fn=getattr(acam, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(acam, name, counted)
+    arrays = []
+    def loaded(*args, _fn=acam.load_text):
+        arrays.append(_fn(*args))
+        return arrays[-1]
+    monkeypatch.setattr(acam, "load_text", loaded)
     rng = random.Random(7)
     text = "".join(rng.choice("ACGT") for _ in range(65536))
     result = quick_scan(text, "CAG")
     assert result.report.params.searched_blocks == 8
-    assert calls == {"search_cycle": 1024, "_search_block": 8}
+    assert calls == {"search_cycle": 1024, "_fill_grid": 1}
     assert result.report.cycles.search == 1024
+    # the same array searched again reuses its grid; a second pattern gets its own
+    (array,) = arrays
+    acam.run_block_search(array, 3, "CAG")
+    assert calls["_fill_grid"] == 1
+    acam.run_block_search(array, 3, "GAT")
+    assert calls["_fill_grid"] == 2
 
 
 def test_full_scan_writes_each_block_in_one_call_and_meters_every_column(monkeypatch):

@@ -182,6 +182,14 @@ def test_catalog_has_ten_entries():
     assert len(builtin_catalog()) == 10
 
 
+def test_catalog_is_built_once_and_handed_out_as_a_fresh_list():
+    first = builtin_catalog()
+    assert builtin_catalog() == first
+    assert builtin_catalog()[0] is first[0]
+    first.append(first[0])
+    assert len(builtin_catalog()) == 10
+
+
 def test_catalog_known_rows():
     cat = builtin_catalog()
     fxn = find_entry(cat, "Friedreich's ataxia")
