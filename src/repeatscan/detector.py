@@ -1,9 +1,10 @@
 """Pattern detector: phase-partitioned repeat counting over the match bitmap.
 
 A set bit at stream index k means the pattern occurs at text position k, so a
-tandem run of the pattern shows up as consecutive set bits at stride p.  The
-functional detector partitions indices by k mod p and tracks the longest run
-of 1s per phase with an 8-bit saturating counter and max register each.
+tandem run of the pattern shows up as consecutive set bits at stride p.  Both
+detectors take one run rule from ``_phase_runs``: phase q's j-th input y_j is
+bit q + pj, and its run r_j is the number of ones ending at j.  Counters and
+max registers saturate at 255; the functional detector is the largest r_j.
 
 The cycle-accurate mode reproduces the hardware detector for p = 3: a
 round-robin FSM (states S1..S6 plus Initial and Exit) emits an increment
@@ -16,19 +17,18 @@ global maximum.  Explicit input vectors (``run_trace``) likewise raise D
 with their last input.
 
 The registers are computed per phase from events, in one array pass per
-stream, not cycle by cycle.  Phase q's j-th input y_j arrives in cycle
-c_j = q + 3j (counted from 0), and its run r_j is the number of ones ending
-at j, capped at 255.  A one's increment lands at c_j + 1 and a zero's
-counter reset at c_j + 2, so the phase counter at the end of cycle t is r_j
-of the last input whose event is due by t.  A zero's compare lands at
-c_j + 1 and carries r_(j-1).  The exit cycle, the one whose input carries D,
-retires only the events due in it.  This holds because a zero's compare
-lands before its reset, which lands before the phase's next event; that
-order is asserted at import on the delay constants below.  Inputs are laid
-out phase-major, each phase's row behind a zero sentinel: runs come from the
-stream's few ones, and max registers from a running maximum along the row.
-Untraced runs take the largest compare; traced runs write a row of cycles
-per register, a ``Trace``, which ``format_trace`` streams in chunks.
+stream, not cycle by cycle.  Phase q's y_j arrives in cycle c_j = q + 3j
+(counted from 0).  A one's increment lands at c_j + 1 and a zero's counter
+reset at c_j + 2, so the phase counter at the end of cycle t is r_j, capped,
+of the last input whose event is due by t.  A zero's compare lands at c_j + 1
+and carries r_(j-1), so the FSM matches the functional detector only if a
+flush zero reaches every phase.  The exit cycle, the one whose input carries
+D, retires only the events due in it.  This holds because a zero's compare
+lands before its reset, which lands before the phase's next event; that order
+is asserted at import on the delay constants below.  Max registers are a
+running maximum along each row.  Untraced runs take the largest compare;
+traced runs write a row of cycles per register, a ``Trace``, which
+``format_trace`` streams in chunks.
 """
 
 from __future__ import annotations
@@ -103,6 +103,26 @@ def _write_cycles(first: int, out: np.ndarray) -> None:
         seg[:, -4:].view(_GROUPS.dtype)[:, 0] = _GROUPS[low + (not high) * 10**4:][:len(seg)]
 
 
+def _phase_runs(stream: Sequence[int] | np.ndarray, p: int, inputs: int,
+                pad: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay ``stream``, zeros up to ``inputs`` inputs, then ``pad`` to a whole
+    round out phase-major: row q is phase q's y_-1 = 0 (a sentinel), y_0, ....
+    Return that bool layout, its flat indices of ones and each one's r_j."""
+    rounds = -(-inputs // p)
+    x = np.zeros((rounds + 1) * p, dtype=bool)
+    x[p:p + len(stream)] = stream
+    x[p + inputs:] = pad
+    y = x.reshape(rounds + 1, p).T.copy()
+    ones = y.ravel().nonzero()[0]
+    # r_j is a one's distance from the zero before its run: a run starts where
+    # two ones' flat indices differ by more than 1, and repeat fills per run
+    starts = np.ones(len(ones) + 1, dtype=bool)
+    np.not_equal(ones[1:] - ones[:-1], 1, out=starts[1:-1])
+    edges = starts.nonzero()[0]         # the starts, then the count of ones
+    runs = np.repeat(ones[edges[:-1]] - 1, edges[1:] - edges[:-1])
+    return y, ones, np.subtract(ones, runs, out=runs)
+
+
 def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
     """Longest phase-aligned run of 1s, maximized over the p phases.
 
@@ -111,19 +131,8 @@ def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
     """
     if p < 1:
         raise ValueError("pattern length must be at least 1")
-    x = np.asarray(bits, dtype=bool)
-    # rows of p bits: a leading zero row, the stream, then at least one zero
-    # (the flush) after the last bit of every phase
-    rows = len(x) // p + 2
-    grid = np.zeros(rows * p, dtype=bool)
-    grid[p:p + len(x)] = x
-    # read phase by phase, a run of 1s is a stretch of consecutive ones; a
-    # match stream holds few ones, so index them rather than its many zeros
-    ones = np.flatnonzero(grid.reshape(rows, p).T)
-    if not ones.size:
-        return 0
-    ends = np.concatenate(([-1], np.flatnonzero(ones[1:] - ones[:-1] != 1), [len(ones) - 1]))
-    return min(int((ends[1:] - ends[:-1]).max()), REGISTER_MAX)
+    _, _, runs = _phase_runs(bits, p, len(bits), False)
+    return min(int(runs.max(initial=0)), REGISTER_MAX)
 
 
 def oracle_max_tandem(text: DnaSequence | str, pattern: Pattern | str) -> int:
@@ -169,20 +178,9 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
     D low, and a last input ``exit_x`` carrying D."""
     n = len(stream)
     k = n + zeros                       # inputs consumed with D low
-    rounds = -(-k // PHASES)
-    # a round of sentinel zeros, the inputs, then padding ones, which schedule
-    # no compare; read phase-major, row q is y_-1 = 0, y_0, y_1, ... of phase q
-    x = np.zeros((rounds + 1) * PHASES, dtype=bool)
-    x[PHASES:PHASES + n] = stream
-    x[PHASES + k:] = True
-    y = x.reshape(rounds + 1, PHASES).T.copy()
-    # r_j, the run of ones ending at y_j, capped: a run restarts after a zero,
-    # where two ones' flat indices differ by more than 1
-    ones = y.ravel().nonzero()[0]
-    zero = ones - 1
-    zero[1:] *= ones[1:] - ones[:-1] != 1
+    y, ones, runs = _phase_runs(stream, PHASES, k, True)   # padding ones compare nothing
     run = np.zeros(y.shape, dtype=np.uint8)
-    run.ravel()[ones] = np.minimum(ones - np.maximum.accumulate(zero), REGISTER_MAX)
+    run.ravel()[ones] = np.minimum(runs, REGISTER_MAX, out=runs)
     compare = run[:, :-1] * ~y[:, 1:]   # a zero y_j compares r_(j-1)
     if not record_trace:
         return int(compare.max()), None
@@ -199,7 +197,8 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
         ctr[:] = (held if d < RST_DELAY - INC_DELAY else run[:, 1:])[q, :len(ctr)]
         regs[PHASES + q, q + INC_DELAY + d:k + 1:PHASES] = top[q, :len(ctr)]
     regs[PHASES:, -1] = regs[PHASES:, -2]   # Exit: CLR, max registers kept
-    xs = np.append(x[PHASES:PHASES + k], np.uint8(exit_x))
+    xs = np.zeros(k + 1, dtype=np.uint8)
+    xs[:n], xs[k] = stream, exit_x
     return int(regs[PHASES:, -1].max()), Trace(xs, regs)
 
 

@@ -244,6 +244,7 @@ def load_catalog(path: str | Path) -> list[DiseaseEntry]:
     '*' marks an unbounded endpoint; blank lines and '#' comments are skipped.
     """
     entries = []
+    first_line: dict[str, int] = {}     # find_entry matches names case-insensitively
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -261,6 +262,11 @@ def load_catalog(path: str | Path) -> list[DiseaseEntry]:
         for lo, hi in ranges:
             if lo is not None and hi is not None and lo > hi:
                 raise CatalogError(f"line {lineno}: inverted range {lo}..{hi}")
+        key = name.strip().lower()
+        if key in first_line:
+            raise CatalogError(f"line {lineno}: disease {name.strip()!r} "
+                               f"repeats line {first_line[key]}")
+        first_line[key] = lineno
         entries.append(DiseaseEntry(name.strip(), gene.strip(), pattern, *ranges))
     if not entries:
         raise CatalogError("catalog file contains no entries")

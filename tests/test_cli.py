@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeatscan import acam, detector
 from repeatscan.cli import build_parser, main, reference_rows, row_passes
 from repeatscan.costmodel import TimingParams
 from repeatscan.detector import REGISTER_MAX, TRACE_HEADER, oracle_max_tandem
@@ -225,6 +226,7 @@ ERROR_NAMES = {
     ("clean.txt", "--blocks", ""): "at least one block must be activated",
     ("clean.txt", "--catalog", "bad_catalog.csv"): "line 1: expected 7 fields",
     ("clean.txt", "--catalog", "bad_range.csv"): "line 1: bad range endpoint 'x'",
+    ("clean.txt", "--catalog", "dup_name.csv"): "line 2: disease 'foo' repeats line 1",
     ("clean.txt", "--write-ns", "1e308"): "t_load_ns is inf",
     ("clean.txt", "--clock-ns", "1e308"): "t_load_ns is inf",
     ("clean.txt", "--clock-ns", "1e308", "--write-ns", "1"): "dt12_ns is inf",
@@ -251,6 +253,7 @@ ERROR_NAMES = {
     ("clean.txt", CLEAN, ["--clock-ns", "1e308", "--write-ns", "1"]),
     ("clean.txt", CLEAN, ["--blocks", ",,"]),
     ("clean.txt", CLEAN, ["--catalog", "bad_range.csv"]),
+    ("clean.txt", CLEAN, ["--catalog", "dup_name.csv"]),
     ("clean.txt", CLEAN, ["--mode", "cycle", "--trace", "missing/t.csv"]),
     ("clean.txt", CLEAN, ["--blocks", ""]),
 ])
@@ -261,6 +264,7 @@ def test_input_robustness(tmp_path, monkeypatch, capsys, name, content, extra):
     monkeypatch.chdir(tmp_path)     # the catalog paths are relative
     (tmp_path / "bad_catalog.csv").write_text("Custom disorder,GENEX,CCTG,1\n")
     (tmp_path / "bad_range.csv").write_text("Inv,GENEX,CAG,x,10,60,*\n")
+    (tmp_path / "dup_name.csv").write_text("Foo,G1,CAG,1,20,30,*\nfoo,G2,CTG,1,5,6,*\n")
     path = tmp_path / name
     path.write_bytes(content.encode())
     code, report = run_scan_to_report(tmp_path, "--input", str(path),
@@ -288,6 +292,27 @@ def test_unwritable_report_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "No such file or directory: 'missing/r.json'" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # a geometry too large to hold fails in load_text; a real one of a few GB
+    # could be granted and touched where memory is overcommitted
+    def refuse(text, timing):
+        raise MemoryError("Unable to allocate 119. GiB")
+    monkeypatch.setattr(acam, "load_text", refuse)
+    code = main(["--input", write_seq(tmp_path, CLEAN), *SMALL_ARRAY])
+    assert code == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 119. GiB\n"
+
+
+def test_detector_disagreement_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # with no flush zero, phase 0's run of three is never compared
+    monkeypatch.setattr(detector, "FLUSH_ZEROS", 0)
+    code = main(["--input", write_seq(tmp_path, "CAGCAGCAG"), "--pattern", "CAG",
+                 "--rows", "1", "--width", "9", "--array-blocks", "1", "--mode", "cycle"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "internal error: cycle-accurate detector returned 0, functional 3\n")
 
 
 # Pieces of the robustness inputs: bases in both cases, header lines, line

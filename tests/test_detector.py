@@ -103,6 +103,46 @@ def test_functional_matches_oracle_on_occurrence_bitmap(case):
                                              255)
 
 
+def naive_phase_runs(xs: list[int], p: int) -> list[int]:
+    """The run of ones ending at each input, counted along its phase."""
+    runs: list[int] = []
+    for i, x in enumerate(xs):
+        runs.append(x * (1 + (runs[i - p] if i >= p else 0)))
+    return runs
+
+
+@st.composite
+def phase_run_cases(draw):
+    """p = 1..10, a stream within one input of a whole number of rounds, some
+    of them long enough for a run past 255, at densities up to all ones, and
+    up to p + 1 zeros after it."""
+    p = draw(st.integers(1, 10))
+    rounds = draw(st.integers(0, 12) | st.integers(250, 300))
+    n = max(0, p * rounds + draw(st.integers(-1, 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random(n) < density).astype(int).tolist(), p, draw(st.integers(0, p + 1))
+
+
+@given(phase_run_cases(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_phase_runs_are_the_naive_run_ending_at_each_input(case, pad):
+    stream, p, zeros = case
+    inputs = stream + [0] * zeros
+    y, ones, runs = detector._phase_runs(stream, p, len(inputs), pad)
+    rounds = -(-len(inputs) // p)
+    assert y.shape == (p, rounds + 1)
+    laid = y.T.ravel()      # the sentinel round, the inputs, then padding
+    assert not laid[:p].any() and (laid[p + len(inputs):] == pad).all()
+    assert laid[p:p + len(inputs)].tolist() == [bool(x) for x in inputs]
+    dense = np.zeros(y.size, dtype=np.int64)
+    dense[ones] = runs
+    assert (dense.reshape(y.shape) > 0).tolist() == y.tolist()
+    expected = naive_phase_runs(inputs, p)
+    assert dense.reshape(y.shape).T.ravel()[p:p + len(inputs)].tolist() == expected
+    assert detect_functional(stream, p) == min(max(expected, default=0), 255)
+
+
 # -------------------------------------------------------------------- oracle
 
 def test_oracle_examples():

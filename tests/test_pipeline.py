@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeatscan import acam, matchmem
+from repeatscan import acam, detector, matchmem
 from repeatscan.costmodel import CycleCountMismatch, CycleCounts, TimingParams
 from repeatscan.detector import POST_STREAM_CYCLES, oracle_max_tandem
-from repeatscan.pipeline import ScanRequest, default_active_blocks, make_request, scan
+from repeatscan.pipeline import (InternalInvariantError, ScanRequest, default_active_blocks,
+                                 make_request, scan)
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, builtin_catalog,
                               find_entry, parse_pattern, parse_text)
 
@@ -125,6 +126,16 @@ def test_fsm_flushes_once_per_run_and_drains_per_block(blocks, consumed, charged
                         record_detector_trace=True)
     assert sum(len(trace) - 1 for _, trace in result.detector_trace) == consumed
     assert result.report.cycles.detector_ticks == charged
+
+
+def test_fsm_without_a_flush_zero_per_phase_is_an_internal_error(monkeypatch):
+    # Both detectors share one run rule, so the cross-check guards one thing:
+    # the FSM compares a run only at the zero after it, and without flush
+    # zeros phase 0's run of three CAGs is never compared.
+    monkeypatch.setattr(detector, "FLUSH_ZEROS", 0)
+    with pytest.raises(InternalInvariantError,
+                       match="^cycle-accurate detector returned 0, functional 3$"):
+        quick_scan("CAGCAGCAG", "CAG", rows=1, data_width=9, blocks=1, cycle_accurate=True)
 
 
 def test_request_derives_its_blocks_and_timing_when_built():

@@ -269,6 +269,14 @@ def test_catalog_bad_endpoint_names_its_line(tmp_path):
         load_catalog(bad)
 
 
+def test_catalog_rejects_a_name_repeated_in_another_case(tmp_path):
+    # find_entry matches names case-insensitively and takes the first entry
+    bad = tmp_path / "bad.csv"
+    bad.write_text("Foo,G1,CAG,1,20,30,*\nfoo,G2,CTG,1,5,6,*\n")
+    with pytest.raises(CatalogError, match="^line 2: disease 'foo' repeats line 1$"):
+        load_catalog(bad)
+
+
 def test_find_entry_unknown():
     with pytest.raises(CatalogError):
         find_entry(builtin_catalog(), "no such disease")
