@@ -175,16 +175,16 @@ def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
 
     Row i receives text[i*W : (i+1)*W]; the final partial row and any rows
     past the text hold MM in the unused data cells.  The data cells hold
-    ``seqio.encode``'s codes, those a ``DnaSequence`` keeps, so a symbol
-    outside the alphabet raises InvalidCharacter.
+    the codes a ``DnaSequence`` keeps, never decoding its symbols; a plain
+    string goes through ``seqio.encode``, so a symbol outside the alphabet
+    raises InvalidCharacter.
     """
-    symbols = str(text)
     rows, data_width = geometry.rows, geometry.data_width
     capacity = rows * data_width
-    if len(symbols) > capacity:
-        raise TextTooLong(len(symbols), capacity)
+    if len(text) > capacity:
+        raise TextTooLong(len(text), capacity)
 
-    codes = np.frombuffer(text.codes if isinstance(text, DnaSequence) else encode(symbols),
+    codes = np.frombuffer(text.codes if isinstance(text, DnaSequence) else encode(text),
                           dtype=np.uint8)
     # one spare all-MM row supplies the last row's replication columns
     data = np.full((rows + 1) * data_width, MM_CODE, dtype=np.uint8)

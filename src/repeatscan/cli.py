@@ -8,7 +8,11 @@ stdout for --bits) as they are formatted.
 The input file is raw text or one FASTA record; ``seqio.parse_text`` tells
 them apart by their header lines, so there is no format option.  Reports are
 flat JSON objects with times in ns and energies in nJ, rounded to three
-decimals so report files diff cleanly.
+decimals so report files diff cleanly.  The report writer (``json_members``,
+``json_object``) writes them byte for byte as ``json.dumps(report, indent=2,
+sort_keys=True, allow_nan=False)`` plus a newline would.  Most members come
+from the scan's cost report alone, so each distinct cost report is encoded
+once and its member lines are merged with the scan's own.
 """
 
 from __future__ import annotations
@@ -16,14 +20,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
+import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__, detector
-from .costmodel import (CycleCounts, CycleCountMismatch, TimingParams, energy,
-                        energy_shares, geometry_for_text, latency, latency_shares)
+from .costmodel import (CostReport, CycleCounts, CycleCountMismatch, TimingParams,
+                        energy, energy_shares, geometry_for_text, latency, latency_shares)
 from .detector import run_trace
 from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
                        make_request, scan)
@@ -77,23 +83,57 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def build_scan_report(request: ScanRequest, result: ScanResult) -> dict:
-    """The flat JSON report of one scan; its mode is read from the request."""
-    timing = request.timing
-    cost = result.report
-    lat = cost.latency
-    return {
-        "pattern": str(request.pattern),
-        "disease": request.disease.name if request.disease else None,
-        "gene": request.disease.gene if request.disease else None,
-        "classification": result.classification,
-        "range_overlap_flagged": request.disease is not None and request.disease.overlapping,
-        "mode": "cycle" if request.cycle_accurate else "functional",
-        "text_length": len(request.text),
-        "global_max": result.global_max,
-        "saturated": result.saturated,
-        "per_block_max": result.per_block_max,
-        "active_blocks": list(request.active_blocks),
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2, allow_nan=False)`` writes it
+    at ``indent``, with json's type tests in json's order and its errors.
+    Lists and tuples may nest; a dict value raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return (f"[\n{inner}" + f",\n{inner}".join([_json_value(v, inner) for v in value])
+                + f"\n{indent}]")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_members(fields: dict[str, object]) -> list[tuple[str, str]]:
+    """Each field as one member of an indent-2 JSON object: its key, for
+    sorting, and its text."""
+    return [(key, f"  {encode_basestring_ascii(key)}: {_json_value(value, '  ')}")
+            for key, value in fields.items()]
+
+
+def json_object(members: Iterable[tuple[str, str]]) -> str:
+    """Members with distinct keys, in sorted key order, as one JSON object
+    and a newline: for ``json_members(report)`` byte for byte
+    ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\\n"``."""
+    lines = [text for _, text in sorted(members)]
+    return "{\n" + ",\n".join(lines) + "\n}\n" if lines else "{}\n"
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _cost_members(cost: CostReport, clock_ns: float,
+                  write_ns: float) -> tuple[tuple[str, str], ...]:
+    """The report members that the cost report alone decides, encoded once
+    per distinct report.  The periods are passed again so that the cache
+    tells their types apart: an int period equals its float, but json writes
+    it without the ".0", and so do the figures it scales."""
+    timing, lat = cost.params, cost.latency
+    return tuple(json_members({
         **vars(timing),
         "mem_rows": timing.mem_rows,
         "mem_cols": timing.mem_cols,
@@ -101,12 +141,35 @@ def build_scan_report(request: ScanRequest, result: ScanResult) -> dict:
         "search_time_ns": round(lat.t_total_ns - lat.t_load_ns, 3),
         **{f"cycles_{'reset' if k == 'resets' else k}": v
            for k, v in vars(cost.cycles).items()},
-        "set_events": result.set_events,
         **{f"energy_{k}": round(v, 3) for k, v in vars(cost.energy).items()},
         "energy_per_char_divisor": "searched_blocks * mem_rows * mem_cols",
         **{f"latency_share_{k}": round(v, 6) for k, v in latency_shares(lat).items()},
         **{f"energy_share_{k}": round(v, 6) for k, v in energy_shares(cost.energy).items()},
-    }
+    }))
+
+
+def build_scan_report(request: ScanRequest, result: ScanResult) -> str:
+    """The flat JSON report of one scan, as text; its mode is read from the
+    request, and the cost members, timing included, from the result."""
+    timing = result.report.params
+    return json_object([
+        *_cost_members(result.report, timing.clock_ns, timing.write_ns),
+        *json_members({
+            "pattern": str(request.pattern),
+            "disease": request.disease.name if request.disease else None,
+            "gene": request.disease.gene if request.disease else None,
+            "classification": result.classification,
+            "range_overlap_flagged": (request.disease is not None
+                                      and request.disease.overlapping),
+            "mode": "cycle" if request.cycle_accurate else "functional",
+            "text_length": len(request.text),
+            "global_max": result.global_max,
+            "saturated": result.saturated,
+            "per_block_max": result.per_block_max,
+            "active_blocks": request.active_blocks,
+            "set_events": result.set_events,
+        }),
+    ])
 
 
 def reference_rows() -> list[dict]:
@@ -218,8 +281,7 @@ def run_scan(args) -> int:
     result = scan(request)
 
     # build_report names a non-finite figure; none may reach the JSON
-    report = json.dumps(build_scan_report(request, result),
-                        indent=2, sort_keys=True, allow_nan=False) + "\n"
+    report = build_scan_report(request, result)
     # an unwritable trace path fails before any report is written, and a
     # report that cannot be written takes the opened trace file with it
     with open(args.trace, "wb") if args.trace else contextlib.nullcontext() as out:

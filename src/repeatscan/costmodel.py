@@ -30,6 +30,10 @@ from .detector import POST_STREAM_CYCLES
 # Columns of the characterized array: W data columns plus p - 1 replicated.
 PHYSICAL_COLS = 130
 
+# Cells a simulated array may hold, rows x (W + p - 1): about 1,000 times the
+# characterized 512 x 130 instance.  Checked before anything is allocated.
+MAX_ARRAY_CELLS = 2**26
+
 
 class CycleCountMismatch(RuntimeError):
     """Metered cycle counts disagree with the closed-form prediction."""
@@ -61,6 +65,10 @@ class TimingParams:
             raise ValueError(f"rows {self.rows} not divisible into {self.blocks} blocks")
         if self.pattern_len > self.data_width:
             raise ValueError("pattern length exceeds data width")
+        cols = self.data_width + self.pattern_len - 1
+        if self.rows * cols > MAX_ARRAY_CELLS:
+            raise ValueError(f"an array of {self.rows} rows x {cols} columns exceeds "
+                             f"{MAX_ARRAY_CELLS} cells; lower --rows or --width")
 
     @property
     def mem_rows(self) -> int:

@@ -17,12 +17,15 @@ with the closed-form cost model.  SET events are counted as the set bits of
 each block's read-out: a write phase starts all-HRS and writes each column
 once, so that popcount equals the number of high tags written.  A global
 maximum at the 8-bit register limit is reported as saturated, since the true
-count may be any value from there up.
+count may be any value from there up.  With the ``repeatscan`` logger at
+DEBUG, each block's SET events, maximum and saturation are logged as the
+block finishes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -105,6 +108,20 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = TimingParam
                        cycle_accurate, record_detector_trace)
 
 
+def _debug_logger():
+    """The ``repeatscan`` logger if it takes DEBUG records, else None.
+
+    Only a program that imports the logging module can enable it, so while
+    no module has, the logger is off and the scan does not import logging:
+    that import alone raises a run's peak memory by about 0.4 MB.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("repeatscan")
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
 def _consecutive_runs(blocks: Sequence[int]) -> list[list[int]]:
     runs: list[list[int]] = []
     for b in blocks:
@@ -124,6 +141,7 @@ def scan(request: ScanRequest) -> ScanResult:
     windows = read_groups = ticks = resets = set_events = global_max = 0
     per_block_max: list[int] = []
     traces = []
+    log = _debug_logger()
 
     for run in _consecutive_runs(request.active_blocks):
         streams = []
@@ -135,14 +153,19 @@ def scan(request: ScanRequest) -> ScanResult:
             memory.set_mode(matchmem.Mode.READ)
             stream = memory.read_all()
             streams.append(stream)
-            set_events += int(np.count_nonzero(stream))
+            block_events = int(np.count_nonzero(stream))
+            set_events += block_events
             read_groups += memory.read_group_count()
             ticks += len(stream) + POST_STREAM_CYCLES
             memory.set_mode(matchmem.Mode.RESET)
             memory.reset_all()
             resets += 1
             memory.set_mode(matchmem.Mode.IDLE)
-            per_block_max.append(detector.detect_functional(stream, timing.pattern_len))
+            block_max = detector.detect_functional(stream, timing.pattern_len)
+            per_block_max.append(block_max)
+            if log:
+                log.debug("block %d: set_events=%d block_max=%d saturated=%s",
+                          block, block_events, block_max, block_max >= REGISTER_MAX)
 
         bits = np.concatenate(streams)
         segment_max = detector.detect_functional(bits, timing.pattern_len)

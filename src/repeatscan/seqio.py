@@ -1,12 +1,15 @@
 """DNA text ingestion plus the repeat-expansion disorder catalog.
 
-Text takes one path from file bytes to base codes.  ``normalize`` drops
-header lines (a line whose first non-blank character is '>'), ASCII
-whitespace and line ends, and folds ASCII case, so raw text and FASTA need
-no format switch.  ``encode`` then maps every byte through one 256-entry
-table: A/C/G/T become the codes 0..3, their index in ``ALPHABET``, and any
-other byte is rejected with its position.  ``DnaSequence`` (search patterns
-included) validates through it and the array loader stores its codes.
+Text takes one path from file bytes to base codes, the one form a sequence
+is held in.  ``parse_text`` drops header lines (a line whose first
+non-blank character is '>') and maps the rest through one 256-entry table
+in one ``bytes.translate`` that deletes ASCII whitespace and folds case:
+A/C/G/T become the codes 0..3, their index in ``ALPHABET``, and any other
+byte a marker.  So raw text and FASTA need no format switch.  Only input
+holding the marker, or nothing, takes the character path (``normalize``,
+then ``encode``), whose error names the first invalid character and its
+position.  ``DnaSequence`` (search patterns included) keeps the codes,
+which the array loader stores, and decodes its symbols only when asked.
 
 Input holds one record: joined records would let a repeat run across them,
 and sequence before the first header counts as a record of its own.
@@ -16,7 +19,8 @@ have no wildcard storage state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 ALPHABET = "ACGT"
@@ -27,6 +31,8 @@ _UPPER = bytes(range(256)).upper()  # folds ASCII case, as bytes.upper() does
 # The one byte -> code table: A, C, G, T -> 0..3, every other byte -> _NOT_A_BASE.
 _BASE_CODE = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else _NOT_A_BASE
                    for b in range(256))
+_FOLDED_CODE = _UPPER.translate(_BASE_CODE)  # the same after case folding: a, c, g, t too
+_CODE_BASE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode())  # and back
 
 NORMAL = "Normal"
 INDETERMINATE = "Indeterminate"
@@ -78,32 +84,74 @@ def encode(symbols: str) -> bytes:
     return codes
 
 
-@dataclass(frozen=True)
-class DnaSequence:
-    """Validated, non-empty DNA text.
+def decode(codes: bytes) -> str:
+    """The symbols of valid codes; the inverse of ``encode``."""
+    return codes.translate(_CODE_BASE).decode("ascii")
 
-    It also serves as a search pattern, whose length limits against a
-    concrete array geometry are enforced where the pattern is used
-    (load/search), not here.  ``codes`` keeps ``encode``'s result, which
-    the array loader stores.
+
+@dataclass(frozen=True, init=False, repr=False)
+class DnaSequence:
+    """Validated, non-empty DNA text, held as its base codes.
+
+    ``codes`` (``encode``'s result) is the one representation: equality and
+    hashing compare it, and the array loader stores it.  ``symbols``, also
+    ``str()``, is the text the sequence was built from, or for a parsed
+    sequence is decoded from the codes on first use and then kept.  It also
+    serves as a search pattern, whose length limits against a concrete
+    array geometry are enforced where the pattern is used (load/search),
+    not here.
     """
 
-    symbols: str
-    codes: bytes = field(init=False, compare=False, repr=False)
+    codes: bytes
 
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(self, symbols: str) -> None:
+        if not symbols:
             raise EmptyInput()
-        object.__setattr__(self, "codes", encode(self.symbols))
+        object.__setattr__(self, "codes", encode(symbols))
+        object.__setattr__(self, "symbols", symbols)
+
+    @classmethod
+    def _from_codes(cls, codes: bytes) -> DnaSequence:
+        """A sequence of codes already checked to be non-empty and valid."""
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "codes", codes)
+        return seq
+
+    @cached_property
+    def symbols(self) -> str:
+        return decode(self.codes)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.codes)
 
     def __str__(self) -> str:
         return self.symbols
 
+    def __repr__(self) -> str:
+        return f"DnaSequence(symbols={self.symbols!r})"
+
 
 Pattern = DnaSequence  # a search pattern is validated DNA text like any other
+
+
+def _record_body(raw: bytes) -> bytes:
+    """The one record's bytes, its header line dropped; line ends and case
+    stay.  Raises MultipleRecords when a header follows sequence or another
+    header."""
+    at = raw.find(b">")
+    if at < 0:
+        return raw
+    raw = raw.replace(b"\r", b"\n") + b"\n"   # every line, the last too, ends in LF
+    records, start = 0, 0
+    while at >= 0:
+        line, end = raw.rfind(b"\n", 0, at) + 1, raw.find(b"\n", at)
+        if not raw[line:at].strip():  # a header; sequence before the first is a record
+            records += 1 if records or not raw[:line].strip() else 2
+            start = end
+        at = raw.find(b">", end)
+    if records > 1:
+        raise MultipleRecords(records)
+    return raw[start:]
 
 
 def normalize(raw: str | bytes) -> str:
@@ -115,26 +163,22 @@ def normalize(raw: str | bytes) -> str:
     encoding = "utf-8" if isinstance(raw, str) else "latin-1"
     if isinstance(raw, str):  # UTF-8 puts no ASCII byte inside another character
         raw = raw.encode(encoding)
-    raw = raw.replace(b"\r", b"\n") + b"\n"   # every line, the last too, ends in LF
-    records, start, at = 0, 0, raw.find(b">")
-    while at >= 0:
-        line, end = raw.rfind(b"\n", 0, at) + 1, raw.find(b"\n", at)
-        if not raw[line:at].strip():  # a header; sequence before the first is a record
-            records += 1 if records or not raw[:line].strip() else 2
-            start = end
-        at = raw.find(b">", end)
-    if records > 1:
-        raise MultipleRecords(records)
-    return raw[start:].translate(_UPPER, _WHITESPACE).decode(encoding)
+    return _record_body(raw).translate(_UPPER, _WHITESPACE).decode(encoding)
 
 
 def parse_text(raw: str | bytes) -> DnaSequence:
     """Parse raw text or one FASTA record into a validated sequence.
 
-    Raises EmptyInput when nothing remains after stripping, or
-    InvalidCharacter for any symbol outside the alphabet (case-insensitive;
-    the character is reported case-folded).
+    Equal to ``DnaSequence(normalize(raw))``, errors included: raises
+    EmptyInput when nothing remains after stripping, or InvalidCharacter
+    for any symbol outside the alphabet (case-insensitive; the character
+    is reported case-folded).
     """
+    body = _record_body(raw.encode() if isinstance(raw, str) else bytes(raw))
+    codes = body.translate(_FOLDED_CODE, _WHITESPACE)
+    if codes and codes.find(_NOT_A_BASE) < 0:
+        return DnaSequence._from_codes(codes)
+    # the error counts characters, not bytes, and names the character
     return DnaSequence(normalize(raw))
 
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import random
 import re
@@ -11,15 +12,18 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeatscan import acam, detector
-from repeatscan.cli import build_parser, main, reference_rows, row_passes
+from repeatscan import acam, cli, detector, seqio
+from repeatscan.cli import (build_parser, build_scan_report, json_members, json_object,
+                            main, reference_rows, row_passes)
 from repeatscan.costmodel import TimingParams
 from repeatscan.detector import REGISTER_MAX, TRACE_HEADER, oracle_max_tandem
-from repeatscan.pipeline import ScanRequest, make_request
+from repeatscan.pipeline import ScanRequest, make_request, scan
+from repeatscan.seqio import parse_pattern, parse_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "trace_101110000.csv"
@@ -206,6 +210,107 @@ def test_full_array_report_is_byte_stable(tmp_path):
     assert main(["--input", write_seq(tmp_path, text), "--disease", "Huntington's disease",
                  "--report", str(report)]) == 0
     assert report.read_bytes() == (GOLDEN_DIR / "report_full_array_cag.json").read_bytes()
+
+
+def dumps(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, 0.1, 1e-7]),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\ud800", "Normal"]))
+
+
+@given(st.dictionaries(st.text(), st.one_of(json_scalars, st.lists(st.integers()),
+                                            st.lists(json_scalars, max_size=3),
+                                            st.lists(st.lists(st.integers(), max_size=2),
+                                                     max_size=2))),
+       st.data())
+@example({}, None)
+@settings(max_examples=500)
+def test_report_writer_is_byte_identical_to_json_dumps(report, data):
+    assert json_object(json_members(report)) == dumps(report)
+    if data is not None:    # the members of two disjoint parts merge in key order
+        part = data.draw(st.sets(st.sampled_from(sorted(report)) if report else st.nothing()))
+        members = (json_members({k: v for k, v in report.items() if k in part})
+                   + json_members({k: v for k, v in report.items() if k not in part}))
+        assert json_object(members) == dumps(report)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+def test_report_writer_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps({"x": value})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_members({"x": value})
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), b"CAG", {3}, object()])
+def test_report_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dumps({"x": value})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json_members({"x": value})
+
+
+def test_cost_members_tell_int_and_float_periods_apart():
+    # 1 == 1.0 makes their cost reports equal, but json writes them apart
+    text, pattern = parse_text("CAGCAG"), parse_pattern("CAG")
+    for clock in (1.0, 1, 1.0):
+        request = make_request(text, pattern, rows=2, data_width=8, blocks=2, clock_ns=clock)
+        report = json.loads(build_scan_report(request, scan(request)))
+        assert type(report["clock_ns"]) is type(report["dt34_ns"]) is type(clock)
+
+
+def test_full_array_scans_decode_no_text_and_encode_one_cost_report_once(tmp_path,
+                                                                          monkeypatch):
+    # the text goes from file bytes to the array as codes; two scans at one
+    # geometry and block count share one encoding of the cost members
+    rng = random.Random(23)
+    decoded, decode = [], seqio.decode
+    monkeypatch.setattr(seqio, "decode", lambda codes: decoded.append(len(codes)) or decode(codes))
+    cli._cost_members.cache_clear()
+    for name, text in [("a.fa", rng.choices("ACGT", k=65536)), ("b.fa", ["CAG"] * 21845 + ["T"])]:
+        path = tmp_path / name
+        path.write_text(">read\n" + "".join(text) + "\n")
+        assert main(["--input", str(path), "--pattern", "cag",
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["text_length"] == 65536
+    assert decoded == [3, 3]        # the parsed pattern of each call, for the report
+    info = cli._cost_members.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cli_scan_imports_no_logging(tmp_path):
+    # the per-block debug logger is looked up only once a program has
+    # imported logging itself; importing it would cost every run memory
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["--input", write_seq(tmp_path, CLEAN), "--pattern", "CAG",
+            "--report", str(tmp_path / "r.json")]
+    code = ("import sys; from repeatscan.cli import main; "
+            f"print(main({argv!r}), 'logging' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "0 False\n"
+
+
+@pytest.mark.parametrize("flags", [["--rows", "1000000000", "--array-blocks", "1"],
+                                   ["--width", "100000000"]])
+def test_oversized_geometry_is_refused_before_anything_is_allocated(tmp_path, monkeypatch,
+                                                                    capsys, flags):
+    def allocate(text, timing):
+        raise AssertionError("load_text was called")
+    monkeypatch.setattr(acam, "load_text", allocate)
+    code = main(["--input", write_seq(tmp_path, CLEAN), "--pattern", "CAG", *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds 67108864 cells; lower --rows or --width" in err
 
 
 CLEAN = "TTCAGCAGCAGCAGCAGAAT"   # five tandem CAG copies

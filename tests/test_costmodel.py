@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan.acam import load_text
-from repeatscan.costmodel import (PHASE_ENERGY, PHYSICAL_COLS, CostReport,
+from repeatscan.costmodel import (MAX_ARRAY_CELLS, PHASE_ENERGY, PHYSICAL_COLS, CostReport,
                                   CycleCountMismatch, CycleCounts, TimingParams,
                                   build_report, energy, energy_shares,
                                   geometry_for_text, latency, latency_shares)
@@ -132,6 +132,16 @@ def test_params_validation():
         geometry_for_text(100, 100)
     with pytest.raises(ValueError):  # no data column left, not a division by zero
         geometry_for_text(100, PHYSICAL_COLS + 1)
+
+
+def test_params_cap_the_cells_of_one_array():
+    # rows x (W + p - 1) cells, counted before load_text allocates them
+    assert MAX_ARRAY_CELLS == 2**26
+    TimingParams(rows=2**19, data_width=126, pattern_len=3, blocks=8)
+    TimingParams(rows=2**19, data_width=128, pattern_len=1, blocks=8)
+    for rows, width, p in [(2**19 + 8, 128, 1), (2**19, 127, 3), (8, 2**23 + 1, 1)]:
+        with pytest.raises(ValueError, match="lower --rows or --width"):
+            TimingParams(rows=rows, data_width=width, pattern_len=p, blocks=8)
 
 
 @pytest.mark.parametrize("field", ["clock_ns", "write_ns"])

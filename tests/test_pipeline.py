@@ -1,3 +1,4 @@
+import logging
 import random
 from dataclasses import replace
 
@@ -227,6 +228,21 @@ def test_full_scan_writes_each_block_in_one_call_and_meters_every_column(monkeyp
     assert [tags.shape for tags in calls["write_columns"]] == [(64, 128)] * 8
     assert calls["write_column"] == []
     assert result.report.cycles.write_columns == 1024
+
+
+def test_debug_log_has_one_event_per_block_and_the_default_none(caplog):
+    # block 0 saturates, block 1 holds two CAG starts, block 3 none
+    text = "CAG" * 300 + "T" * (8192 - 900) + "TCAGTCAGT"
+    caplog.set_level(logging.INFO, logger="repeatscan")
+    result = quick_scan(text, "CAG", active_blocks=[0, 1, 3])
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="repeatscan")
+    assert quick_scan(text, "CAG", active_blocks=[0, 1, 3]) == result
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("repeatscan", logging.DEBUG, f"block {block}: set_events={events} "
+                                      f"block_max={block_max} saturated={block_max == 255}")
+        for block, events, block_max in [(0, 300, 255), (1, 2, 1), (3, 0, 0)]]
+    assert result.per_block_max == [255, 1, 0] and result.set_events == 302
 
 
 def test_request_validation():

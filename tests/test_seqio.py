@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan import seqio
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, CatalogError,
-                              DiseaseEntry, EmptyInput, InvalidCharacter,
+                              DiseaseEntry, DnaSequence, EmptyInput, InvalidCharacter,
                               MultipleRecords, Pattern, builtin_catalog,
                               classify, find_entry, load_catalog,
                               parse_pattern, parse_text)
@@ -293,6 +295,62 @@ def test_sequence_keeps_its_codes_outside_equality_and_repr():
     assert seq.codes == seqio.encode("GATC") == bytes([2, 0, 3, 1])
     assert seq == Pattern("GATC") and hash(seq) == hash(Pattern("GATC"))
     assert repr(seq) == "DnaSequence(symbols='GATC')"
+
+
+def parse_outcome(parse, raw):
+    """A parse's codes and text, or its error's type and fields."""
+    try:
+        seq = parse(raw)
+    except MultipleRecords as exc:
+        return MultipleRecords, exc.count
+    except InvalidCharacter as exc:
+        return InvalidCharacter, exc.position, exc.char
+    except EmptyInput:
+        return EmptyInput
+    return seq.codes, str(seq), len(seq)
+
+
+# Headers, both line ends, mixed case, every ASCII whitespace byte, and bytes
+# that are no base: ASCII, Latin-1 and (in str input) beyond.
+PARSE_AWKWARD = "ACGTacgt>> \t\r\n\x0b\x0cNx-\x85\xa0"
+
+
+@given(st.one_of(st.text(alphabet=PARSE_AWKWARD, max_size=60).map(lambda t: t.encode("latin-1")),
+                 st.text(alphabet=PARSE_AWKWARD + "\u00e9\u2028\U0001f600", max_size=60),
+                 st.binary(max_size=60),
+                 st.lists(st.sampled_from(["ACGT", "acgt", "\n", "\r\n", ">h\n", "N", " "]),
+                          max_size=12).map("".join)))
+@settings(max_examples=1000)
+def test_parse_text_is_the_sequence_of_the_normalized_text(raw):
+    # the one-pass parse gives the same codes, text and errors as the
+    # character path, for str and bytes
+    reference = lambda r: DnaSequence(seqio.normalize(r))
+    assert parse_outcome(parse_text, raw) == parse_outcome(reference, raw)
+
+
+@pytest.mark.parametrize("raw, bases", [(b">h x\r\nacgT\tAC\x0bGT\x0c\n gg \r\n", "ACGTACGTGG"),
+                                        ("  cat\ng\n", "CATG")])
+def test_valid_text_is_parsed_in_one_pass(monkeypatch, raw, bases):
+    # case and every ASCII whitespace byte are handled by the one table; only
+    # an invalid byte sends the parse down the character path
+    def character_path(*args):
+        raise AssertionError("took the character path")
+    monkeypatch.setattr(seqio, "normalize", character_path)
+    monkeypatch.setattr(seqio, "encode", character_path)
+    assert parse_text(raw).codes == bytes(map(seqio.ALPHABET.index, bases))
+
+
+def test_parsed_sequence_decodes_its_symbols_once_on_first_use(monkeypatch):
+    decoded = []
+    decode = seqio.decode
+    monkeypatch.setattr(seqio, "decode", lambda codes: decoded.append(codes) or decode(codes))
+    seq = parse_text(b">h\ngat\ncA\n")
+    assert (seq.codes, len(seq), decoded) == (bytes([2, 0, 3, 1, 0]), 5, [])
+    assert str(seq) == seq.symbols == "GATCA" and repr(seq) == "DnaSequence(symbols='GATCA')"
+    assert decoded == [seq.codes]
+    assert DnaSequence("GATCA") == seq and decoded == [seq.codes]   # built from text: kept
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.codes = b""
 
 
 def test_entry_overlap_helper():
