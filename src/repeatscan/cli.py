@@ -28,8 +28,9 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__, detector
-from .costmodel import (CostReport, CycleCounts, CycleCountMismatch, TimingParams,
-                        energy, energy_shares, geometry_for_text, latency, latency_shares)
+from .costmodel import (MAX_ARRAY_CELLS, CostReport, CycleCounts, CycleCountMismatch,
+                        TimingParams, energy, energy_shares, geometry_for_text, latency,
+                        latency_shares)
 from .detector import run_trace
 from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
                        make_request, scan)
@@ -63,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="catalog file overriding the built-in one")
     p.add_argument("--blocks", help="comma-separated activated block indices (0-based)")
     p.add_argument("--rows", type=int, default=TimingParams.rows,
-                   help="array rows M (default %(default)s)")
+                   help="array rows M (default %(default)s); the text must fit in M x W "
+                   f"cells, and M x (W + p - 1) may not exceed {MAX_ARRAY_CELLS} cells")
     p.add_argument("--width", type=int, default=TimingParams.data_width,
                    help="data width W (default %(default)s)")
     p.add_argument("--array-blocks", type=int, default=TimingParams.blocks,
@@ -129,9 +131,11 @@ def json_object(members: Iterable[tuple[str, str]]) -> str:
 def _cost_members(cost: CostReport, clock_ns: float,
                   write_ns: float) -> tuple[tuple[str, str], ...]:
     """The report members that the cost report alone decides, encoded once
-    per distinct report.  The periods are passed again so that the cache
-    tells their types apart: an int period equals its float, but json writes
-    it without the ".0", and so do the figures it scales."""
+    per distinct report: a process that scans many texts at one geometry
+    and block count reuses them, one that scans once always misses.  The
+    periods are passed again so that the cache tells their types apart: an
+    int period equals its float, but json writes it without the ".0", and so
+    do the figures it scales."""
     timing, lat = cost.params, cost.latency
     return tuple(json_members({
         **vars(timing),

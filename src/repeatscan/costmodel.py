@@ -30,9 +30,11 @@ from .detector import POST_STREAM_CYCLES
 # Columns of the characterized array: W data columns plus p - 1 replicated.
 PHYSICAL_COLS = 130
 
-# Cells a simulated array may hold, rows x (W + p - 1): about 1,000 times the
-# characterized 512 x 130 instance.  Checked before anything is allocated.
-MAX_ARRAY_CELLS = 2**26
+# Cells a simulated array may hold, rows x (W + p - 1), checked before
+# anything is allocated.  A scan peaks at about 9 bytes per cell (10.4 in
+# cycle mode), so a scan at the cap needs about 2.8 GiB; at W = 128 it holds
+# a text of up to 264 M characters, the largest human chromosome included.
+MAX_ARRAY_CELLS = 2**28
 
 
 class CycleCountMismatch(RuntimeError):

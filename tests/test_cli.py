@@ -310,7 +310,7 @@ def test_oversized_geometry_is_refused_before_anything_is_allocated(tmp_path, mo
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "exceeds 67108864 cells; lower --rows or --width" in err
+    assert "exceeds 268435456 cells; lower --rows or --width" in err
 
 
 CLEAN = "TTCAGCAGCAGCAGCAGAAT"   # five tandem CAG copies

@@ -136,10 +136,12 @@ def test_params_validation():
 
 def test_params_cap_the_cells_of_one_array():
     # rows x (W + p - 1) cells, counted before load_text allocates them
-    assert MAX_ARRAY_CELLS == 2**26
-    TimingParams(rows=2**19, data_width=126, pattern_len=3, blocks=8)
-    TimingParams(rows=2**19, data_width=128, pattern_len=1, blocks=8)
-    for rows, width, p in [(2**19 + 8, 128, 1), (2**19, 127, 3), (8, 2**23 + 1, 1)]:
+    assert MAX_ARRAY_CELLS == 2**28
+    TimingParams(rows=2**21, data_width=126, pattern_len=3, blocks=8)
+    TimingParams(rows=2**21, data_width=128, pattern_len=1, blocks=8)
+    # GRCh38 chromosome 1, 248,956,422 bases, at W = 128 and p = 10
+    TimingParams(rows=1_944_976, data_width=128, pattern_len=10, blocks=8)
+    for rows, width, p in [(2**21 + 8, 128, 1), (2**21, 127, 3), (8, 2**25 + 1, 1)]:
         with pytest.raises(ValueError, match="lower --rows or --width"):
             TimingParams(rows=rows, data_width=width, pattern_len=p, blocks=8)
 
