@@ -31,9 +31,10 @@ from .detector import POST_STREAM_CYCLES
 PHYSICAL_COLS = 130
 
 # Cells a simulated array may hold, rows x (W + p - 1), checked before
-# anything is allocated.  A scan peaks at about 9 bytes per cell (10.4 in
-# cycle mode), so a scan at the cap needs about 2.8 GiB; at W = 128 it holds
-# a text of up to 264 M characters, the largest human chromosome included.
+# anything is allocated.  A scan peaks at about 6.9 bytes per cell (10.4 in
+# cycle mode), so a scan at the cap needs up to about 2.8 GB; at W = 128 it
+# holds a text of up to 264 M characters, the largest human chromosome
+# included.
 MAX_ARRAY_CELLS = 2**28
 
 

@@ -1,10 +1,15 @@
 """Pattern detector: phase-partitioned repeat counting over the match bitmap.
 
 A set bit at stream index k means the pattern occurs at text position k, so a
-tandem run of the pattern shows up as consecutive set bits at stride p.  Both
-detectors take one run rule from ``_phase_runs``: phase q's j-th input y_j is
-bit q + pj, and its run r_j is the number of ones ending at j.  Counters and
-max registers saturate at 255; the functional detector is the largest r_j.
+tandem run of the pattern shows up as consecutive set bits at stride p: phase
+q's j-th input y_j is bit q + pj, and its run r_j is the number of ones ending
+at j.  Counters and max registers saturate at 255.  The functional detector
+is the largest r_j, capped, found on the stream packed into one integer: the
+inputs that start a run of 2L ones are those that start a run of L whose
+input Lp further on does too, so L doubles up to 128, then grows greedily by
+64, 32, ..., 1 while a run that long remains.  The FSM takes each r_j from
+the phase-major layout of ``_phase_runs``, a separate rule, so cycle mode's
+comparison of the two maxima checks one rule against the other.
 
 The cycle-accurate mode reproduces the hardware detector for p = 3: a
 round-robin FSM (states S1..S6 plus Initial and Exit) emits an increment
@@ -131,8 +136,25 @@ def detect_functional(bits: Sequence[int] | np.ndarray, p: int) -> int:
     """
     if p < 1:
         raise ValueError("pattern length must be at least 1")
-    _, _, runs = _phase_runs(bits, p, len(bits), False)
-    return min(int(runs.max(initial=0)), REGISTER_MAX)
+    # Bit i of one integer is input i, so a phase's inputs are the chain i,
+    # i + p, ...; starts[k] holds the inputs that start a run of 2**k ones.
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    starts = [int.from_bytes(packed, "little")]
+    length = 1 if starts[0] else 0
+    while 2 * length <= REGISTER_MAX:
+        longer = starts[-1] & (starts[-1] >> length * p)
+        if not longer:
+            break
+        starts.append(longer)
+        length *= 2
+    # Every run is shorter than 2 * length, or length has reached the cap's
+    # power of two: lengthen greedily by the smaller powers of two
+    top = starts[-1]
+    for k in range(len(starts) - 2, -1, -1):
+        longer = top & (starts[k] >> length * p)
+        if longer and length + 2**k <= REGISTER_MAX:
+            top, length = longer, length + 2**k
+    return length
 
 
 def oracle_max_tandem(text: DnaSequence | str, pattern: Pattern | str) -> int:

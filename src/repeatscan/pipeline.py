@@ -13,13 +13,15 @@ detector ticks, the dt23 closed form, the ticks beyond the run's inputs
 being drain ticks that consume no input.  A request is derived and checked
 once, when ``ScanRequest`` is built.  Cycle counts are metered from the
 actual simulation, detector ticks from each block's read-out, and must agree
-with the closed-form cost model.  SET events are counted as the set bits of
-each block's read-out: a write phase starts all-HRS and writes each column
-once, so that popcount equals the number of high tags written.  A global
-maximum at the 8-bit register limit is reported as saturated, since the true
-count may be any value from there up.  With the ``repeatscan`` logger at
-DEBUG, each block's SET events, maximum and saturation are logged as the
-block finishes.
+with the closed-form cost model.  In cycle mode each run's FSM maximum must
+equal the functional detector's, which takes its runs by a separate rule
+(``detector`` states both), or the scan fails.  SET events are counted as
+the set bits of each block's read-out: a write phase starts all-HRS and
+writes each column once, so that popcount equals the number of high tags
+written.  A global maximum at the 8-bit register limit is reported as
+saturated, since the true count may be any value from there up.  With the
+``repeatscan`` logger at DEBUG, each block's SET events, maximum and
+saturation are logged as the block finishes.
 """
 
 from __future__ import annotations

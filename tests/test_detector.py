@@ -143,6 +143,30 @@ def test_phase_runs_are_the_naive_run_ending_at_each_input(case, pad):
     assert detect_functional(stream, p) == min(max(expected, default=0), 255)
 
 
+# run lengths on each side of every doubling step and of the 255 cap
+DOUBLING_EDGE_RUNS = sorted({1, 2, 3, 4, 254, 255, 256, 257, 511, 512}
+                            | {2**k + d for k in range(3, 9) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_functional_is_exact_at_the_doubling_edges(p):
+    # each run at the stream's start, at its end with no zero after it, and
+    # mid-stream with noise in the other phases; every input form
+    rng = random.Random(p)
+    for run in DOUBLING_EDGE_RUNS:
+        body = ([1] + [0] * (p - 1)) * (run - 1) + [1]
+        start = rng.randint(p, 3 * p)
+        mid = [int(rng.random() < 0.3) for _ in range(start + len(body) + p + rng.randint(0, p))]
+        mid[start - p], mid[start + run * p] = 0, 0
+        mid[start:start + run * p:p] = [1] * run
+        for stream, exact in ((body + [0] * p, True), ([0] * p + body, True), (mid, False)):
+            expected = max(naive_phase_runs(stream, p))
+            assert expected == run if exact else expected >= run
+            forms = (stream, tuple(stream), np.array([x * rng.choice((1, 2)) for x in stream],
+                                                     dtype=np.uint8), np.array(stream, dtype=bool))
+            assert [detect_functional(b, p) for b in forms] == [min(expected, 255)] * 4, run
+
+
 # -------------------------------------------------------------------- oracle
 
 def test_oracle_examples():
