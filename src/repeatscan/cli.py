@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import math
 import sys
 from dataclasses import replace
@@ -221,12 +222,11 @@ def row_passes(row: dict) -> bool:
     return dev <= row["tol_pct"] / 100.0
 
 
-def run_paper_numbers(out=None) -> int:
-    out = out or sys.stdout
+def run_paper_numbers() -> int:
     rows = reference_rows()
     all_ok = True
     print(f"{'figure':<22}{'computed':>14}{'reference':>12}{'dev%':>9}"
-          f"{'tol%':>8}  result", file=out)
+          f"{'tol%':>8}  result")
     for row in rows:
         dev = abs(row["computed"] - row["reference"]) / row["reference"] * 100.0
         ok = row_passes(row)
@@ -234,16 +234,15 @@ def run_paper_numbers(out=None) -> int:
         tol = "exact" if row["tol_pct"] == _EXACT else f"{row['tol_pct']:g}"
         note = f"  ({row['note']})" if row["note"] else ""
         print(f"{row['name']:<22}{row['computed']:>14.3f}{row['reference']:>12.3f}"
-              f"{dev:>9.3f}{tol:>8}  {'PASS' if ok else 'FAIL'}{note}", file=out)
+              f"{dev:>9.3f}{tol:>8}  {'PASS' if ok else 'FAIL'}{note}")
     base = latency(TimingParams())
     lsh = latency_shares(base)
     esh = energy_shares(energy(CycleCounts.closed_form(TimingParams(searched_blocks=1))))
     print("\nper-block latency shares: "
-          + ", ".join(f"{k}={v:.4%}" for k, v in lsh.items()), file=out)
+          + ", ".join(f"{k}={v:.4%}" for k, v in lsh.items()))
     print("per-block energy shares:  "
-          + ", ".join(f"{k}={v:.4%}" for k, v in esh.items()), file=out)
-    print("all reference checks passed" if all_ok else "some reference checks FAILED",
-          file=out)
+          + ", ".join(f"{k}={v:.4%}" for k, v in esh.items()))
+    print("all reference checks passed" if all_ok else "some reference checks FAILED")
     return 0 if all_ok else 2
 
 
@@ -255,8 +254,12 @@ def run_bits_trace(args) -> int:
         with open(args.trace, "wb") as out:
             detector.format_trace(trace, out)
         print(f"global_max {global_max}")
-    else:
+    elif hasattr(sys.stdout, "buffer"):
         detector.format_trace(trace, sys.stdout.buffer)
+    else:                           # a text-only stdout, such as io.StringIO
+        text = io.BytesIO()
+        detector.format_trace(trace, text)
+        sys.stdout.write(text.getvalue().decode())
     return 0
 
 

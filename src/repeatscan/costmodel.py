@@ -22,6 +22,7 @@ metered cycle count (read energy scales by cells sensed).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .detector import POST_STREAM_CYCLES
@@ -59,6 +60,9 @@ class TimingParams:
     searched_blocks: int = 8  # K
 
     def __post_init__(self) -> None:
+        # the geometry as Python ints, so that a numpy int reports as one does
+        for name in ("rows", "data_width", "pattern_len", "blocks", "searched_blocks"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not all(math.isfinite(t) and t > 0 for t in (self.clock_ns, self.write_ns)):
             raise ValueError("clock and write periods must be positive and finite")
         if min(self.rows, self.data_width, self.pattern_len,

@@ -13,16 +13,18 @@ comparison of the two maxima checks one rule against the other.
 
 The cycle-accurate mode reproduces the hardware detector for p = 3: a
 round-robin FSM (states S1..S6 plus Initial and Exit) emits an increment
-signal C or a reset signal R for the active phase each cycle.  On a zero the
-max-register compare lands one cycle later and the counter reset two cycles
-later; the end-of-sequence signal D is therefore delayed while four flush
-zeros drain the pipeline, and one further zero moves the FSM to Exit, where
-the counters are cleared (CLR) and the three max registers fold into the
-global maximum.  Explicit input vectors (``run_trace``) likewise raise D
-with their last input.
+signal C or a reset signal R for the active phase each cycle.  It consumes
+one input vector x, one input per cycle, its last input raising the
+end-of-sequence signal D: ``run_trace`` takes x as given, and
+``run_cycle_accurate`` extends a read-out stream to x with ``FLUSH_ZEROS``
+zeros and one final zero.  On a zero the max-register compare lands one
+cycle later and the counter reset two cycles later, so the flush zeros drain
+the pipeline while D waits, and the input carrying D moves the FSM to Exit,
+where the counters are cleared (CLR) and the three max registers fold into
+the global maximum.
 
 The registers are computed per phase from events, in one array pass per
-stream, not cycle by cycle.  Phase q's y_j arrives in cycle c_j = q + 3j
+vector, not cycle by cycle.  Phase q's y_j arrives in cycle c_j = q + 3j
 (counted from 0).  A one's increment lands at c_j + 1 and a zero's counter
 reset at c_j + 2, so the phase counter at the end of cycle t is r_j, capped,
 of the last input whose event is due by t.  A zero's compare lands at c_j + 1
@@ -108,16 +110,15 @@ def _write_cycles(first: int, out: np.ndarray) -> None:
         seg[:, -4:].view(_GROUPS.dtype)[:, 0] = _GROUPS[low + (not high) * 10**4:][:len(seg)]
 
 
-def _phase_runs(stream: Sequence[int] | np.ndarray, p: int, inputs: int,
-                pad: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lay ``stream``, zeros up to ``inputs`` inputs, then ``pad`` to a whole
-    round out phase-major: row q is phase q's y_-1 = 0 (a sentinel), y_0, ....
-    Return that bool layout, its flat indices of ones and each one's r_j."""
-    rounds = -(-inputs // p)
-    x = np.zeros((rounds + 1) * p, dtype=bool)
-    x[p:p + len(stream)] = stream
-    x[p + inputs:] = pad
-    y = x.reshape(rounds + 1, p).T.copy()
+def _phase_runs(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay the inputs ``x`` out phase-major, padded with ones to a whole round:
+    row q is phase q's y_-1 = 0 (a sentinel), y_0, ....  Return that bool
+    layout, its flat indices of ones and each one's r_j."""
+    whole, part = divmod(len(x), p)
+    y = np.ones((p, whole + (part > 0) + 1), dtype=bool)   # padding ones
+    y[:, 0] = False                                         # the sentinels y_-1
+    y[:, 1:whole + 1] = x[:whole * p].reshape(whole, p).T
+    y[:part, -1] = x[whole * p:]
     ones = y.ravel().nonzero()[0]
     # r_j is a one's distance from the zero before its run: a run starts where
     # two ones' flat indices differ by more than 1, and repeat fills per run
@@ -194,13 +195,10 @@ class Trace:
         return self.regs.shape[1]
 
 
-def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
-         record_trace: bool) -> tuple[int, Trace | None]:
-    """The FSM over the inputs ``stream`` and then ``zeros`` zeros, all with
-    D low, and a last input ``exit_x`` carrying D."""
-    n = len(stream)
-    k = n + zeros                       # inputs consumed with D low
-    y, ones, runs = _phase_runs(stream, PHASES, k, True)   # padding ones compare nothing
+def _run(x: np.ndarray, record_trace: bool) -> tuple[int, Trace | None]:
+    """The FSM over the bool input vector ``x``, D raised with its last input."""
+    k = len(x) - 1                      # inputs consumed with D low
+    y, ones, runs = _phase_runs(x[:k], PHASES)   # padding ones compare nothing
     run = np.zeros(y.shape, dtype=np.uint8)
     run.ravel()[ones] = np.minimum(runs, REGISTER_MAX, out=runs)
     compare = run[:, :-1] * ~y[:, 1:]   # a zero y_j compares r_(j-1)
@@ -219,28 +217,22 @@ def _run(stream: Sequence[int] | np.ndarray, zeros: int, exit_x: int,
         ctr[:] = (held if d < RST_DELAY - INC_DELAY else run[:, 1:])[q, :len(ctr)]
         regs[PHASES + q, q + INC_DELAY + d:k + 1:PHASES] = top[q, :len(ctr)]
     regs[PHASES:, -1] = regs[PHASES:, -2]   # Exit: CLR, max registers kept
-    xs = np.zeros(k + 1, dtype=np.uint8)
-    xs[:n], xs[k] = stream, exit_x
-    return int(regs[PHASES:, -1].max()), Trace(xs, regs)
+    return int(regs[PHASES:, -1].max()), Trace(x.view(np.uint8), regs)
 
 
 def run_cycle_accurate(bits: Sequence[int] | np.ndarray,
                        record_trace: bool = False) -> tuple[int, Trace | None]:
-    """Run a match bitmap through the p = 3 detector under the hardware
-    read-out protocol: the stream, then four flush zeros, then one final zero
-    carrying the end-of-sequence signal, i.e. five post-stream cycles; a scan
-    streams one run of consecutive blocks (``pipeline`` states the boundary
-    rule).  Explicit input vectors go through ``run_trace``.  The trace is
-    None unless ``record_trace``.
-    """
-    return _run(bits, FLUSH_ZEROS, 0, record_trace)
+    """Run a match bitmap through the p = 3 detector as a read-out stream,
+    flushed as the module states; a scan streams one run of consecutive blocks
+    (``pipeline`` states the boundary rule).  No trace unless ``record_trace``."""
+    x = np.concatenate([np.asarray(bits, dtype=bool), np.zeros(FLUSH_ZEROS + 1, dtype=bool)])
+    return _run(x, record_trace)
 
 
 def run_trace(x_bits: Sequence[int] | str) -> tuple[int, Trace]:
     """Drive the FSM with an explicit X vector, D raised with its last input,
     and record the trace.  An empty X is read as one zero."""
-    xs = [int(b) for b in x_bits] or [0]
-    return _run(xs[:-1], 0, xs[-1], True)
+    return _run(np.array([int(b) for b in x_bits] or [0], dtype=bool), True)
 
 
 def format_trace(trace: Trace, out: BinaryIO) -> None:

@@ -265,6 +265,20 @@ def test_cost_members_tell_int_and_float_periods_apart():
         assert type(report["clock_ns"]) is type(report["dt34_ns"]) is type(clock)
 
 
+def test_numpy_int_geometry_reports_as_python_int_geometry():
+    # equal cost reports share a cache entry, so each order starts it cold
+    text, pattern = parse_text("CAGCAG" * 4), parse_pattern("CAG")
+    for kinds in ((np.int64, int), (int, np.int64)):
+        cli._cost_members.cache_clear()
+        reports = []
+        for kind in kinds:
+            request = make_request(text, pattern, rows=kind(4), data_width=kind(8),
+                                   blocks=kind(2))
+            assert {type(v) for v in vars(request.timing).values()} == {int, float}
+            reports.append(build_scan_report(request, scan(request)))
+        assert reports[0] == reports[1]
+
+
 def test_full_array_scans_decode_no_text_and_encode_one_cost_report_once(tmp_path,
                                                                           monkeypatch):
     # the text goes from file bytes to the array as codes; two scans at one
@@ -527,6 +541,14 @@ def test_bits_trace_reproduces_golden(capsys):
     code = main(["--bits", "101110000"])
     assert code == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_bits_trace_writes_text_to_a_stdout_without_a_buffer():
+    # an in-process caller may redirect stdout to a text-only stream
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--bits", "101110000"]) == 0
+    assert out.getvalue() == GOLDEN.read_text()
 
 
 def test_main_calls_share_the_parser_but_no_flag_values(tmp_path, capsys):

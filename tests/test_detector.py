@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeatscan import detector
@@ -124,16 +124,16 @@ def phase_run_cases(draw):
     return (rng.random(n) < density).astype(int).tolist(), p, draw(st.integers(0, p + 1))
 
 
-@given(phase_run_cases(), st.booleans())
+@given(phase_run_cases())
 @settings(max_examples=200, deadline=None)
-def test_phase_runs_are_the_naive_run_ending_at_each_input(case, pad):
+def test_phase_runs_are_the_naive_run_ending_at_each_input(case):
     stream, p, zeros = case
     inputs = stream + [0] * zeros
-    y, ones, runs = detector._phase_runs(stream, p, len(inputs), pad)
+    y, ones, runs = detector._phase_runs(np.array(inputs, dtype=bool), p)
     rounds = -(-len(inputs) // p)
     assert y.shape == (p, rounds + 1)
-    laid = y.T.ravel()      # the sentinel round, the inputs, then padding
-    assert not laid[:p].any() and (laid[p + len(inputs):] == pad).all()
+    laid = y.T.ravel()      # the sentinel round, the inputs, then padding ones
+    assert not laid[:p].any() and laid[p + len(inputs):].all()
     assert laid[p:p + len(inputs)].tolist() == [bool(x) for x in inputs]
     dense = np.zeros(y.size, dtype=np.int64)
     dense[ones] = runs
@@ -307,6 +307,20 @@ def saturating_streams(draw):
             unit.insert(phase, 1)
             bits += unit
     return bits + draw(noise)
+
+
+@given(saturating_streams()
+       | st.lists(st.sampled_from([0] * 9 + [1]), max_size=300)     # sparse
+       | st.integers(0, 900).map(lambda n: [1] * n))               # all ones, past 255 too
+@example([])
+@settings(max_examples=150, deadline=None)
+def test_run_cycle_accurate_is_run_trace_of_the_flushed_stream(bits):
+    # a read-out stream's input vector: the stream, the flush zeros and the
+    # final zero that carries D
+    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    x_gm, x_trace = run_trace(bits + [0] * (FLUSH_ZEROS + 1))
+    assert gm == x_gm
+    assert trace_text(trace) == trace_text(x_trace)
 
 
 @given(saturating_streams())

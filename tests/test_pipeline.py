@@ -232,18 +232,19 @@ def test_full_scan_writes_each_block_in_one_call_and_meters_every_column(monkeyp
 
 def test_functional_scan_lays_out_no_run_and_cycle_mode_one_per_run(monkeypatch):
     # the functional detector works on the packed stream; only the FSM lays a
-    # run out phase-major, once per run of consecutive blocks
+    # run out phase-major, once per run of consecutive blocks, its stream and
+    # the flush zeros (the input carrying D compares nothing)
     layouts = []
-    def counted(stream, *args, _fn=detector._phase_runs):
-        layouts.append(len(stream))
-        return _fn(stream, *args)
+    def counted(x, *args, _fn=detector._phase_runs):
+        layouts.append(len(x))
+        return _fn(x, *args)
     monkeypatch.setattr(detector, "_phase_runs", counted)
     rng = random.Random(7)
     text = "".join(rng.choice("ACGT") for _ in range(65536))
     assert quick_scan(text, "CAG").report.params.searched_blocks == 8
     assert layouts == []
     quick_scan(text, "CAG", active_blocks=[0, 2, 3, 5, 6, 7], cycle_accurate=True)
-    assert layouts == [8192, 2 * 8192, 3 * 8192]
+    assert layouts == [n * 8192 + detector.FLUSH_ZEROS for n in (1, 2, 3)]
 
 
 def test_debug_log_has_one_event_per_block_and_the_default_none(caplog):
