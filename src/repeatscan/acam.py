@@ -19,7 +19,7 @@ The array's shape is a ``TimingParams``, which checks it; the array checks
 only the text's length and each search cycle's arguments.
 
 The stored cells never change after loading, so every tag is a row slice of
-the pattern's (M, W) match grid ``AND_k(codes[:, k:k+W] == code(pattern[k]))``.
+the pattern's (M, W) match grid ``AND_k(codes[:, k:k+W] == pattern.codes[k])``.
 A pattern's first search cycle fills that grid once per array; a block's
 first cycle splits the block's rows into W immutable ``bytes`` of m tags, one
 per window, in one C-level call.  Each search cycle returns its window's
@@ -34,7 +34,7 @@ from decimal import Decimal
 import numpy as np
 
 from .costmodel import TimingParams
-from .seqio import ALPHABET, DnaSequence, Pattern, encode
+from .seqio import ALPHABET, DnaSequence, Pattern
 
 V_DD = Decimal("0.80")
 
@@ -134,8 +134,8 @@ def cell_matches(cell: CellContent, drive: SearchDrive) -> bool:
 
 
 # Stored states by code; ``AcamArray.codes`` indexes this tuple.
-# The character states come in ``ALPHABET`` order, so the codes
-# ``seqio.encode`` gives index this tuple directly.
+# The character states come in ``ALPHABET`` order, so a ``DnaSequence``'s
+# codes index this tuple directly.
 STATES: tuple[CellContent, ...] = (*(CHAR_CELLS[c] for c in ALPHABET), MM_CELL)
 MM_CODE = STATES.index(MM_CELL)
 
@@ -158,8 +158,8 @@ class AcamArray:
 
     ``codes`` is the array's only representation of the stored cells: one
     uint8 per cell, indexing ``STATES``.  The array keeps a read-only copy,
-    so one memo keyed by pattern holds the pattern's match grid and each
-    searched block's W ``bytes`` of m tags (see ``search_cycle``).
+    so one memo keyed by the pattern's codes holds the pattern's match grid
+    and each searched block's W ``bytes`` of m tags (see ``search_cycle``).
     """
 
     def __init__(self, geometry: TimingParams, codes: np.ndarray):
@@ -167,25 +167,22 @@ class AcamArray:
         self.codes = codes.astype(np.uint8)
         self.codes.flags.writeable = False
         self.rows, self.total_cols = self.codes.shape
-        self._searches: dict[str, tuple[np.ndarray, dict[int, list[bytes]]]] = {}
+        self._searches: dict[bytes, tuple[np.ndarray, dict[int, list[bytes]]]] = {}
 
 
-def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
+def load_text(text: DnaSequence, geometry: TimingParams) -> AcamArray:
     """Load DNA text row by row and fill the replication columns.
 
     Row i receives text[i*W : (i+1)*W]; the final partial row and any rows
     past the text hold MM in the unused data cells.  The data cells hold
-    the codes a ``DnaSequence`` keeps, never decoding its symbols; a plain
-    string goes through ``seqio.encode``, so a symbol outside the alphabet
-    raises InvalidCharacter.
+    the text's codes.
     """
     rows, data_width = geometry.rows, geometry.data_width
     capacity = rows * data_width
     if len(text) > capacity:
         raise TextTooLong(len(text), capacity)
 
-    codes = np.frombuffer(text.codes if isinstance(text, DnaSequence) else encode(text),
-                          dtype=np.uint8)
+    codes = np.frombuffer(text.codes, dtype=np.uint8)
     # one spare all-MM row supplies the last row's replication columns
     data = np.full((rows + 1) * data_width, MM_CODE, dtype=np.uint8)
     data[:len(codes)] = codes
@@ -195,7 +192,7 @@ def load_text(text: DnaSequence | str, geometry: TimingParams) -> AcamArray:
 
 
 def search_cycle(array: AcamArray, block: int, window: int,
-                 pattern: Pattern | str) -> bytes:
+                 pattern: Pattern) -> bytes:
     """One search cycle: drive columns window..window+p-1 with the pattern,
     everything else don't-care, and AND each row of the selected block.
 
@@ -205,10 +202,11 @@ def search_cycle(array: AcamArray, block: int, window: int,
     checked where its grid is filled, the block where its tags are split from
     the grid, and the window every cycle, so every stored key passed them.
     """
-    pat, geometry = str(pattern), array.geometry
+    geometry = array.geometry
     if not 0 <= window < geometry.data_width:
         raise WindowOutOfRange(window, geometry.data_width)
-    grid, blocks = array._searches.get(pat) or _fill_grid(array, pat)
+    # keyed by the codes: the dataclass would hash them again on every call
+    grid, blocks = array._searches.get(pattern.codes) or _fill_grid(array, pattern)
     tags = blocks.get(block)
     if tags is None:
         if not 0 <= block < geometry.blocks:
@@ -220,7 +218,7 @@ def search_cycle(array: AcamArray, block: int, window: int,
     return tags[window]
 
 
-def _fill_grid(array: AcamArray, pattern: str) -> tuple[np.ndarray, dict[int, list[bytes]]]:
+def _fill_grid(array: AcamArray, pattern: Pattern) -> tuple[np.ndarray, dict[int, list[bytes]]]:
     """Store and return the pattern's memo entry: its (M, W) match grid, row
     r's window i at [r, i], and no blocks yet.  Window i drives columns
     i..i+p-1, so pattern character k meets columns k..k+W-1 of every row."""
@@ -228,16 +226,16 @@ def _fill_grid(array: AcamArray, pattern: str) -> tuple[np.ndarray, dict[int, li
     if len(pattern) != geometry.pattern_len:
         raise GeometryError(f"pattern length {len(pattern)} does not match array "
                             f"pattern length {geometry.pattern_len}")
-    codes, width = encode(pattern), geometry.data_width
+    codes, width = pattern.codes, geometry.data_width
     grid = array.codes[:, :width] == codes[0]
     for k in range(1, len(codes)):
         grid &= array.codes[:, k:k + width] == codes[k]
-    entry = array._searches[pattern] = (grid, {})
+    entry = array._searches[codes] = (grid, {})
     return entry
 
 
 def run_block_search(array: AcamArray, block: int,
-                     pattern: Pattern | str) -> np.ndarray:
+                     pattern: Pattern) -> np.ndarray:
     """The scan's search of one block: its W search cycles' tags joined into
     one buffer and read back as the block's rows of the pattern's match grid,
     a read-only (m, W) bool matrix, ``MatchIndexMemory.write_columns``'s input."""

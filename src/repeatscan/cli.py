@@ -22,6 +22,7 @@ import contextlib
 import functools
 import io
 import math
+import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -263,11 +264,22 @@ def run_bits_trace(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file, also through a symlink or a hard link."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:     # not there yet: compare where each would be created
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def run_scan(args) -> int:
     if args.input is None:
         raise ValueError("--input is required")
     if bool(args.pattern) == bool(args.disease):
         raise ValueError("exactly one of --pattern or --disease is required")
+    # one file for both would lose the report: the trace is written over it
+    if args.trace and args.report and _same_file(args.trace, args.report):
+        raise ValueError("--report and --trace name the same file")
     text = parse_text(Path(args.input).read_bytes())
 
     catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
@@ -314,6 +326,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage error (1) or --help/--version (0)
         return int(exc.code or 0)
     try:
+        if args.report is not None and (args.paper_numbers or args.bits is not None):
+            raise ValueError("--report applies only to a scan, not to --bits or --paper-numbers")
         if args.paper_numbers:
             return run_paper_numbers()
         if args.bits is not None:

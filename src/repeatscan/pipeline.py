@@ -137,7 +137,6 @@ def _consecutive_runs(blocks: Sequence[int]) -> list[list[int]]:
 def scan(request: ScanRequest) -> ScanResult:
     """Run the full load -> search -> record -> detect -> reset pipeline."""
     timing = request.timing
-    pattern = str(request.pattern)
     array = acam.load_text(request.text, timing)
     memory = matchmem.MatchIndexMemory(timing.mem_rows, timing.mem_cols)
     windows = read_groups = ticks = resets = set_events = global_max = 0
@@ -149,7 +148,7 @@ def scan(request: ScanRequest) -> ScanResult:
         streams = []
         for block in run:
             memory.set_mode(matchmem.Mode.WRITE)
-            tags = acam.run_block_search(array, block, pattern)
+            tags = acam.run_block_search(array, block, request.pattern)
             memory.write_columns(tags)
             windows += tags.shape[1]
             memory.set_mode(matchmem.Mode.READ)

@@ -5,11 +5,11 @@ is held in.  ``parse_text`` drops header lines (a line whose first
 non-blank character is '>') and maps the rest through one 256-entry table
 in one ``bytes.translate`` that deletes ASCII whitespace and folds case:
 A/C/G/T become the codes 0..3, their index in ``ALPHABET``, and any other
-byte a marker.  So raw text and FASTA need no format switch.  Only input
-holding the marker, or nothing, takes the character path (``normalize``,
-then ``encode``), whose error names the first invalid character and its
-position.  ``DnaSequence`` (search patterns included) keeps the codes,
-which the array loader stores, and decodes its symbols only when asked.
+byte a marker.  So raw text and FASTA need no format switch.  Every byte
+before the first marker is a one-byte base, so the marker's index names
+the first invalid character's position too.  ``DnaSequence`` (search
+patterns included) keeps the codes, which the array loader stores, and
+decodes its symbols only when asked.
 
 Input holds one record: joined records would let a repeat run across them,
 and sequence before the first header counts as a record of its own.
@@ -28,10 +28,10 @@ _NOT_A_BASE = 0xFF
 _WHITESPACE = b" \t\n\r\x0b\x0c"  # ASCII whitespace, as bytes.split() sees it
 _UPPER = bytes(range(256)).upper()  # folds ASCII case, as bytes.upper() does
 
-# The one byte -> code table: A, C, G, T -> 0..3, every other byte -> _NOT_A_BASE.
-_BASE_CODE = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else _NOT_A_BASE
-                   for b in range(256))
-_FOLDED_CODE = _UPPER.translate(_BASE_CODE)  # the same after case folding: a, c, g, t too
+# The one byte -> code table, case folded: A, C, G, T and a, c, g, t -> 0..3,
+# every other byte -> _NOT_A_BASE.
+_FOLDED_CODE = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else _NOT_A_BASE
+                     for b in _UPPER)
 _CODE_BASE = bytes.maketrans(bytes(range(len(ALPHABET))), ALPHABET.encode())  # and back
 
 NORMAL = "Normal"
@@ -52,7 +52,7 @@ class EmptyInput(SequenceError):
 
 
 class InvalidCharacter(SequenceError):
-    """Character outside A/C/G/T; ``position`` is 1-based in the normalized text."""
+    """Character outside A/C/G/T; ``position`` is 1-based in the stripped text."""
 
     def __init__(self, position: int, char: str) -> None:
         super().__init__(f"invalid character {char!r} at position {position}")
@@ -72,50 +72,26 @@ class CatalogError(ValueError):
     """Malformed disorder-catalog file."""
 
 
-def encode(symbols: str) -> bytes:
-    """One code per symbol, its index in ``ALPHABET``; case is not folded.
-
-    Raises InvalidCharacter at the first symbol outside the alphabet.
-    """
-    codes = symbols.encode("latin-1", "replace").translate(_BASE_CODE)
-    bad = codes.find(_NOT_A_BASE)
-    if bad >= 0:
-        raise InvalidCharacter(bad + 1, symbols[bad])
-    return codes
-
-
 def decode(codes: bytes) -> str:
-    """The symbols of valid codes; the inverse of ``encode``."""
+    """The symbols of valid codes, each code's letter in ``ALPHABET``."""
     return codes.translate(_CODE_BASE).decode("ascii")
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class DnaSequence:
-    """Validated, non-empty DNA text, held as its base codes.
+    """Non-empty DNA text, held as its base codes; ``parse_text`` builds it
+    from text and checks the codes.
 
-    ``codes`` (``encode``'s result) is the one representation: equality and
-    hashing compare it, and the array loader stores it.  ``symbols``, also
-    ``str()``, is the text the sequence was built from, or for a parsed
-    sequence is decoded from the codes on first use and then kept.  It also
-    serves as a search pattern, whose length limits against a concrete
-    array geometry are enforced where the pattern is used (load/search),
-    not here.
+    ``codes`` is the one representation: equality and hashing compare it,
+    and the array stores and searches it.  ``symbols``, also ``str()``, is
+    decoded from the codes on first use and then kept.  It also serves as a
+    search pattern, whose length limits against a concrete array geometry
+    are enforced where the pattern is used (load/search), not here.
     """
 
+    # every search cycle reads codes: a slot keeps that fast once symbols is cached
+    __slots__ = ("codes", "__dict__")
     codes: bytes
-
-    def __init__(self, symbols: str) -> None:
-        if not symbols:
-            raise EmptyInput()
-        object.__setattr__(self, "codes", encode(symbols))
-        object.__setattr__(self, "symbols", symbols)
-
-    @classmethod
-    def _from_codes(cls, codes: bytes) -> DnaSequence:
-        """A sequence of codes already checked to be non-empty and valid."""
-        seq = cls.__new__(cls)
-        object.__setattr__(seq, "codes", codes)
-        return seq
 
     @cached_property
     def symbols(self) -> str:
@@ -154,32 +130,25 @@ def _record_body(raw: bytes) -> bytes:
     return raw[start:]
 
 
-def normalize(raw: str | bytes) -> str:
-    """Drop the header line and ASCII whitespace, fold case; no validation yet.
-
-    Bytes are read as Latin-1, one character per byte.  Raises
-    MultipleRecords when a header follows sequence or another header.
-    """
-    encoding = "utf-8" if isinstance(raw, str) else "latin-1"
-    if isinstance(raw, str):  # UTF-8 puts no ASCII byte inside another character
-        raw = raw.encode(encoding)
-    return _record_body(raw).translate(_UPPER, _WHITESPACE).decode(encoding)
-
-
 def parse_text(raw: str | bytes) -> DnaSequence:
     """Parse raw text or one FASTA record into a validated sequence.
 
-    Equal to ``DnaSequence(normalize(raw))``, errors included: raises
-    EmptyInput when nothing remains after stripping, or InvalidCharacter
-    for any symbol outside the alphabet (case-insensitive; the character
-    is reported case-folded).
+    A str is read as its UTF-8 bytes, which hold no ASCII byte inside
+    another character, and bytes as Latin-1.  Raises MultipleRecords,
+    EmptyInput when no base remains, or InvalidCharacter at the first symbol
+    outside the alphabet: its position counts characters without the header
+    and ASCII whitespace, and it is reported case-folded.
     """
+    encoding = "utf-8" if isinstance(raw, str) else "latin-1"
     body = _record_body(raw.encode() if isinstance(raw, str) else bytes(raw))
     codes = body.translate(_FOLDED_CODE, _WHITESPACE)
-    if codes and codes.find(_NOT_A_BASE) < 0:
-        return DnaSequence._from_codes(codes)
-    # the error counts characters, not bytes, and names the character
-    return DnaSequence(normalize(raw))
+    if not codes:
+        raise EmptyInput()
+    bad = codes.find(_NOT_A_BASE)
+    if bad >= 0:
+        stripped = body.translate(_UPPER, _WHITESPACE)
+        raise InvalidCharacter(bad + 1, stripped[bad:].decode(encoding)[0])
+    return DnaSequence(codes)
 
 
 parse_pattern = parse_text  # a Pattern is a DnaSequence, parsed the same way
@@ -245,7 +214,7 @@ def classify(count: int, entry: DiseaseEntry, saturated: bool = False) -> str:
 # The built-in ten-disorder catalog, built once per process: entries are frozen.
 # Strict bounds from the source material are stored as the equivalent
 # inclusive integer endpoints (e.g. "more than 40" becomes lower bound 41).
-_BUILTIN = tuple(DiseaseEntry(name, gene, Pattern(pat), normal, disease)
+_BUILTIN = tuple(DiseaseEntry(name, gene, parse_pattern(pat), normal, disease)
                  for name, gene, pat, normal, disease in [
     ("Ataxia syndrome", "FMR1", "CGG", (6, 54), (55, 200)),
     ("Friedreich's ataxia", "FXN", "GAA", (5, 33), (66, 1300)),

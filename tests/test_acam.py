@@ -11,7 +11,7 @@ from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, TextTooLong,
                              encode_char, load_text, run_block_search,
                              search_cycle)
 from repeatscan.costmodel import TimingParams
-from repeatscan.seqio import InvalidCharacter, parse_text
+from repeatscan.seqio import parse_pattern, parse_text
 
 CHARS = "ACGT"
 
@@ -89,25 +89,15 @@ def test_cell_match_examples():
 
 
 def test_load_text_layout():
-    arr = load_text("CAGCA", geometry(2, 4, 3, 1))
+    arr = load_text(parse_text("CAGCA"), geometry(2, 4, 3, 1))
     kinds = [[c.kind for c in row] for row in cells(arr)]
     assert kinds[0] == ["C", "A", "G", "C", "A", "MM"]
     assert kinds[1] == ["A", "MM", "MM", "MM", "MM", "MM"]
     assert arr.total_cols == 6
 
 
-def test_load_text_stores_a_sequences_codes_without_encoding_again(monkeypatch):
-    seq = parse_text("CAGCA")
-    encoded = []
-    monkeypatch.setattr(acam, "encode", lambda s: encoded.append(s) or seqio.encode(s))
-    arr = load_text(seq, geometry(2, 4, 3, 1))
-    assert encoded == []
-    assert cells(arr) == cells(load_text("CAGCA", geometry(2, 4, 3, 1)))
-    assert encoded == ["CAGCA"]     # a plain string is still encoded
-
-
 def test_load_text_full_array_has_no_mm_in_data_columns():
-    arr = load_text("ACGTACGTTGCATGCA", geometry(2, 8, 3, 1))
+    arr = load_text(parse_text("ACGTACGTTGCATGCA"), geometry(2, 8, 3, 1))
     for row in cells(arr):
         assert all(c.kind != "MM" for c in row[:8])
     # the first row's replicated columns copy the second row's first cells
@@ -117,51 +107,35 @@ def test_load_text_full_array_has_no_mm_in_data_columns():
 
 
 def test_load_text_pattern_len_one_has_no_replication():
-    arr = load_text("ACGT", geometry(2, 2, 1, 1))
+    arr = load_text(parse_text("ACGT"), geometry(2, 2, 1, 1))
     assert arr.total_cols == 2
 
 
 def test_load_text_errors():
     with pytest.raises(TextTooLong):
-        load_text("A" * 9, geometry(2, 4, 2, 1))
-    with pytest.raises(InvalidCharacter) as exc:
-        load_text("ACNT", geometry(2, 4, 2, 1))
-    assert (exc.value.position, exc.value.char) == (3, "N")
+        load_text(parse_text("A" * 9), geometry(2, 4, 2, 1))
 
 
 def test_search_cycle_window_bounds():
-    arr = load_text("CAGCAG", geometry(2, 4, 3, 1))
+    arr = load_text(parse_text("CAGCAG"), geometry(2, 4, 3, 1))
     with pytest.raises(WindowOutOfRange):
-        search_cycle(arr, 0, 4, "CAG")
+        search_cycle(arr, 0, 4, parse_pattern("CAG"))
     with pytest.raises(acam.GeometryError):
-        search_cycle(arr, 2, 0, "CAG")
+        search_cycle(arr, 2, 0, parse_pattern("CAG"))
     with pytest.raises(acam.GeometryError):
-        search_cycle(arr, 0, 0, "CA")
-
-
-@pytest.mark.parametrize("search, position, char", [
-    (lambda arr: search_cycle(arr, 0, 0, "CAN"), 3, "N"),
-    (lambda arr: run_block_search(arr, 0, "cag"), 1, "c"),
-], ids=["search_cycle", "run_block_search"])
-def test_pattern_outside_the_alphabet_is_a_typed_error(search, position, char):
-    # the search encodes the pattern with the text's own table, so a str
-    # pattern that bypassed parse_pattern fails as the text would
-    arr = load_text("CAGCAG", geometry(2, 4, 3, 1))
-    with pytest.raises(InvalidCharacter) as exc:
-        search(arr)
-    assert (exc.value.position, exc.value.char) == (position, char)
+        search_cycle(arr, 0, 0, parse_pattern("CA"))
 
 
 def test_search_cycle_single_character_pattern():
-    arr = load_text("ACGT", geometry(1, 4, 1, 1))
-    assert search_cycle(arr, 0, 0, "A") == b"\x01"
-    assert search_cycle(arr, 0, 1, "A") == b"\x00"
+    arr = load_text(parse_text("ACGT"), geometry(1, 4, 1, 1))
+    assert search_cycle(arr, 0, 0, parse_pattern("A")) == b"\x01"
+    assert search_cycle(arr, 0, 1, parse_pattern("A")) == b"\x00"
 
 
 def test_window_over_mm_cells_never_matches():
-    arr = load_text("CA", geometry(2, 4, 3, 1))
+    arr = load_text(parse_text("CA"), geometry(2, 4, 3, 1))
     # windows covering MM padding in row 0 and the all-MM row 1
-    matrix = run_block_search(arr, 0, "CAG")
+    matrix = run_block_search(arr, 0, parse_pattern("CAG"))
     assert not matrix[1].any()
     assert not matrix[0][1:].any()
 
@@ -169,16 +143,16 @@ def test_window_over_mm_cells_never_matches():
 def test_block_isolation_and_row_straddling():
     # row 0 ends ...C,A and row 1 begins G: the replicated cells complete the
     # pattern at the second-to-last window of row 0
-    arr = load_text("TTCAGAGTT", geometry(4, 4, 3, 2))
-    m0 = run_block_search(arr, 0, "CAG")
+    arr = load_text(parse_text("TTCAGAGTT"), geometry(4, 4, 3, 2))
+    m0 = run_block_search(arr, 0, parse_pattern("CAG"))
     assert m0[0].tolist() == [False, False, True, False]
-    m1 = run_block_search(arr, 1, "CAG")
+    m1 = run_block_search(arr, 1, parse_pattern("CAG"))
     assert not m1.any()
 
 
 def test_run_block_search_issues_w_cycles():
-    arr = load_text("CAGCAGTT", geometry(2, 8, 3, 1))
-    matrix = run_block_search(arr, 0, "CAG")
+    arr = load_text(parse_text("CAGCAGTT"), geometry(2, 8, 3, 1))
+    matrix = run_block_search(arr, 0, parse_pattern("CAG"))
     assert matrix.shape == (2, 8)
     assert matrix[0].tolist() == [True, False, False, True, False, False, False, False]
 
@@ -202,10 +176,10 @@ def test_window_equivalence_against_substring_oracle(case):
     # matching linear position, for every window including the replicated
     # columns at the row boundary
     text, pattern, rows, width, p, blocks = case
-    arr = load_text(text, geometry(rows, width, p, blocks))
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
     expected = brute_occurrences(text, pattern)
     for b in range(blocks):
-        matrix = run_block_search(arr, b, pattern)
+        matrix = run_block_search(arr, b, parse_pattern(pattern))
         for r in range(arr.geometry.mem_rows):
             for i in range(width):
                 pos = (b * arr.geometry.mem_rows + r) * width + i
@@ -240,13 +214,14 @@ def test_block_search_is_a_row_slice_of_one_array_wide_match_grid(case):
     # code(pattern[k])) over the whole array, so the blocks' read-outs in
     # order are that grid's row-major flattening
     text, pattern, rows, width, p, blocks = case
-    arr = load_text(text, geometry(rows, width, p, blocks))
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
     grid = np.ones((rows, width), dtype=bool)
     for k, c in enumerate(pattern):
         grid &= arr.codes[:, k:k + width] == seqio.ALPHABET.index(c)
     m = arr.geometry.mem_rows
     for b in range(blocks):
-        assert np.array_equal(run_block_search(arr, b, pattern), grid[b * m:(b + 1) * m])
+        assert np.array_equal(run_block_search(arr, b, parse_pattern(pattern)),
+                              grid[b * m:(b + 1) * m])
     # the grid itself: a tag is set exactly where the text holds the pattern
     assert set(np.flatnonzero(grid)) == brute_occurrences(text, pattern)
 
@@ -257,7 +232,7 @@ def test_dont_care_columns_never_affect_tags(case, data):
     # flipping the stored content of any cell outside the driven window
     # leaves every tag unchanged
     text, pattern, rows, width, p, blocks = case
-    arr = load_text(text, geometry(rows, width, p, blocks))
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
     window = data.draw(st.integers(0, width - 1))
     block = data.draw(st.integers(0, blocks - 1))
     row = data.draw(st.integers(0, rows - 1))
@@ -265,14 +240,14 @@ def test_dont_care_columns_never_affect_tags(case, data):
     if not outside:
         return
     col = data.draw(st.sampled_from(outside))
-    before = search_cycle(arr, block, window, pattern)
+    before = search_cycle(arr, block, window, parse_pattern(pattern))
 
     replacement = data.draw(st.sampled_from(list(CHARS) + ["MM"]))
     codes = arr.codes.copy()
     codes[row, col] = acam.STATES.index(
         MM_CELL if replacement == "MM" else CHAR_CELLS[replacement])
     mutated = acam.AcamArray(geometry(rows, width, p, blocks), codes)
-    after = search_cycle(mutated, block, window, pattern)
+    after = search_cycle(mutated, block, window, parse_pattern(pattern))
     assert before == after
 
 
@@ -282,11 +257,11 @@ def test_vectorized_search_agrees_with_cell_matches(case):
     # the fast path compares only the driven columns; it must equal the
     # per-cell Decimal semantics over the whole row, don't-care columns included
     text, pattern, rows, width, p, blocks = case
-    arr = load_text(text, geometry(rows, width, p, blocks))
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
     stored = cells(arr)
     for b in range(blocks):
         for window in range(width):
-            tags = search_cycle(arr, b, window, pattern)
+            tags = search_cycle(arr, b, window, parse_pattern(pattern))
             drives = [drive_for(None)] * arr.total_cols
             for k, ch in enumerate(pattern):
                 drives[window + k] = drive_for(ch)
@@ -305,7 +280,7 @@ def test_load_text_layout_matches_string_layout(case):
     data = [row + ["MM"] * (width - len(row)) for row in data]
     expected = [row + (data[r + 1][:p - 1] if r + 1 < rows else ["MM"] * (p - 1))
                 for r, row in enumerate(data)]
-    arr = load_text(text, geometry(rows, width, p, blocks))
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
     assert [[c.kind for c in row] for row in cells(arr)] == expected
 
 
@@ -317,54 +292,55 @@ def test_memoised_tags_equal_a_fresh_array_for_interleaved_searches(case, data):
     # would hand back another search's tags
     text, pattern, rows, width, p, blocks = case
     other = data.draw(st.text(alphabet=CHARS, min_size=p, max_size=p))
-    arr = load_text(text, geometry(rows, width, p, blocks))
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
     searches = [(pat, b, i) for pat in (pattern, other)
                 for b in range(blocks) for i in range(width)]
     for pat, b, i in data.draw(st.permutations(searches)):
-        fresh = load_text(text, geometry(rows, width, p, blocks))
-        assert search_cycle(arr, b, i, pat) == search_cycle(fresh, b, i, pat)
+        fresh = load_text(parse_text(text), geometry(rows, width, p, blocks))
+        seq = parse_pattern(pat)
+        assert search_cycle(arr, b, i, seq) == search_cycle(fresh, b, i, seq)
 
 
 def test_search_cycle_tags_are_read_only():
-    arr = load_text("CAGCAGTT", geometry(2, 8, 3, 2))
-    tags = search_cycle(arr, 0, 0, "CAG")
+    arr = load_text(parse_text("CAGCAGTT"), geometry(2, 8, 3, 2))
+    tags = search_cycle(arr, 0, 0, parse_pattern("CAG"))
     assert tags == b"\x01"
     with pytest.raises(TypeError):
         tags[0] = 0
-    assert search_cycle(arr, 0, 0, "CAG") == b"\x01"
+    assert search_cycle(arr, 0, 0, parse_pattern("CAG")) == b"\x01"
 
 
 def test_search_cycle_checks_every_key_once_the_memo_is_warm():
     # the pattern is checked where its grid is filled and the block where its
     # tags are split from the grid, so a key that failed either is never
     # stored and is checked again on every call, also once the grid is filled
-    arr = load_text("CAGCAG", geometry(2, 4, 3, 1))
-    assert search_cycle(arr, 0, 0, "CAG") == b"\x01\x00"
+    arr = load_text(parse_text("CAGCAG"), geometry(2, 4, 3, 1))
+    assert search_cycle(arr, 0, 0, parse_pattern("CAG")) == b"\x01\x00"
     for _ in range(2):
         for block in (1, -1):  # CAG's grid is filled, these blocks never are
             with pytest.raises(acam.GeometryError):
-                search_cycle(arr, block, 0, "CAG")
+                search_cycle(arr, block, 0, parse_pattern("CAG"))
         with pytest.raises(acam.GeometryError):  # a second pattern, too short
-            search_cycle(arr, 0, 0, "CA")
+            search_cycle(arr, 0, 0, parse_pattern("CA"))
         for window in (4, -1):  # a negative index would wrap into the memo
             with pytest.raises(WindowOutOfRange):
-                search_cycle(arr, 0, window, "CAG")
+                search_cycle(arr, 0, window, parse_pattern("CAG"))
 
 
 def test_search_cycle_keeps_the_trailing_no_match_rows_of_a_block():
     # every window's tags are m bytes, the block's no-match rows at the end
     # included as b"\x00"; compared with ==, since numpy's string compare
     # ignores trailing NULs
-    arr = load_text("CAGTTTTT", geometry(6, 4, 3, 2))  # rows 2..5 hold MM
-    assert search_cycle(arr, 0, 0, "CAG") == b"\x01\x00\x00"
-    assert search_cycle(arr, 0, 1, "CAG") == b"\x00\x00\x00"
-    assert search_cycle(arr, 0, 1, "TTT") == b"\x00\x01\x00"
-    assert search_cycle(arr, 1, 0, "TTT") == b"\x00\x00\x00"
+    arr = load_text(parse_text("CAGTTTTT"), geometry(6, 4, 3, 2))  # rows 2..5 hold MM
+    assert search_cycle(arr, 0, 0, parse_pattern("CAG")) == b"\x01\x00\x00"
+    assert search_cycle(arr, 0, 1, parse_pattern("CAG")) == b"\x00\x00\x00"
+    assert search_cycle(arr, 0, 1, parse_pattern("TTT")) == b"\x00\x01\x00"
+    assert search_cycle(arr, 1, 0, parse_pattern("TTT")) == b"\x00\x00\x00"
 
 
 def test_array_is_reusable_across_blocks_in_any_order():
-    arr = load_text("CAG" * 10, geometry(4, 8, 3, 2))
-    first = [run_block_search(arr, b, "CAG") for b in (0, 1)]
-    second = [run_block_search(arr, b, "CAG") for b in (1, 0)]
+    arr = load_text(parse_text("CAG" * 10), geometry(4, 8, 3, 2))
+    first = [run_block_search(arr, b, parse_pattern("CAG")) for b in (0, 1)]
+    second = [run_block_search(arr, b, parse_pattern("CAG")) for b in (1, 0)]
     assert np.array_equal(first[0], second[1])
     assert np.array_equal(first[1], second[0])

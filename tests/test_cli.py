@@ -413,6 +413,34 @@ def test_unwritable_report_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("spell", ["same", "relative", "symlink", "hardlink", "new"])
+def test_report_and_trace_on_one_file_exit_1_before_either_is_written(tmp_path, monkeypatch,
+                                                                     capsys, spell):
+    # written to one file, the trace would overwrite the report
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "out.txt"
+    if spell != "new":
+        target.write_text("kept\n")
+        (tmp_path / "link.txt").symlink_to(target)
+        os.link(target, tmp_path / "hard.txt")
+    other = {"same": str(target), "relative": "./out.txt", "symlink": "link.txt",
+             "hardlink": "hard.txt", "new": "./out.txt"}[spell]
+    code = main(["--input", write_seq(tmp_path, CLEAN), *SMALL_ARRAY, "--mode", "cycle",
+                 "--report", str(target), "--trace", other])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --report and --trace name the same file\n"
+    assert target.read_text() == "kept\n" if spell != "new" else not target.exists()
+
+
+@pytest.mark.parametrize("mode", [["--bits", "101"], ["--paper-numbers"]])
+def test_report_outside_a_scan_exits_1_and_writes_nothing(tmp_path, capsys, mode):
+    report = tmp_path / "r.json"
+    assert main([*mode, "--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --report") and err.count("\n") == 1
+    assert not report.exists()
+
+
 def test_out_of_memory_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys):
     # a geometry too large to hold fails in load_text; a real one of a few GB
     # could be granted and touched where memory is overcommitted

@@ -10,6 +10,7 @@ from repeatscan.costmodel import (MAX_ARRAY_CELLS, PHASE_ENERGY, PHYSICAL_COLS, 
                                   CycleCountMismatch, CycleCounts, TimingParams,
                                   build_report, energy, energy_shares,
                                   geometry_for_text, latency, latency_shares)
+from repeatscan.seqio import parse_text
 
 DEFAULTS = TimingParams()
 
@@ -17,7 +18,7 @@ DEFAULTS = TimingParams()
 def test_default_geometry():
     assert DEFAULTS.mem_rows == 64
     assert DEFAULTS.mem_cols == 128
-    grid = load_text("ACGT", DEFAULTS)
+    grid = load_text(parse_text("ACGT"), DEFAULTS)
     assert (grid.rows, grid.total_cols) == (512, 130)
 
 

@@ -207,9 +207,9 @@ def test_full_scan_fills_one_grid_per_pattern_and_meters_every_cycle(monkeypatch
     assert result.report.cycles.search == 1024
     # the same array searched again reuses its grid; a second pattern gets its own
     (array,) = arrays
-    acam.run_block_search(array, 3, "CAG")
+    acam.run_block_search(array, 3, parse_pattern("CAG"))
     assert calls["_fill_grid"] == 1
-    acam.run_block_search(array, 3, "GAT")
+    acam.run_block_search(array, 3, parse_pattern("GAT"))
     assert calls["_fill_grid"] == 2
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repeatscan import seqio
 from repeatscan.seqio import (DISEASE, INDETERMINATE, NORMAL, CatalogError,
                               DiseaseEntry, DnaSequence, EmptyInput, InvalidCharacter,
-                              MultipleRecords, Pattern, builtin_catalog,
+                              MultipleRecords, builtin_catalog,
                               classify, find_entry, load_catalog,
                               parse_pattern, parse_text)
 
@@ -50,10 +50,11 @@ NON_ASCII_SPACE = "\x85\xa0\x1c\x1d\x1e\x1f"
 @given(dna_text, st.data())
 def test_first_invalid_symbol_position_and_char(s, data):
     pos = data.draw(st.integers(0, len(s)))
-    bad = data.draw(st.sampled_from("NX-" + NON_ASCII_SPACE))
+    # an emoji (4 bytes in UTF-8) and a Unicode line separator in str input
+    bad = data.draw(st.sampled_from("NX-" + NON_ASCII_SPACE + "\U0001f600\u2028"))
     later = data.draw(st.text(alphabet="ACGTNX-", max_size=10))
     text = s[:pos] + bad + s[pos:] + later
-    as_bytes = data.draw(st.booleans())
+    as_bytes = bad <= "\xff" and data.draw(st.booleans())
     with pytest.raises(InvalidCharacter) as exc:
         parse_text(text.encode("latin-1") if as_bytes else text)
     assert (exc.value.position, exc.value.char) == (pos + 1, bad)
@@ -79,7 +80,8 @@ def test_parse_accepts_bytes():
 
 
 def line_based_normalize(raw: str | bytes) -> str:
-    """Reference: the line-by-line normalize that ``seqio.normalize`` replaced.
+    """Reference: the input without its header line and ASCII whitespace,
+    case folded, found line by line.
 
     ``bytes.splitlines`` ends lines at LF, CR and CRLF only; a line whose
     first non-blank byte is '>' is a header, and the first non-blank line not
@@ -98,26 +100,15 @@ def line_based_normalize(raw: str | bytes) -> str:
     return b"".join(b"".join(data).split()).upper().decode(encoding)
 
 
-def normalized_or_records(normalize, raw):
-    try:
-        return normalize(raw)
-    except MultipleRecords as exc:
-        return exc.count
-
-
-# Header marks, every ASCII whitespace byte, and bytes Unicode but not ASCII
-# counts as whitespace or line breaks.
-AWKWARD = "ACGTacgtN>> \t\r\n\x0b\x0c\x1c\x1d\x85\xa0"
-
-
-@given(st.one_of(st.text(alphabet=AWKWARD, max_size=40).map(lambda t: t.encode("latin-1")),
-                 st.text(alphabet=AWKWARD + "\u00e9\u2028", max_size=40),
-                 st.binary(max_size=40)))
-@settings(max_examples=1000)
-def test_normalize_equals_the_line_based_reference(raw):
-    # the same text or the same MultipleRecords count, for str and bytes
-    assert (normalized_or_records(seqio.normalize, raw)
-            == normalized_or_records(line_based_normalize, raw))
+def character_parse(raw: str | bytes) -> DnaSequence:
+    """Reference: ``line_based_normalize``, then one symbol at a time."""
+    text = line_based_normalize(raw)
+    if not text:
+        raise EmptyInput()
+    for position, char in enumerate(text, start=1):
+        if char not in seqio.ALPHABET:
+            raise InvalidCharacter(position, char)
+    return DnaSequence(bytes(seqio.ALPHABET.index(char) for char in text))
 
 
 @given(dna_text)
@@ -287,13 +278,13 @@ def test_find_entry_unknown():
 def test_pattern_validation():
     assert str(parse_pattern("cag")) == "CAG"
     with pytest.raises(InvalidCharacter):
-        Pattern("CAGX")
+        parse_pattern("CAGX")
 
 
 def test_sequence_keeps_its_codes_outside_equality_and_repr():
     seq = parse_text("gatc")
-    assert seq.codes == seqio.encode("GATC") == bytes([2, 0, 3, 1])
-    assert seq == Pattern("GATC") and hash(seq) == hash(Pattern("GATC"))
+    assert seq.codes == bytes([2, 0, 3, 1])
+    assert seq == parse_pattern("GATC") and hash(seq) == hash(parse_pattern("GATC"))
     assert repr(seq) == "DnaSequence(symbols='GATC')"
 
 
@@ -311,8 +302,9 @@ def parse_outcome(parse, raw):
 
 
 # Headers, both line ends, mixed case, every ASCII whitespace byte, and bytes
-# that are no base: ASCII, Latin-1 and (in str input) beyond.
-PARSE_AWKWARD = "ACGTacgt>> \t\r\n\x0b\x0cNx-\x85\xa0"
+# that are no base: ASCII, Latin-1 and (in str input) beyond, among them bytes
+# Unicode but not ASCII counts as whitespace or line breaks.
+PARSE_AWKWARD = "ACGTacgt>> \t\r\n\x0b\x0cNx-\x1c\x1d\x85\xa0"
 
 
 @given(st.one_of(st.text(alphabet=PARSE_AWKWARD, max_size=60).map(lambda t: t.encode("latin-1")),
@@ -323,20 +315,14 @@ PARSE_AWKWARD = "ACGTacgt>> \t\r\n\x0b\x0cNx-\x85\xa0"
 @settings(max_examples=1000)
 def test_parse_text_is_the_sequence_of_the_normalized_text(raw):
     # the one-pass parse gives the same codes, text and errors as the
-    # character path, for str and bytes
-    reference = lambda r: DnaSequence(seqio.normalize(r))
-    assert parse_outcome(parse_text, raw) == parse_outcome(reference, raw)
+    # line-by-line, symbol-by-symbol reference, for str and bytes
+    assert parse_outcome(parse_text, raw) == parse_outcome(character_parse, raw)
 
 
 @pytest.mark.parametrize("raw, bases", [(b">h x\r\nacgT\tAC\x0bGT\x0c\n gg \r\n", "ACGTACGTGG"),
                                         ("  cat\ng\n", "CATG")])
-def test_valid_text_is_parsed_in_one_pass(monkeypatch, raw, bases):
-    # case and every ASCII whitespace byte are handled by the one table; only
-    # an invalid byte sends the parse down the character path
-    def character_path(*args):
-        raise AssertionError("took the character path")
-    monkeypatch.setattr(seqio, "normalize", character_path)
-    monkeypatch.setattr(seqio, "encode", character_path)
+def test_valid_text_is_parsed_in_one_pass(raw, bases):
+    # case and every ASCII whitespace byte are handled by the one table
     assert parse_text(raw).codes == bytes(map(seqio.ALPHABET.index, bases))
 
 
@@ -348,13 +334,13 @@ def test_parsed_sequence_decodes_its_symbols_once_on_first_use(monkeypatch):
     assert (seq.codes, len(seq), decoded) == (bytes([2, 0, 3, 1, 0]), 5, [])
     assert str(seq) == seq.symbols == "GATCA" and repr(seq) == "DnaSequence(symbols='GATCA')"
     assert decoded == [seq.codes]
-    assert DnaSequence("GATCA") == seq and decoded == [seq.codes]   # built from text: kept
+    assert DnaSequence(seq.codes) == seq and decoded == [seq.codes]   # equal by codes
     with pytest.raises(dataclasses.FrozenInstanceError):
         seq.codes = b""
 
 
 def test_entry_overlap_helper():
-    e = DiseaseEntry("x", "G", Pattern("CAG"), (1, 10), (5, 20))
+    e = DiseaseEntry("x", "G", parse_pattern("CAG"), (1, 10), (5, 20))
     assert e.overlapping
-    e2 = DiseaseEntry("y", "G", Pattern("CAG"), (1, 10), (11, 20))
+    e2 = DiseaseEntry("y", "G", parse_pattern("CAG"), (1, 10), (11, 20))
     assert not e2.overlapping
