@@ -18,12 +18,10 @@ equality, which is asserted against ``cell_matches`` at import.
 The array's shape is a ``TimingParams``, which checks it; the array checks
 only the text's length and each search cycle's arguments.
 
-The stored cells never change after loading, so every tag is a row slice of
-the pattern's (M, W) match grid ``AND_k(codes[:, k:k+W] == pattern.codes[k])``.
-A pattern's first search cycle fills that grid once per array; a block's
-first cycle splits the block's rows into W immutable ``bytes`` of m tags, one
-per window, in one C-level call.  Each search cycle returns its window's
-bytes, and ``run_block_search`` gathers a block's W of them with one join.
+The stored cells never change after loading, so a block's tags are its m
+rows of the match grid ``AND_k(codes[:, k:k+W] == pattern.codes[k])``.  A
+block's first search cycle for a pattern fills them from the block's rows
+only, as W immutable ``bytes`` of m tags (a scan of K blocks fills K).
 """
 
 from __future__ import annotations
@@ -157,37 +155,36 @@ class AcamArray:
     text also hold MM.
 
     ``codes`` is the array's only representation of the stored cells: one
-    uint8 per cell, indexing ``STATES``.  The array keeps a read-only copy,
-    so one memo keyed by the pattern's codes holds the pattern's match grid
-    and each searched block's W ``bytes`` of m tags (see ``search_cycle``).
+    uint8 per cell, indexing ``STATES``.  A writeable array is copied and a
+    read-only one (``load_text``'s) kept, so no caller changes the codes under
+    the memo: pattern codes -> block -> W tag ``bytes`` (see ``search_cycle``).
     """
 
     def __init__(self, geometry: TimingParams, codes: np.ndarray):
         self.geometry = geometry
-        self.codes = codes.astype(np.uint8)
+        self.codes = codes.astype(np.uint8, copy=codes.flags.writeable)
         self.codes.flags.writeable = False
         self.rows, self.total_cols = self.codes.shape
-        self._searches: dict[bytes, tuple[np.ndarray, dict[int, list[bytes]]]] = {}
+        self._tags: dict[bytes, dict[int, list[bytes]]] = {}
 
 
 def load_text(text: DnaSequence, geometry: TimingParams) -> AcamArray:
     """Load DNA text row by row and fill the replication columns.
 
-    Row i receives text[i*W : (i+1)*W]; the final partial row and any rows
-    past the text hold MM in the unused data cells.  The data cells hold
-    the text's codes.
+    Row i receives text[i*W : (i+1)*W]; unused data cells and the last row's
+    replication columns hold MM.  One allocation, then one copy each for the
+    whole rows, the partial row and the replication columns.
     """
-    rows, data_width = geometry.rows, geometry.data_width
-    capacity = rows * data_width
-    if len(text) > capacity:
-        raise TextTooLong(len(text), capacity)
-
+    rows, width, p = geometry.rows, geometry.data_width, geometry.pattern_len
+    if len(text) > rows * width:
+        raise TextTooLong(len(text), rows * width)
     codes = np.frombuffer(text.codes, dtype=np.uint8)
-    # one spare all-MM row supplies the last row's replication columns
-    data = np.full((rows + 1) * data_width, MM_CODE, dtype=np.uint8)
-    data[:len(codes)] = codes
-    data = data.reshape(rows + 1, data_width)
-    grid = np.hstack([data[:rows], data[1:, :geometry.pattern_len - 1]])
+    full, part = divmod(len(codes), width)
+    grid = np.full((rows, width + p - 1), MM_CODE, dtype=np.uint8)
+    grid[:full, :width] = codes[:full * width].reshape(full, width)
+    grid[full:full + 1, :part] = codes[full * width:]   # empty past the last row
+    grid[:-1, width:] = grid[1:, :p - 1]
+    grid.flags.writeable = False
     return AcamArray(geometry, grid)
 
 
@@ -198,40 +195,36 @@ def search_cycle(array: AcamArray, block: int, window: int,
 
     Only the selected block produces tags; other blocks stay deactivated.
     Returns the block's m tags as immutable bytes, one per row, 1 where the
-    row matched and 0 elsewhere, taken from the array's memo.  The pattern is
-    checked where its grid is filled, the block where its tags are split from
-    the grid, and the window every cycle, so every stored key passed them.
+    row matched and 0 elsewhere, from the array's memo.  The pattern and block
+    are checked at the fill, the window every cycle: stored keys passed all.
     """
-    geometry = array.geometry
-    if not 0 <= window < geometry.data_width:
-        raise WindowOutOfRange(window, geometry.data_width)
+    if not 0 <= window < array.geometry.data_width:
+        raise WindowOutOfRange(window, array.geometry.data_width)
     # keyed by the codes: the dataclass would hash them again on every call
-    grid, blocks = array._searches.get(pattern.codes) or _fill_grid(array, pattern)
-    tags = blocks.get(block)
-    if tags is None:
-        if not 0 <= block < geometry.blocks:
-            raise GeometryError(f"block {block} outside [0, {geometry.blocks})")
-        m = geometry.mem_rows
-        # m-byte voids, unlike ``S{m}``, keep the trailing zeros of no-match rows
-        tags = blocks[block] = np.ascontiguousarray(
-            grid[block * m:(block + 1) * m].T).view(f"V{m}")[:, 0].tolist()
-    return tags[window]
+    try:
+        return array._tags[pattern.codes][block][window]
+    except KeyError:
+        return _fill_block(array, block, pattern)[window]
 
 
-def _fill_grid(array: AcamArray, pattern: Pattern) -> tuple[np.ndarray, dict[int, list[bytes]]]:
-    """Store and return the pattern's memo entry: its (M, W) match grid, row
-    r's window i at [r, i], and no blocks yet.  Window i drives columns
-    i..i+p-1, so pattern character k meets columns k..k+W-1 of every row."""
+def _fill_block(array: AcamArray, block: int, pattern: Pattern) -> list[bytes]:
+    """Store and return the block's memo entry, window i's m tags as bytes i.
+    Window i drives columns i..i+p-1, so pattern character k meets rows
+    k..k+W-1 of the transposed block."""
     geometry = array.geometry
     if len(pattern) != geometry.pattern_len:
         raise GeometryError(f"pattern length {len(pattern)} does not match array "
                             f"pattern length {geometry.pattern_len}")
-    codes, width = pattern.codes, geometry.data_width
-    grid = array.codes[:, :width] == codes[0]
+    if not 0 <= block < geometry.blocks:
+        raise GeometryError(f"block {block} outside [0, {geometry.blocks})")
+    codes, width, m = pattern.codes, geometry.data_width, geometry.mem_rows
+    cols = np.ascontiguousarray(array.codes[block * m:(block + 1) * m].T)
+    hits = cols[:width] == codes[0]
     for k in range(1, len(codes)):
-        grid &= array.codes[:, k:k + width] == codes[k]
-    entry = array._searches[codes] = (grid, {})
-    return entry
+        hits &= cols[k:k + width] == codes[k]
+    # m-byte voids, unlike ``S{m}``, keep the trailing zeros of no-match rows
+    array._tags.setdefault(codes, {})[block] = tags = hits.view(f"V{m}")[:, 0].tolist()
+    return tags
 
 
 def run_block_search(array: AcamArray, block: int,

@@ -266,10 +266,10 @@ def run_bits_trace(args) -> int:
 
 def _same_file(a: str, b: str) -> bool:
     """Whether two paths name one file, also through a symlink or a hard link."""
-    try:
+    there = os.path.exists(a), os.path.exists(b)
+    if all(there):
         return os.path.samefile(a, b)
-    except OSError:     # not there yet: compare where each would be created
-        return os.path.realpath(a) == os.path.realpath(b)
+    return not any(there) and os.path.realpath(a) == os.path.realpath(b)  # both to be created
 
 
 def run_scan(args) -> int:
@@ -277,9 +277,12 @@ def run_scan(args) -> int:
         raise ValueError("--input is required")
     if bool(args.pattern) == bool(args.disease):
         raise ValueError("exactly one of --pattern or --disease is required")
-    # one file for both would lose the report: the trace is written over it
-    if args.trace and args.report and _same_file(args.trace, args.report):
-        raise ValueError("--report and --trace name the same file")
+    # an output written over the report or an input would destroy it
+    paths = vars(args)
+    for out, other in (("report", "trace"), ("report", "input"), ("report", "catalog"),
+                       ("trace", "input"), ("trace", "catalog")):
+        if paths[out] and paths[other] and _same_file(paths[out], paths[other]):
+            raise ValueError(f"--{out} and --{other} name the same file")
     text = parse_text(Path(args.input).read_bytes())
 
     catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
@@ -326,8 +329,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage error (1) or --help/--version (0)
         return int(exc.code or 0)
     try:
-        if args.report is not None and (args.paper_numbers or args.bits is not None):
-            raise ValueError("--report applies only to a scan, not to --bits or --paper-numbers")
+        if args.paper_numbers or args.bits is not None:  # reject what would be ignored
+            mode, own = (("--paper-numbers", {"paper_numbers"}) if args.paper_numbers
+                         else ("--bits", {"bits", "trace"}))
+            for dest, value in vars(args).items():
+                if dest not in own and value != build_parser().get_default(dest):
+                    raise ValueError(f"--{dest.replace('_', '-')} does not apply to {mode}")
         if args.paper_numbers:
             return run_paper_numbers()
         if args.bits is not None:

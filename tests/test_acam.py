@@ -111,6 +111,17 @@ def test_load_text_pattern_len_one_has_no_replication():
     assert arr.total_cols == 2
 
 
+def test_array_copies_a_writeable_array_and_keeps_a_read_only_one():
+    # the memo is only valid while the codes cannot change under it
+    codes = np.zeros((2, 6), dtype=np.uint8)
+    arr = acam.AcamArray(geometry(2, 4, 3, 1), codes)
+    assert codes.flags.writeable and not arr.codes.flags.writeable
+    codes[0, 0] = 1
+    assert arr.codes[0, 0] == 0
+    codes.flags.writeable = False
+    assert acam.AcamArray(geometry(2, 4, 3, 1), codes).codes is codes
+
+
 def test_load_text_errors():
     with pytest.raises(TextTooLong):
         load_text(parse_text("A" * 9), geometry(2, 4, 2, 1))

@@ -441,6 +441,64 @@ def test_report_outside_a_scan_exits_1_and_writes_nothing(tmp_path, capsys, mode
     assert not report.exists()
 
 
+@pytest.mark.parametrize("out", ["--report", "--trace"])
+@pytest.mark.parametrize("inp, spell", [("--input", "same"), ("--input", "symlink"),
+                                        ("--catalog", "same"), ("--catalog", "relative")])
+def test_output_naming_an_input_exits_1_and_keeps_the_input(tmp_path, monkeypatch, capsys,
+                                                            out, inp, spell):
+    # written over the input, the report or trace would destroy it
+    monkeypatch.chdir(tmp_path)
+    seq = write_seq(tmp_path, CLEAN)
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text("Huntington's disease,HTT,CAG,0,35,36,*\n")
+    (tmp_path / "link.txt").symlink_to(seq if inp == "--input" else catalog)
+    target = seq if inp == "--input" else str(catalog)
+    before = Path(target).read_bytes()
+    other = {"same": target, "symlink": "link.txt", "relative": "./catalog.csv"}[spell]
+    args = ["--input", seq, "--catalog", str(catalog), *SMALL_ARRAY, "--mode", "cycle"]
+    code = main([*args, out, other])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {out} and {inp} name the same file\n")
+    assert Path(target).read_bytes() == before
+
+
+@pytest.mark.parametrize("mode", [["--bits", "101"], ["--paper-numbers"]])
+@pytest.mark.parametrize("flag", [
+    ["--input", "missing.txt"], ["--pattern", "CAG"], ["--disease", "Huntington's disease"],
+    ["--catalog", "missing.csv"], ["--blocks", "0"], ["--rows", "4"], ["--width", "16"],
+    ["--array-blocks", "2"], ["--clock-ns", "2"], ["--write-ns", "2"], ["--mode", "cycle"]])
+def test_scan_flag_beside_another_mode_exits_1_and_reads_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, mode, flag):
+    # a flag the mode would ignore is an error, not a silent no-op; the
+    # input named is not there, so reading it would word another error
+    monkeypatch.chdir(tmp_path)
+    assert main([*mode, *flag]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {flag[0]} does not apply to {mode[0]}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--paper-numbers", "--trace", "pt.csv"], "--trace"),
+    (["--bits", "101", "--paper-numbers"], "--bits")])
+def test_paper_numbers_takes_neither_a_trace_nor_bits(tmp_path, monkeypatch, capsys,
+                                                      args, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} does not apply to --paper-numbers\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_flags_at_their_defaults_are_accepted_beside_another_mode(tmp_path, capsys):
+    # only a value that differs from the default would be ignored
+    trace = tmp_path / "t.csv"
+    assert main(["--bits", "101110000", "--trace", str(trace), "--mode", "functional",
+                 "--rows", "512", "--clock-ns", "1"]) == 0
+    assert trace.read_text() == GOLDEN.read_text()
+    assert main(["--paper-numbers", "--width", "128"]) == 0
+    assert capsys.readouterr().out.endswith("all reference checks passed\n")
+
+
 def test_out_of_memory_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys):
     # a geometry too large to hold fails in load_text; a real one of a few GB
     # could be granted and touched where memory is overcommitted

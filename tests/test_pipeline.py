@@ -184,33 +184,54 @@ def test_set_events_count_matches_occurrences():
     assert res.set_events == 2
 
 
-def test_full_scan_fills_one_grid_per_pattern_and_meters_every_cycle(monkeypatch):
-    # work done, not time: one match grid per (array, pattern) behind the W
-    # per-window search cycles of every block, and the metered count is the
-    # calls made
-    calls = {"search_cycle": 0, "_fill_grid": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(acam, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(acam, name, counted)
+def _counted_scan(monkeypatch, **kwargs):
+    """A scan of a random 65,536-character text for CAG with ``search_cycle``
+    calls counted and ``_fill_block`` calls recorded as (pattern, block), and
+    the array it loaded."""
+    calls = {"search_cycle": 0, "_fill_block": []}
+    def searched(*args, _fn=acam.search_cycle):
+        calls["search_cycle"] += 1
+        return _fn(*args)
+    def filled(array, block, pattern, _fn=acam._fill_block):
+        calls["_fill_block"].append((str(pattern), block))
+        return _fn(array, block, pattern)
     arrays = []
     def loaded(*args, _fn=acam.load_text):
         arrays.append(_fn(*args))
         return arrays[-1]
+    monkeypatch.setattr(acam, "search_cycle", searched)
+    monkeypatch.setattr(acam, "_fill_block", filled)
     monkeypatch.setattr(acam, "load_text", loaded)
     rng = random.Random(7)
     text = "".join(rng.choice("ACGT") for _ in range(65536))
-    result = quick_scan(text, "CAG")
-    assert result.report.params.searched_blocks == 8
-    assert calls == {"search_cycle": 1024, "_fill_grid": 1}
-    assert result.report.cycles.search == 1024
-    # the same array searched again reuses its grid; a second pattern gets its own
+    result = quick_scan(text, "CAG", **kwargs)
     (array,) = arrays
+    return result, calls, array
+
+
+def test_full_scan_fills_each_block_once_and_meters_every_cycle(monkeypatch):
+    # work done, not time: one memo entry per (pattern, block) behind the W
+    # per-window search cycles of every block, and the metered count is the
+    # calls made
+    result, calls, array = _counted_scan(monkeypatch)
+    assert result.report.params.searched_blocks == 8
+    assert calls["search_cycle"] == 1024 == result.report.cycles.search
+    assert calls["_fill_block"] == [("CAG", b) for b in range(8)]
+    # a block searched again reuses its entry; a second pattern gets its own
     acam.run_block_search(array, 3, parse_pattern("CAG"))
-    assert calls["_fill_grid"] == 1
+    assert len(calls["_fill_block"]) == 8
     acam.run_block_search(array, 3, parse_pattern("GAT"))
-    assert calls["_fill_grid"] == 2
+    assert calls["_fill_block"][8:] == [("GAT", 3)]
+
+
+def test_gapped_scan_fills_only_the_searched_blocks(monkeypatch):
+    # the array's work follows the blocks searched, not the array's size
+    result, calls, array = _counted_scan(monkeypatch, active_blocks=[0, 2, 3, 5])
+    assert calls["search_cycle"] == 512 == result.report.cycles.search
+    assert calls["_fill_block"] == [("CAG", b) for b in (0, 2, 3, 5)]
+    acam.run_block_search(array, 2, parse_pattern("GAT"))
+    acam.run_block_search(array, 2, parse_pattern("CAG"))
+    assert calls["_fill_block"][4:] == [("GAT", 2)]
 
 
 def test_full_scan_writes_each_block_in_one_call_and_meters_every_column(monkeypatch):
