@@ -20,8 +20,8 @@ only the text's length and each search cycle's arguments.
 
 The stored cells never change after loading, so a block's tags are its m
 rows of the match grid ``AND_k(codes[:, k:k+W] == pattern.codes[k])``.  A
-block's first search cycle for a pattern fills them from the block's rows
-only, as W immutable ``bytes`` of m tags (a scan of K blocks fills K).
+scan fills each run of searched blocks once (``fill_blocks``, from their rows
+only, in cache-sized passes), as W immutable ``bytes`` of m tags per block.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ V_DD = Decimal("0.80")
 
 MM = "MM"
 DONT_CARE_KIND = "*"
+FILL_CELLS = 1 << 17    # cells per fill pass: 15 default blocks, and stays in cache
 
 
 class GeometryError(ValueError):
@@ -157,7 +158,7 @@ class AcamArray:
     ``codes`` is the array's only representation of the stored cells: one
     uint8 per cell, indexing ``STATES``.  A writeable array is copied and a
     read-only one (``load_text``'s) kept, so no caller changes the codes under
-    the memo: pattern codes -> block -> W tag ``bytes`` (see ``search_cycle``).
+    the memo: pattern codes -> block -> W tag ``bytes`` (see ``fill_blocks``).
     """
 
     def __init__(self, geometry: TimingParams, codes: np.ndarray):
@@ -195,8 +196,8 @@ def search_cycle(array: AcamArray, block: int, window: int,
 
     Only the selected block produces tags; other blocks stay deactivated.
     Returns the block's m tags as immutable bytes, one per row, 1 where the
-    row matched and 0 elsewhere, from the array's memo.  The pattern and block
-    are checked at the fill, the window every cycle: stored keys passed all.
+    row matched and 0 elsewhere, from the memo ``fill_blocks`` stores.  The
+    pattern and block are checked at the fill, the window every cycle.
     """
     if not 0 <= window < array.geometry.data_width:
         raise WindowOutOfRange(window, array.geometry.data_width)
@@ -204,27 +205,31 @@ def search_cycle(array: AcamArray, block: int, window: int,
     try:
         return array._tags[pattern.codes][block][window]
     except KeyError:
-        return _fill_block(array, block, pattern)[window]
+        return fill_blocks(array, pattern, block, block + 1)[block][window]
 
 
-def _fill_block(array: AcamArray, block: int, pattern: Pattern) -> list[bytes]:
-    """Store and return the block's memo entry, window i's m tags as bytes i.
-    Window i drives columns i..i+p-1, so pattern character k meets rows
-    k..k+W-1 of the transposed block."""
+def fill_blocks(array: AcamArray, pattern: Pattern, lo: int, hi: int) -> dict[int, list[bytes]]:
+    """Store the memo entries of blocks lo..hi-1, window i's m tags as bytes i,
+    and return the pattern's.  Window i drives columns i..i+p-1, so pattern
+    character k meets rows k..k+W-1 of a pass's transposed block rows."""
     geometry = array.geometry
     if len(pattern) != geometry.pattern_len:
         raise GeometryError(f"pattern length {len(pattern)} does not match array "
                             f"pattern length {geometry.pattern_len}")
-    if not 0 <= block < geometry.blocks:
-        raise GeometryError(f"block {block} outside [0, {geometry.blocks})")
+    if not 0 <= lo < hi <= geometry.blocks:
+        raise GeometryError(f"blocks [{lo}, {hi}) not a range in [0, {geometry.blocks})")
     codes, width, m = pattern.codes, geometry.data_width, geometry.mem_rows
-    cols = np.ascontiguousarray(array.codes[block * m:(block + 1) * m].T)
-    hits = cols[:width] == codes[0]
-    for k in range(1, len(codes)):
-        hits &= cols[k:k + width] == codes[k]
-    # m-byte voids, unlike ``S{m}``, keep the trailing zeros of no-match rows
-    array._tags.setdefault(codes, {})[block] = tags = hits.view(f"V{m}")[:, 0].tolist()
-    return tags
+    entries = array._tags.setdefault(codes, {})
+    step = max(1, FILL_CELLS // (m * array.total_cols))
+    for first in range(lo, hi, step):
+        stop = min(first + step, hi)
+        cols = np.ascontiguousarray(array.codes[first * m:stop * m].T)
+        hits = cols[:width] == codes[0]
+        for k in range(1, len(codes)):
+            hits &= cols[k:k + width] == codes[k]
+        # m-byte voids, unlike ``S{m}``, keep the trailing zeros of no-match rows
+        entries.update(zip(range(first, stop), hits.view(f"V{m}").T.tolist()))
+    return entries
 
 
 def run_block_search(array: AcamArray, block: int,

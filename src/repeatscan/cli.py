@@ -23,6 +23,7 @@ import functools
 import io
 import math
 import os
+import stat
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -313,7 +314,8 @@ def run_scan(args) -> int:
             else:
                 sys.stdout.write(report)
         except OSError:
-            if out:
+            # only a regular file is removed: a device or a pipe stays
+            if out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
                 out.close()
                 Path(args.trace).unlink()
             raise

@@ -135,7 +135,7 @@ def _consecutive_runs(blocks: Sequence[int]) -> list[list[int]]:
 
 
 def scan(request: ScanRequest) -> ScanResult:
-    """Run the full load -> search -> record -> detect -> reset pipeline."""
+    """Run the full load -> fill -> search -> record -> detect -> reset pipeline."""
     timing = request.timing
     array = acam.load_text(request.text, timing)
     memory = matchmem.MatchIndexMemory(timing.mem_rows, timing.mem_cols)
@@ -145,6 +145,7 @@ def scan(request: ScanRequest) -> ScanResult:
     log = _debug_logger()
 
     for run in _consecutive_runs(request.active_blocks):
+        acam.fill_blocks(array, request.pattern, run[0], run[-1] + 1)
         streams = []
         for block in run:
             memory.set_mode(matchmem.Mode.WRITE)

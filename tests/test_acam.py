@@ -237,6 +237,45 @@ def test_block_search_is_a_row_slice_of_one_array_wide_match_grid(case):
     assert set(np.flatnonzero(grid)) == brute_occurrences(text, pattern)
 
 
+@given(text_at_a_boundary(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_range_fill_equals_a_fresh_array_searched_window_by_window(case, data):
+    # one fill of blocks [first, stop), in passes of 1..B blocks, stores for
+    # each block of the range (the last block of the array, with its MM
+    # replication cells, among them) the tags of a window-by-window search,
+    # and no other block
+    text, pattern, rows, width, p, blocks = case
+    first = data.draw(st.integers(0, blocks - 1))
+    stop = data.draw(st.one_of(st.just(blocks), st.integers(first + 1, blocks)))
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
+    seq = parse_pattern(pattern)
+    with pytest.MonkeyPatch.context() as mp:
+        pass_blocks = data.draw(st.integers(1, blocks))
+        mp.setattr(acam, "FILL_CELLS", pass_blocks * arr.geometry.mem_rows * arr.total_cols)
+        entries = acam.fill_blocks(arr, seq, first, stop)
+    assert entries is arr._tags[seq.codes] and sorted(entries) == list(range(first, stop))
+    fresh = load_text(parse_text(text), geometry(rows, width, p, blocks))
+    for b in range(first, stop):
+        assert entries[b] == [search_cycle(fresh, b, i, seq) for i in range(width)]
+
+
+@given(text_at_a_boundary(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_range_fill_refuses_a_bad_range_or_pattern_and_stores_nothing(case, data):
+    text, pattern, rows, width, p, blocks = case
+    arr = load_text(parse_text(text), geometry(rows, width, p, blocks))
+    first, stop = data.draw(st.sampled_from([
+        (0, 0), (blocks - 1, blocks - 1), (blocks, blocks), (1, 0), (-1, 1),
+        (0, blocks + 1), (blocks, blocks + 1)]))
+    with pytest.raises(acam.GeometryError):
+        acam.fill_blocks(arr, parse_pattern(pattern), first, stop)
+    wrong = data.draw(st.text(alphabet=CHARS, min_size=1, max_size=5).filter(
+        lambda s: len(s) != p))
+    with pytest.raises(acam.GeometryError):
+        acam.fill_blocks(arr, parse_pattern(wrong), 0, blocks)
+    assert arr._tags == {}
+
+
 @given(text_and_geometry(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_dont_care_columns_never_affect_tags(case, data):

@@ -413,6 +413,36 @@ def test_unwritable_report_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def _scan_outputs(tmp_path, report, trace):
+    """Exit code of a traced scan of CLEAN, writing its report and trace to
+    the given paths."""
+    return main(["--input", write_seq(tmp_path, CLEAN), *SMALL_ARRAY, "--mode", "cycle",
+                 "--report", str(report), "--trace", str(trace)])
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_outputs_to_the_null_device_exit_0(tmp_path, capsys):
+    assert _scan_outputs(tmp_path, os.devnull, tmp_path / "t.csv") == 0
+    assert _scan_outputs(tmp_path, tmp_path / "r.json", os.devnull) == 0
+    assert main(["--bits", "101", "--trace", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+    assert os.path.exists(os.devnull)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_failed_report_write_keeps_a_trace_that_is_no_regular_file(tmp_path, capsys):
+    # only a regular trace file is removed; a pipe or a device stays
+    fifo = tmp_path / "trace.pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the scan open it
+    try:
+        code = _scan_outputs(tmp_path, tmp_path / "missing" / "r.json", fifo)
+    finally:
+        os.close(reader)
+    assert code == 1 and capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert fifo.exists()
+
+
 @pytest.mark.parametrize("spell", ["same", "relative", "symlink", "hardlink", "new"])
 def test_report_and_trace_on_one_file_exit_1_before_either_is_written(tmp_path, monkeypatch,
                                                                      capsys, spell):
@@ -595,6 +625,30 @@ def test_gapped_cycle_scan_writes_one_trace_section_per_run(tmp_path):
                  "--report", str(report), "--trace", str(trace)]) == 0
     assert report.read_bytes() == (GOLDEN_DIR / "report_cag_cycle_gapped.json").read_bytes()
     assert trace.read_bytes() == (GOLDEN_DIR / "trace_cag_gapped.csv").read_bytes()
+
+
+def test_scan_across_fill_passes_reports_the_oracle_and_one_pass_blocks(tmp_path,
+                                                                        monkeypatch):
+    # 16 blocks filled in passes of 3: repeats planted across the first pass
+    # boundary (block 3) and across character rows/2 * W, the array's middle
+    rows, width, m = 1024, 128, 64
+    rng = random.Random(28)
+    text = [rng.choice("ACGT") for _ in range(rows * width)]
+    for middle, copies in ((3 * m * width, 40), (rows // 2 * width, 70)):
+        start = middle - 3 * copies // 2 - 1
+        text[start:start + 3 * copies] = "CAG" * copies
+    text = "".join(text)
+    inp = write_seq(tmp_path, text)
+    reports = []
+    for cells in (3 * m * (width + 2), 16 * m * (width + 2)):
+        monkeypatch.setattr(acam, "FILL_CELLS", cells)
+        code, report = run_scan_to_report(tmp_path, "--input", inp, "--pattern", "CAG",
+                                          "--rows", str(rows), "--array-blocks", "16")
+        assert code == 0
+        reports.append(report)
+    assert reports[0]["global_max"] == oracle_max_tandem(text, "CAG") == 70
+    assert reports[0]["per_block_max"] == reports[1]["per_block_max"]
+    assert reports[0] == reports[1]
 
 
 def test_full_array_gapped_cycle_trace_is_byte_stable(tmp_path):

@@ -186,21 +186,21 @@ def test_set_events_count_matches_occurrences():
 
 def _counted_scan(monkeypatch, **kwargs):
     """A scan of a random 65,536-character text for CAG with ``search_cycle``
-    calls counted and ``_fill_block`` calls recorded as (pattern, block), and
-    the array it loaded."""
-    calls = {"search_cycle": 0, "_fill_block": []}
+    calls counted and ``fill_blocks`` calls recorded as (pattern, first,
+    stop), and the array it loaded."""
+    calls = {"search_cycle": 0, "fill_blocks": []}
     def searched(*args, _fn=acam.search_cycle):
         calls["search_cycle"] += 1
         return _fn(*args)
-    def filled(array, block, pattern, _fn=acam._fill_block):
-        calls["_fill_block"].append((str(pattern), block))
-        return _fn(array, block, pattern)
+    def filled(array, pattern, first, stop, _fn=acam.fill_blocks):
+        calls["fill_blocks"].append((str(pattern), first, stop))
+        return _fn(array, pattern, first, stop)
     arrays = []
     def loaded(*args, _fn=acam.load_text):
         arrays.append(_fn(*args))
         return arrays[-1]
     monkeypatch.setattr(acam, "search_cycle", searched)
-    monkeypatch.setattr(acam, "_fill_block", filled)
+    monkeypatch.setattr(acam, "fill_blocks", filled)
     monkeypatch.setattr(acam, "load_text", loaded)
     rng = random.Random(7)
     text = "".join(rng.choice("ACGT") for _ in range(65536))
@@ -210,28 +210,28 @@ def _counted_scan(monkeypatch, **kwargs):
 
 
 def test_full_scan_fills_each_block_once_and_meters_every_cycle(monkeypatch):
-    # work done, not time: one memo entry per (pattern, block) behind the W
-    # per-window search cycles of every block, and the metered count is the
-    # calls made
+    # work done, not time: one fill per run of blocks behind the W per-window
+    # search cycles of every block, and the metered count is the calls made
     result, calls, array = _counted_scan(monkeypatch)
     assert result.report.params.searched_blocks == 8
     assert calls["search_cycle"] == 1024 == result.report.cycles.search
-    assert calls["_fill_block"] == [("CAG", b) for b in range(8)]
+    assert calls["fill_blocks"] == [("CAG", 0, 8)]
     # a block searched again reuses its entry; a second pattern gets its own
     acam.run_block_search(array, 3, parse_pattern("CAG"))
-    assert len(calls["_fill_block"]) == 8
+    assert len(calls["fill_blocks"]) == 1
     acam.run_block_search(array, 3, parse_pattern("GAT"))
-    assert calls["_fill_block"][8:] == [("GAT", 3)]
+    assert calls["fill_blocks"][1:] == [("GAT", 3, 4)]
 
 
 def test_gapped_scan_fills_only_the_searched_blocks(monkeypatch):
-    # the array's work follows the blocks searched, not the array's size
+    # the array's work follows the blocks searched, not the array's size:
+    # one fill per run of consecutive blocks
     result, calls, array = _counted_scan(monkeypatch, active_blocks=[0, 2, 3, 5])
     assert calls["search_cycle"] == 512 == result.report.cycles.search
-    assert calls["_fill_block"] == [("CAG", b) for b in (0, 2, 3, 5)]
+    assert calls["fill_blocks"] == [("CAG", 0, 1), ("CAG", 2, 4), ("CAG", 5, 6)]
     acam.run_block_search(array, 2, parse_pattern("GAT"))
     acam.run_block_search(array, 2, parse_pattern("CAG"))
-    assert calls["_fill_block"][4:] == [("GAT", 2)]
+    assert calls["fill_blocks"][3:] == [("GAT", 2, 3)]
 
 
 def test_full_scan_writes_each_block_in_one_call_and_meters_every_column(monkeypatch):
