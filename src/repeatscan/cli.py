@@ -5,10 +5,11 @@ detector trace of a 0/1 string (--bits, D raised on its last input), or check
 the cost model against the reference figures of the characterized design
 instance (--paper-numbers).  Traces are streamed to the --trace file (or
 stdout for --bits) as they are formatted.
-The input file is raw text or one FASTA record; ``seqio.parse_text`` tells
-them apart by their header lines, so there is no format option.  Reports are
-flat JSON objects with times in ns and energies in nJ, rounded to three
-decimals so report files diff cleanly.  The report writer (``json_members``,
+The input file is read as bytes: raw text or one FASTA record, which
+``seqio.parse_text`` tells apart by their header lines, so there is no format
+option.  Reports are flat JSON objects with times in ns and energies in nJ,
+rounded to three decimals so report files diff cleanly; a --report file gets
+them as ASCII bytes with LF line ends.  The report writer (``json_members``,
 ``json_object``) writes them byte for byte as ``json.dumps(report, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline would.  Most members come
 from the scan's cost report alone, so each distinct cost report is encoded
@@ -27,7 +28,6 @@ import stat
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Iterable
 
 from . import __version__, detector
@@ -284,7 +284,8 @@ def run_scan(args) -> int:
                        ("trace", "input"), ("trace", "catalog")):
         if paths[out] and paths[other] and _same_file(paths[out], paths[other]):
             raise ValueError(f"--{out} and --{other} name the same file")
-    text = parse_text(Path(args.input).read_bytes())
+    with open(args.input, "rb") as f:
+        text = parse_text(f.read())
 
     catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
     disease = find_entry(catalog, args.disease) if args.disease else None
@@ -310,14 +311,15 @@ def run_scan(args) -> int:
     with open(args.trace, "wb") if args.trace else contextlib.nullcontext() as out:
         try:
             if args.report:
-                Path(args.report).write_text(report)
+                with open(args.report, "wb") as f:
+                    f.write(report.encode("ascii"))
             else:
                 sys.stdout.write(report)
         except OSError:
             # only a regular file is removed: a device or a pipe stays
             if out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
                 out.close()
-                Path(args.trace).unlink()
+                os.unlink(args.trace)
             raise
         for run, trace in result.detector_trace:
             out.write(f"run,blocks={run[0]}-{run[-1]}\n".encode())

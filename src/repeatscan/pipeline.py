@@ -15,13 +15,14 @@ once, when ``ScanRequest`` is built.  Cycle counts are metered from the
 actual simulation, detector ticks from each block's read-out, and must agree
 with the closed-form cost model.  In cycle mode each run's FSM maximum must
 equal the functional detector's, which takes its runs by a separate rule
-(``detector`` states both), or the scan fails.  SET events are counted as
-the set bits of each block's read-out: a write phase starts all-HRS and
-writes each column once, so that popcount equals the number of high tags
-written.  A global maximum at the 8-bit register limit is reported as
-saturated, since the true count may be any value from there up.  With the
-``repeatscan`` logger at DEBUG, each block's SET events, maximum and
-saturation are logged as the block finishes.
+(``detector`` states both), or the scan fails.  SET events are the set bits
+of each run's concatenated read-outs, the sum of its blocks' popcounts: a
+write phase starts all-HRS and writes each column once, so a block's
+popcount is the number of high tags written.  A global maximum at the 8-bit
+register limit is reported as saturated, since the true count may be any
+value from there up.  With the ``repeatscan`` logger at DEBUG, each block's
+SET events (counted for the log alone), maximum and saturation are logged
+as the block finishes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class InternalInvariantError(RuntimeError):
 class ScanRequest:
     """One scan, derived and checked when built, also by ``replace``: blocks
     sorted and deduplicated (``None``: those the text occupies), and K and the
-    pattern length set in ``timing`` from the blocks and the pattern."""
+    pattern length set in ``timing``, which is kept if it already holds them."""
 
     text: DnaSequence
     pattern: Pattern
@@ -72,8 +73,10 @@ class ScanRequest:
         if self.record_detector_trace and not self.cycle_accurate:
             raise ValueError("a detector trace requires cycle-accurate detection (--mode cycle)")
         object.__setattr__(self, "active_blocks", blocks)
-        object.__setattr__(self, "timing", replace(
-            self.timing, pattern_len=len(self.pattern), searched_blocks=len(blocks)))
+        p, k = len(self.pattern), len(blocks)
+        if (self.timing.pattern_len, self.timing.searched_blocks) != (p, k):
+            object.__setattr__(self, "timing", replace(self.timing, pattern_len=p,
+                                                       searched_blocks=k))
 
 
 @dataclass
@@ -155,8 +158,6 @@ def scan(request: ScanRequest) -> ScanResult:
             memory.set_mode(matchmem.Mode.READ)
             stream = memory.read_all()
             streams.append(stream)
-            block_events = int(np.count_nonzero(stream))
-            set_events += block_events
             read_groups += memory.read_group_count()
             ticks += len(stream) + POST_STREAM_CYCLES
             memory.set_mode(matchmem.Mode.RESET)
@@ -166,10 +167,11 @@ def scan(request: ScanRequest) -> ScanResult:
             block_max = detector.detect_functional(stream, timing.pattern_len)
             per_block_max.append(block_max)
             if log:
-                log.debug("block %d: set_events=%d block_max=%d saturated=%s",
-                          block, block_events, block_max, block_max >= REGISTER_MAX)
+                log.debug("block %d: set_events=%d block_max=%d saturated=%s", block,
+                          np.count_nonzero(stream), block_max, block_max >= REGISTER_MAX)
 
         bits = np.concatenate(streams)
+        set_events += int(np.count_nonzero(bits))
         segment_max = detector.detect_functional(bits, timing.pattern_len)
         if request.cycle_accurate:
             fsm_max, trace = detector.run_cycle_accurate(

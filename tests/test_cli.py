@@ -402,6 +402,44 @@ def test_input_robustness(tmp_path, monkeypatch, capsys, name, content, extra):
         assert ERROR_NAMES.get((name, *extra), "") in err
 
 
+@pytest.mark.parametrize("old", [None, b"{\r\n" + b"x" * 4096 + b"\r\n}\r\n"],
+                         ids=["new", "longer_existing"])
+def test_report_file_holds_the_stdout_report_and_no_older_bytes(tmp_path, capsys, old):
+    # a new report file, or an existing longer one that the scan overwrites
+    inp = write_seq(tmp_path, CLEAN)
+    assert main(["--input", inp, *SMALL_ARRAY]) == 0
+    shown = capsys.readouterr().out.encode("ascii")
+    report = tmp_path / "r.json"
+    if old is not None:
+        report.write_bytes(old)
+        assert len(old) > len(shown)
+    assert main(["--input", inp, *SMALL_ARRAY, "--report", str(report)]) == 0
+    assert report.read_bytes() == shown and b"\r" not in shown
+
+
+def test_crlf_fasta_input_reports_as_its_lf_form(tmp_path):
+    lf = ">read one\nTTCAGCAG\nCAGCAGCAG\nAAT\n"
+    reports = []
+    for name, text in (("lf.fa", lf), ("crlf.fa", lf.replace("\n", "\r\n"))):
+        (tmp_path / name).write_bytes(text.encode())
+        report = tmp_path / f"{name}.json"
+        assert main(["--input", str(tmp_path / name), *SMALL_ARRAY,
+                     "--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["global_max"] == 5
+
+
+def test_latin1_input_byte_exits_1_with_the_parsers_message(tmp_path, capsys):
+    raw = b"TTCAG\xe9CAGCAG"
+    (tmp_path / "latin1.txt").write_bytes(raw)
+    with pytest.raises(seqio.InvalidCharacter) as parsed:
+        parse_text(raw)
+    assert main(["--input", str(tmp_path / "latin1.txt"), *SMALL_ARRAY]) == 1
+    assert capsys.readouterr().err == f"error: {parsed.value}\n"
+    assert "'\xe9' at position 6" in str(parsed.value)
+
+
 def test_unwritable_report_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
     # a run that exits 1 leaves neither of the files it was asked to write
     monkeypatch.chdir(tmp_path)

@@ -152,6 +152,19 @@ def test_request_derives_its_blocks_and_timing_when_built():
     assert len(result.per_block_max) == 1
 
 
+def test_request_keeps_a_timing_that_already_holds_the_derived_values():
+    text, pattern = parse_text("CAG" * 8), parse_pattern("CAG")
+    timing = TimingParams(rows=4, data_width=8, pattern_len=3, blocks=4, searched_blocks=2)
+    assert ScanRequest(text, pattern, timing, active_blocks=[2, 0]).timing is timing
+    # a stale K or pattern length is still replaced
+    for stale in (replace(timing, searched_blocks=3), replace(timing, pattern_len=5)):
+        request = ScanRequest(text, pattern, stale, active_blocks=[2, 0])
+        assert request.timing is not stale and request.timing == timing
+    # a default full-array request is built with the K it derives, so it keeps its timing
+    full = make_request(parse_text("CAG" * 21845 + "T"), pattern)
+    assert full.timing == TimingParams() and full.active_blocks == tuple(range(8))
+
+
 def test_cycle_accurate_mode_agrees_and_traces():
     text = "CAGCAGTTCAG"
     res = scan(make_request(parse_text(text), parse_pattern("CAG"),
