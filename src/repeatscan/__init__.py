@@ -4,7 +4,7 @@ string oracles."""
 
 __version__ = "0.1.0"
 
-from .acam import AcamArray, cell_matches, drive_for, encode_char, load_text
+from .acam import AcamArray, cell_matches, drive_for, load_text
 from .costmodel import (CostReport, CycleCounts, TimingParams, build_report,
                         energy, geometry_for_text, latency)
 from .detector import (detect_functional, oracle_max_tandem,
@@ -18,8 +18,7 @@ __all__ = [
     "AcamArray", "CostReport", "CycleCounts", "DiseaseEntry", "DnaSequence",
     "MatchIndexMemory", "Mode", "Pattern", "ScanRequest", "ScanResult",
     "TimingParams", "build_report", "builtin_catalog", "cell_matches",
-    "classify", "detect_functional", "drive_for", "encode_char", "energy",
-    "geometry_for_text", "latency", "load_catalog", "load_text",
-    "make_request", "oracle_max_tandem", "parse_pattern", "parse_text",
-    "run_cycle_accurate", "run_trace", "scan",
+    "classify", "detect_functional", "drive_for", "energy", "geometry_for_text",
+    "latency", "load_catalog", "load_text", "make_request", "oracle_max_tandem",
+    "parse_pattern", "parse_text", "run_cycle_accurate", "run_trace", "scan",
 ]

@@ -107,14 +107,6 @@ SEARCH_MIDPOINTS: dict[str, Decimal] = {
 DONT_CARE = SearchDrive(DONT_CARE_KIND, V_DD, Decimal("0.00"))
 
 
-def encode_char(c: str) -> CellContent:
-    """Cell content for one nucleotide character."""
-    try:
-        return CHAR_CELLS[c]
-    except KeyError:
-        raise ValueError(f"no encoding for character {c!r}") from None
-
-
 def drive_for(c: str | None) -> SearchDrive:
     """Data-line drive for searching character ``c``; None (or '*') deactivates."""
     if c is None or c == DONT_CARE_KIND:

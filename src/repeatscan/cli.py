@@ -130,15 +130,11 @@ def json_object(members: Iterable[tuple[str, str]]) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n" if lines else "{}\n"
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _cost_members(cost: CostReport, clock_ns: float,
-                  write_ns: float) -> tuple[tuple[str, str], ...]:
+@functools.lru_cache(maxsize=16)
+def _cost_members(cost: CostReport) -> tuple[tuple[str, str], ...]:
     """The report members that the cost report alone decides, encoded once
     per distinct report: a process that scans many texts at one geometry
-    and block count reuses them, one that scans once always misses.  The
-    periods are passed again so that the cache tells their types apart: an
-    int period equals its float, but json writes it without the ".0", and so
-    do the figures it scales."""
+    and block count reuses them, one that scans once always misses."""
     timing, lat = cost.params, cost.latency
     return tuple(json_members({
         **vars(timing),
@@ -158,9 +154,8 @@ def _cost_members(cost: CostReport, clock_ns: float,
 def build_scan_report(request: ScanRequest, result: ScanResult) -> str:
     """The flat JSON report of one scan, as text; its mode is read from the
     request, and the cost members, timing included, from the result."""
-    timing = result.report.params
     return json_object([
-        *_cost_members(result.report, timing.clock_ns, timing.write_ns),
+        *_cost_members(result.report),
         *json_members({
             "pattern": str(request.pattern),
             "disease": request.disease.name if request.disease else None,

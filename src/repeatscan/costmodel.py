@@ -26,6 +26,7 @@ import operator
 from dataclasses import dataclass, replace
 
 from .detector import POST_STREAM_CYCLES
+from .matchmem import PISO_WIDTH
 
 
 # Columns of the characterized array: W data columns plus p - 1 replicated.
@@ -47,12 +48,14 @@ class CycleCountMismatch(RuntimeError):
 class TimingParams:
     """Clock and geometry inputs to the latency model.
 
-    ``searched_blocks`` (K) may exceed ``blocks`` when a text spans several
-    arrays of the same geometry.
+    ``write_ns`` (T_w) None is one clock.  The periods are held as Python
+    floats and the geometry as Python ints, so any number reports as its
+    Python equal does.  ``searched_blocks`` (K) may exceed ``blocks`` when a
+    text spans several arrays of the same geometry.
     """
 
     clock_ns: float = 1.0
-    write_ns: float = 1.0
+    write_ns: float | None = None
     rows: int = 512          # M
     data_width: int = 128    # W, also the memory column count n
     pattern_len: int = 3
@@ -60,11 +63,13 @@ class TimingParams:
     searched_blocks: int = 8  # K
 
     def __post_init__(self) -> None:
-        # the geometry as Python ints, so that a numpy int reports as one does
         for name in ("rows", "data_width", "pattern_len", "blocks", "searched_blocks"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if not all(math.isfinite(t) and t > 0 for t in (self.clock_ns, self.write_ns)):
+        clock, write = self.clock_ns, self.clock_ns if self.write_ns is None else self.write_ns
+        if not (0 < clock < math.inf and 0 < write < math.inf):     # NaN fails both
             raise ValueError("clock and write periods must be positive and finite")
+        object.__setattr__(self, "clock_ns", float(clock))
+        object.__setattr__(self, "write_ns", float(write))
         if min(self.rows, self.data_width, self.pattern_len,
                self.blocks, self.searched_blocks) < 1:
             raise ValueError("geometry values must be positive")
@@ -87,8 +92,8 @@ class TimingParams:
 
 
 # phase: (nJ per block, the phase's cycle count per block) on the
-# characterized instance, W = 128, m = 64, n = 128; energy() sums the phases
-# in this order.
+# characterized instance, W = 128, m = 64, n = 128; energy_shares() lists the
+# phases in this order.
 PHASE_ENERGY = {
     "write": (1.228, 128),
     "reset": (1.228, 1),
@@ -115,7 +120,7 @@ class CycleCounts:
         return cls(
             search=k * params.data_width,
             write_columns=k * params.data_width,
-            read_groups=k * m * math.ceil(n / 8),
+            read_groups=k * m * math.ceil(n / PISO_WIDTH),
             detector_ticks=k * (m * n + POST_STREAM_CYCLES),
             resets=k,
         )
@@ -179,20 +184,14 @@ def energy(cycles: CycleCounts) -> EnergyFigures:
     The per-character figure divides the total by the characters searched,
     i.e. the memory cells read across all blocks (blocks * m * n).
     """
-    metered = (cycles.write_columns, cycles.resets, cycles.read_cells,
-               cycles.search, cycles.detector_ticks)
-    write, reset, read, search, detect = (
-        nj * count / ref for (nj, ref), count in zip(PHASE_ENERGY.values(), metered))
-    total = write + reset + read + search + detect
-    return EnergyFigures(
-        write_nj=write,
-        reset_nj=reset,
-        read_nj=read,
-        search_nj=search,
-        detect_nj=detect,
-        total_nj=total,
-        per_char_pj=total * 1000.0 / cycles.read_cells,
-    )
+    metered = {"write": cycles.write_columns, "reset": cycles.resets,
+               "read": cycles.read_cells, "search": cycles.search,
+               "detect": cycles.detector_ticks}
+    nj = {phase: e * metered[phase] / ref for phase, (e, ref) in PHASE_ENERGY.items()}
+    total = nj["write"] + nj["reset"] + nj["read"] + nj["search"] + nj["detect"]
+    return EnergyFigures(write_nj=nj["write"], reset_nj=nj["reset"], read_nj=nj["read"],
+                         search_nj=nj["search"], detect_nj=nj["detect"], total_nj=total,
+                         per_char_pj=total * 1000.0 / cycles.read_cells)
 
 
 def build_report(tparams: TimingParams, metered: CycleCounts) -> CostReport:

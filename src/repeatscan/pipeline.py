@@ -70,6 +70,9 @@ class ScanRequest:
         if self.cycle_accurate and len(self.pattern) != detector.PHASES:
             raise ValueError("cycle-accurate detection is implemented for pattern "
                              f"length {detector.PHASES}")
+        if self.disease is not None and self.disease.pattern.codes != self.pattern.codes:
+            raise ValueError(f"{self.disease.name} repeats {self.disease.pattern}, "
+                             f"not the pattern {self.pattern}")
         if self.record_detector_trace and not self.cycle_accurate:
             raise ValueError("a detector trace requires cycle-accurate detection (--mode cycle)")
         object.__setattr__(self, "active_blocks", blocks)
@@ -103,12 +106,10 @@ def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = TimingParam
                  active_blocks: Iterable[int] | None = None,
                  disease: DiseaseEntry | None = None, cycle_accurate: bool = False,
                  record_detector_trace: bool = False) -> ScanRequest:
-    """Build a request from loose geometry values, the write time one clock
-    unless given; ``ScanRequest`` derives and checks the rest."""
-    timing = TimingParams(clock_ns=clock_ns,
-                          write_ns=clock_ns if write_ns is None else write_ns,
-                          rows=rows, data_width=data_width, pattern_len=len(pattern),
-                          blocks=blocks)
+    """Build a request from loose geometry values; ``TimingParams`` settles
+    the periods and ``ScanRequest`` derives and checks the rest."""
+    timing = TimingParams(clock_ns=clock_ns, write_ns=write_ns, rows=rows,
+                          data_width=data_width, pattern_len=len(pattern), blocks=blocks)
     return ScanRequest(text, pattern, timing, active_blocks, disease,
                        cycle_accurate, record_detector_trace)
 

@@ -19,9 +19,8 @@ have no wildcard storage state.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 
 ALPHABET = "ACGT"
 _NOT_A_BASE = 0xFF
@@ -77,23 +76,21 @@ def decode(codes: bytes) -> str:
     return codes.translate(_CODE_BASE).decode("ascii")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class DnaSequence:
     """Non-empty DNA text, held as its base codes; ``parse_text`` builds it
     from text and checks the codes.
 
     ``codes`` is the one representation: equality and hashing compare it,
     and the array stores and searches it.  ``symbols``, also ``str()``, is
-    decoded from the codes on first use and then kept.  It also serves as a
-    search pattern, whose length limits against a concrete array geometry
-    are enforced where the pattern is used (load/search), not here.
+    decoded from the codes on each use.  It also serves as a search pattern,
+    whose length limits against a concrete array geometry are enforced where
+    the pattern is used (load/search), not here.
     """
 
-    # every search cycle reads codes: a slot keeps that fast once symbols is cached
-    __slots__ = ("codes", "__dict__")
     codes: bytes
 
-    @cached_property
+    @property
     def symbols(self) -> str:
         return decode(self.codes)
 
@@ -251,14 +248,17 @@ def _parse_bound(field: str) -> int | None:
         raise CatalogError(f"bad range endpoint {field!r}") from exc
 
 
-def load_catalog(path: str | Path) -> list[DiseaseEntry]:
+def load_catalog(path: str | os.PathLike) -> list[DiseaseEntry]:
     """Load a catalog file: name,gene,pattern,normal_lo,normal_hi,disease_lo,disease_hi.
 
-    '*' marks an unbounded endpoint; blank lines and '#' comments are skipped.
+    The file is UTF-8 in any locale, a leading byte-order mark ignored.  '*'
+    marks an unbounded endpoint; blank lines and '#' comments are skipped.
     """
+    with open(path, "rb") as f:
+        text = f.read().decode("utf-8-sig")
     entries = []
     first_line: dict[str, int] = {}     # find_entry matches names case-insensitively
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repeatscan import acam, seqio
 from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, TextTooLong,
                              WindowOutOfRange, cell_matches, drive_for,
-                             encode_char, load_text, run_block_search,
-                             search_cycle)
+                             load_text, run_block_search, search_cycle)
 from repeatscan.costmodel import TimingParams
 from repeatscan.seqio import parse_pattern, parse_text
 
@@ -33,22 +32,22 @@ def brute_occurrences(text: str, pattern: str) -> set[int]:
 
 
 def test_encoding_table_values():
-    a = encode_char("A")
+    a = CHAR_CELLS["A"]
     assert (a.r_lb_kohm, a.r_ub_kohm) == (2500.0, 186.32)
     assert (a.interval.lower, a.interval.upper) == (Decimal("0.19"), Decimal("0.31"))
-    t = encode_char("T")
+    t = CHAR_CELLS["T"]
     assert (t.r_lb_kohm, t.r_ub_kohm) == (8.9, 5.06)
     assert (t.interval.lower, t.interval.upper) == (Decimal("0.63"), Decimal("0.79"))
-    g = encode_char("G")
+    g = CHAR_CELLS["G"]
     assert (g.interval.lower, g.interval.upper) == (Decimal("0.46"), Decimal("0.59"))
-    c = encode_char("C")
+    c = CHAR_CELLS["C"]
     assert (c.r_lb_kohm, c.r_ub_kohm) == (163.3, 27.6)
 
 
 def test_mm_cell_is_inverted_and_borrows_resistances():
     assert MM_CELL.interval.lower > MM_CELL.interval.upper
-    assert MM_CELL.r_lb_kohm == encode_char("T").r_ub_kohm
-    assert MM_CELL.r_ub_kohm == encode_char("A").r_lb_kohm
+    assert MM_CELL.r_lb_kohm == CHAR_CELLS["T"].r_ub_kohm
+    assert MM_CELL.r_ub_kohm == CHAR_CELLS["A"].r_lb_kohm
 
 
 def test_drive_voltages():
@@ -64,8 +63,6 @@ def test_drive_voltages():
 def test_drive_rejects_unknown():
     with pytest.raises(ValueError):
         drive_for("N")
-    with pytest.raises(ValueError):
-        encode_char("N")
 
 
 def test_match_matrix_exhaustive():
@@ -75,16 +72,16 @@ def test_match_matrix_exhaustive():
     for stored in CHARS:
         for searched in CHARS:
             expected = stored == searched
-            assert cell_matches(encode_char(stored), drive_for(searched)) == expected
-        assert cell_matches(encode_char(stored), DONT_CARE)
+            assert cell_matches(CHAR_CELLS[stored], drive_for(searched)) == expected
+        assert cell_matches(CHAR_CELLS[stored], DONT_CARE)
     for searched in CHARS:
         assert not cell_matches(MM_CELL, drive_for(searched))
     assert cell_matches(MM_CELL, DONT_CARE)
 
 
 def test_cell_match_examples():
-    assert cell_matches(encode_char("C"), drive_for("C"))
-    assert not cell_matches(encode_char("A"), drive_for("G"))
+    assert cell_matches(CHAR_CELLS["C"], drive_for("C"))
+    assert not cell_matches(CHAR_CELLS["A"], drive_for("G"))
     assert not cell_matches(MM_CELL, drive_for("A"))
 
 

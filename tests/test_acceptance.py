@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repeatscan.acam import DONT_CARE, MM_CELL, cell_matches, drive_for, encode_char
+from repeatscan.acam import CHAR_CELLS, DONT_CARE, MM_CELL, cell_matches, drive_for
 from repeatscan.costmodel import (CycleCounts, TimingParams, energy,
                                   geometry_for_text, latency)
 from repeatscan.detector import (detect_functional, format_trace,
@@ -67,19 +67,35 @@ def test_criterion_2_per_block_total():
 
 
 def test_criterion_3_million_char_totals():
-    p3 = latency(geometry_for_text(1_000_000, 3))
-    p5 = latency(geometry_for_text(1_000_000, 5))
-    p10 = latency(geometry_for_text(1_000_000, 10))
-    t3 = (p3.t_total_ns - p3.t_load_ns) / 1000.0
-    t5 = (p5.t_total_ns - p5.t_load_ns) / 1000.0
-    t10 = (p10.t_total_ns - p10.t_load_ns) / 1000.0
+    # each total also metered from a scan of a seeded 1 M text with every
+    # block of every array active; 120 x CAG straddles the first array boundary
+    rng = random.Random(3)
+    text = "".join(rng.choices(CHARS, k=1_000_000))
+    text = text[:65_536 - 180] + "CAG" * 120 + text[65_536 + 180:]
+    seq = parse_text(text)
+    totals, metered = {}, {}
+    for p, unit in [(3, "CAG"), (5, "CCTGA"), (10, "CAGCAGCAGC")]:
+        params = geometry_for_text(1_000_000, p)
+        fig = latency(params)
+        totals[p] = (fig.t_total_ns - fig.t_load_ns) / 1000.0
+        k = params.searched_blocks
+        result = scan(make_request(seq, parse_pattern(unit),
+                                   rows=k // params.blocks * params.rows,
+                                   data_width=params.data_width, blocks=k,
+                                   active_blocks=range(k)))
+        lat = result.report.latency
+        metered[p] = (lat.t_total_ns - lat.t_load_ns) / 1000.0
+        if p == 3:
+            cag_max = result.global_max
+    t3, t5, t10 = totals[3], totals[5], totals[10]
     dev5 = abs(t5 - 144.4) / 144.4 * 100
     dev10 = abs(t10 - 148.393) / 148.393 * 100
     with criterion(3, f"1M-char totals: p3 {t3:.3f} us (ref 147.7, 0.5%); "
                       f"p5 {t5:.3f} us vs 144.4 dev {dev5:.2f}% (5%, known "
                       f"discrepancy); p10 {t10:.3f} us vs 148.393 dev "
-                      f"{dev10:.2f}% (5%)"):
-        assert t3 == 147.728
+                      f"{dev10:.2f}% (5%); each also metered from a 1M scan"):
+        assert metered == totals == {3: 147.728, 5: 145.424, 10: 148.393}
+        assert cag_max == oracle_max_tandem(text, "CAG") == 120
         assert within_pct(t3, 147.7, 0.5)
         assert within_pct(t5, 144.4, 5.0)
         assert within_pct(t10, 148.393, 5.0)
@@ -210,9 +226,9 @@ def test_criterion_7_encoding_separation():
                       "mismatches all drives and matches don't-care"):
         for stored in CHARS:
             for searched in CHARS:
-                assert cell_matches(encode_char(stored), drive_for(searched)) \
+                assert cell_matches(CHAR_CELLS[stored], drive_for(searched)) \
                     == (stored == searched)
-            assert cell_matches(encode_char(stored), DONT_CARE)
+            assert cell_matches(CHAR_CELLS[stored], DONT_CARE)
         for searched in CHARS:
             assert not cell_matches(MM_CELL, drive_for(searched))
         assert cell_matches(MM_CELL, DONT_CARE)

@@ -154,6 +154,24 @@ def test_custom_catalog(tmp_path):
     assert report["classification"] == "Disease"
 
 
+def test_catalog_is_read_as_utf8_in_the_c_locale(tmp_path):
+    # a catalog saved with a byte-order mark, a non-ASCII name on line 2 and
+    # a process whose locale encoding is ASCII
+    catalog = tmp_path / "cat.csv"
+    catalog.write_bytes("My HTT,HTT,CAG,*,26,41,*\nCafé ataxia,GENEX,CTG,1,5,6,*\n"
+                        .encode("utf-8-sig"))
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "repeatscan", "--input",
+                           write_seq(tmp_path, "CAG" * 45), "--disease", "My HTT",
+                           "--catalog", str(catalog)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["disease"], report["global_max"], report["classification"]) == (
+        "My HTT", 45, "Disease")
+
+
 def test_explicit_blocks_flag(tmp_path):
     inp = write_seq(tmp_path, "CAG" * 8)
     code, report = run_scan_to_report(
@@ -256,13 +274,30 @@ def test_report_writer_refuses_what_json_refuses(value):
         json_members({"x": value})
 
 
-def test_cost_members_tell_int_and_float_periods_apart():
-    # 1 == 1.0 makes their cost reports equal, but json writes them apart
+def test_int_periods_report_as_floats():
+    # an int period is held as its float, so both share one cache entry
     text, pattern = parse_text("CAGCAG"), parse_pattern("CAG")
     for clock in (1.0, 1, 1.0):
         request = make_request(text, pattern, rows=2, data_width=8, blocks=2, clock_ns=clock)
         report = json.loads(build_scan_report(request, scan(request)))
-        assert type(report["clock_ns"]) is type(report["dt34_ns"]) is type(clock)
+        assert type(report["clock_ns"]) is type(report["dt34_ns"]) is float
+
+
+@pytest.mark.parametrize("clock, write", [(2, 3), (np.float32(0.7), np.float32(1.3)),
+                                          (np.float64(0.7), np.float64(1.3))])
+def test_any_number_type_of_period_reports_as_the_equal_python_float(clock, write):
+    # each order starts the cost cache cold, so neither form rides on the other's entry
+    text, pattern = parse_text("CAGCAG" * 4), parse_pattern("CAG")
+    periods = [(clock, write), (float(clock), float(write))]
+    for order in (periods, periods[::-1]):
+        cli._cost_members.cache_clear()
+        reports = []
+        for clock_ns, write_ns in order:
+            request = make_request(text, pattern, rows=4, data_width=8, blocks=2,
+                                   clock_ns=clock_ns, write_ns=write_ns)
+            assert {type(v) for v in vars(request.timing).values()} == {int, float}
+            reports.append(build_scan_report(request, scan(request)))
+        assert reports[0] == reports[1]
 
 
 def test_numpy_int_geometry_reports_as_python_int_geometry():

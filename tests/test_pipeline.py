@@ -306,6 +306,24 @@ def test_request_validation():
                           active_blocks=[]))
 
 
+def test_request_rejects_a_disease_of_another_repeat_unit():
+    # FXN's thresholds count GAA; a CAG count would be classified against them
+    fxn = find_entry(builtin_catalog(), "Friedreich's ataxia")
+    text = parse_text("CAG" * 60)
+    with pytest.raises(ValueError, match="repeats GAA, not the pattern CAG"):
+        make_request(text, parse_pattern("CAG"), disease=fxn)
+    request = make_request(text, parse_pattern("gaa"), disease=fxn)
+    with pytest.raises(ValueError, match="repeats GAA, not the pattern CAG"):
+        replace(request, pattern=parse_pattern("CAG"))
+
+
+def test_write_time_is_one_clock_unless_given():
+    assert TimingParams(clock_ns=2.0).write_ns == 2.0
+    assert TimingParams(clock_ns=2.0, write_ns=3).write_ns == 3.0
+    request = make_request(parse_text("CAG"), parse_pattern("CAG"), clock_ns=2.0)
+    assert request.timing == TimingParams(clock_ns=2.0, searched_blocks=1)
+
+
 def test_trace_requires_cycle_accurate_detection():
     text, pattern = parse_text("CAGCAG"), parse_pattern("CAG")
     with pytest.raises(ValueError, match="trace requires cycle-accurate"):

@@ -233,6 +233,18 @@ def test_catalog_file_round_trip(tmp_path):
     assert classify(15, entries[1]) == DISEASE
 
 
+def test_catalog_file_is_utf8_and_a_leading_byte_order_mark_is_ignored(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_bytes("My HTT,HTT,CAG,*,26,41,*\nCafé ataxia,GENEX,CTG,1,5,6,*\n"
+                     .encode("utf-8-sig"))
+    entries = load_catalog(path)
+    assert [e.name for e in entries] == ["My HTT", "Café ataxia"]
+    assert find_entry(entries, "my htt").gene == "HTT"
+    path.write_bytes(b"Caf\xe9 ataxia,GENEX,CTG,1,5,6,*\n")    # Latin-1, not UTF-8
+    with pytest.raises(UnicodeDecodeError):
+        load_catalog(path)
+
+
 def test_catalog_file_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("only,three,fields\n")
@@ -326,15 +338,16 @@ def test_valid_text_is_parsed_in_one_pass(raw, bases):
     assert parse_text(raw).codes == bytes(map(seqio.ALPHABET.index, bases))
 
 
-def test_parsed_sequence_decodes_its_symbols_once_on_first_use(monkeypatch):
+def test_parsed_sequence_holds_only_its_codes_and_decodes_on_each_use(monkeypatch):
     decoded = []
     decode = seqio.decode
     monkeypatch.setattr(seqio, "decode", lambda codes: decoded.append(codes) or decode(codes))
     seq = parse_text(b">h\ngat\ncA\n")
     assert (seq.codes, len(seq), decoded) == (bytes([2, 0, 3, 1, 0]), 5, [])
+    assert not hasattr(seq, "__dict__")
     assert str(seq) == seq.symbols == "GATCA" and repr(seq) == "DnaSequence(symbols='GATCA')"
-    assert decoded == [seq.codes]
-    assert DnaSequence(seq.codes) == seq and decoded == [seq.codes]   # equal by codes
+    assert decoded == [seq.codes] * 3
+    assert DnaSequence(seq.codes) == seq and decoded == [seq.codes] * 3   # equal by codes
     with pytest.raises(dataclasses.FrozenInstanceError):
         seq.codes = b""
 
