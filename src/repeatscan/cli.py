@@ -34,7 +34,6 @@ from . import __version__, detector
 from .costmodel import (MAX_ARRAY_CELLS, CostReport, CycleCounts, CycleCountMismatch,
                         TimingParams, energy, energy_shares, geometry_for_text, latency,
                         latency_shares)
-from .detector import run_trace
 from .pipeline import (InternalInvariantError, ScanRequest, ScanResult,
                        make_request, scan)
 from .seqio import (builtin_catalog, find_entry, load_catalog, parse_pattern,
@@ -78,12 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-ns", type=float, default=None,
                    help="memristor write time in ns (default: one clock)")
     p.add_argument("--mode", choices=["functional", "cycle"], default="functional",
-                   help="detector mode (cycle = FSM, pattern length 3 only)")
+                   help="detector mode (cycle = the FSM too, checked against functional)")
     p.add_argument("--trace", help="write the cycle-accurate detector trace here (--mode cycle)")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.add_argument("--paper-numbers", action="store_true",
                    help="check the cost model against the reference figures and exit")
-    p.add_argument("--bits", help="drive the detector FSM with this 0/1 string, the "
+    p.add_argument("--bits", help=f"drive the detector FSM for pattern length "
+                   f"{TimingParams.pattern_len} with this 0/1 string, the "
                    "end-of-sequence signal raised on its last input, and exit")
     return p
 
@@ -246,7 +246,7 @@ def run_paper_numbers() -> int:
 def run_bits_trace(args) -> int:
     if set(args.bits) - set("01"):
         raise ValueError("--bits must be a string of 0s and 1s")
-    global_max, trace = run_trace(args.bits)
+    global_max, trace = detector.run_trace(args.bits, TimingParams.pattern_len)
     if args.trace:
         with open(args.trace, "wb") as out:
             detector.format_trace(trace, out)

@@ -11,20 +11,20 @@ input Lp further on does too, so L doubles up to 128, then grows greedily by
 the phase-major layout of ``_phase_runs``, a separate rule, so cycle mode's
 comparison of the two maxima checks one rule against the other.
 
-The cycle-accurate mode reproduces the hardware detector for p = 3: a
-round-robin FSM (states S1..S6 plus Initial and Exit) emits an increment
-signal C or a reset signal R for the active phase each cycle.  It consumes
-one input vector x, one input per cycle, its last input raising the
+The cycle-accurate mode reproduces the hardware detector for a pattern
+length p: a round-robin FSM (states S1..S2p plus Initial and Exit) emits an
+increment signal C or a reset signal R for the active phase each cycle.  It
+consumes one input vector x, one input per cycle, its last input raising the
 end-of-sequence signal D: ``run_trace`` takes x as given, and
-``run_cycle_accurate`` extends a read-out stream to x with ``FLUSH_ZEROS``
+``run_cycle_accurate`` extends a read-out stream to x with ``flush_zeros(p)``
 zeros and one final zero.  On a zero the max-register compare lands one
 cycle later and the counter reset two cycles later, so the flush zeros drain
 the pipeline while D waits, and the input carrying D moves the FSM to Exit,
-where the counters are cleared (CLR) and the three max registers fold into
-the global maximum.
+where the counters are cleared (CLR) and the p max registers fold into the
+global maximum.
 
 The registers are computed per phase from events, in one array pass per
-vector, not cycle by cycle.  Phase q's y_j arrives in cycle c_j = q + 3j
+vector, not cycle by cycle.  Phase q's y_j arrives in cycle c_j = q + pj
 (counted from 0).  A one's increment lands at c_j + 1 and a zero's counter
 reset at c_j + 2, so the phase counter at the end of cycle t is r_j, capped,
 of the last input whose event is due by t.  A zero's compare lands at c_j + 1
@@ -32,7 +32,7 @@ and carries r_(j-1), so the FSM matches the functional detector only if a
 flush zero reaches every phase.  The exit cycle, the one whose input carries
 D, retires only the events due in it.  This holds because a zero's compare
 lands before its reset, which lands before the phase's next event; that order
-is asserted at import on the delay constants below.  Max registers are a
+is ``check_pattern_length``'s, met by every p >= 2.  Max registers are a
 running maximum along each row.  Untraced runs take the largest compare;
 traced runs write a row of cycles per register, a ``Trace``, which
 ``format_trace`` streams in chunks.
@@ -40,6 +40,7 @@ traced runs write a row of cycles per register, a ``Trace``, which
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
@@ -51,32 +52,43 @@ REGISTER_MAX = 255          # 8-bit counters and max registers saturate here
 FLUSH_ZEROS = 4
 POST_STREAM_CYCLES = FLUSH_ZEROS + 1
 
-PHASES = 3                  # the FSM serves pattern length 3
 INC_DELAY = CMP_DELAY = 1   # cycles from a one to its increment, a zero to its compare
 RST_DELAY = 2               # cycles from a zero to its counter reset
-# The compare reads the run before the reset clears it, and the reset lands
-# before the phase's next input, PHASES cycles on, lands its own event.
-assert CMP_DELAY < RST_DELAY < PHASES + min(INC_DELAY, CMP_DELAY)
-# Every phase gets a flush zero whose compare lands by the exit cycle.
-assert FLUSH_ZEROS >= PHASES - 1 + CMP_DELAY
-
-_STATE_LABELS = ("Initial", "S1", "S2", "S3", "S4", "S5", "S6")
 
 TRACE_CHUNK_ROWS = 4096     # rows format_trace lays out per write
-TRACE_HEADER = "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
 
 
-def _head(state: int, x: int) -> str:
-    """Trace columns state..R3 for input x consumed in a state with d low: a one
-    raises C, a zero R, of the state's phase (1 in S1/S2, 2 in S3/S4, else 0)."""
-    signals = ["0"] * 6
-    signals[(state + 1) // 2 % PHASES + (0 if x else 3)] = "1"
-    return f",{_STATE_LABELS[state]},{x},0,{','.join(signals)},"
+def check_pattern_length(p: int) -> None:
+    """Raise ValueError unless the delays keep the module's order at stride p."""
+    if not CMP_DELAY < RST_DELAY < p + min(INC_DELAY, CMP_DELAY):
+        raise ValueError(f"the detector FSM cannot serve pattern length {p}")
 
 
-_HEAD_FIELDS = [_head(s, x) for s in range(1, len(_STATE_LABELS)) for x in (0, 1)]
-# 20 bytes each, indexed by 2 * (state - 1) + x for the states S1..S6
-_HEADS = np.frombuffer("".join(_HEAD_FIELDS).encode(), dtype=f"V{len(_HEAD_FIELDS[0])}")
+def flush_zeros(p: int) -> int:
+    """Zeros after a read-out stream: a compare for every phase by the exit cycle."""
+    return max(FLUSH_ZEROS, p - 1 + CMP_DELAY)
+
+
+def trace_header(p: int) -> str:
+    """The trace's CSV header for pattern length p."""
+    return ",".join(["cycle,state,x,d"] + [f"{r}{i}" for r in ("C", "R", "ctr", "max")
+                                           for i in range(1, p + 1)])
+
+
+def _head(state: int, x: int, p: int) -> str:
+    """Trace columns state..Rp for input x consumed in a state with d low: a
+    one raises C, a zero R, of the state's phase, (state + 1) // 2 mod p."""
+    signals = ["0"] * 2 * p
+    signals[(state + 1) // 2 % p + (0 if x else p)] = "1"
+    return f",{f'S{state}' if state else 'Initial'},{x},0,{','.join(signals)},"
+
+
+@functools.lru_cache(maxsize=16)
+def _heads(p: int) -> np.ndarray:
+    """Read-only heads of S1..S2p by 2 * (state - 1) + x, NUL-led to the widest."""
+    fields = [_head(s, x, p).encode() for s in range(1, 2 * p + 1) for x in (0, 1)]
+    width = len(fields[-1])             # 20 bytes for p = 3; S10 and up are wider
+    return np.frombuffer(b"".join(f.rjust(width, b"\0") for f in fields), dtype=f"V{width}")
 
 
 def _lookup_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -184,82 +196,85 @@ class Trace:
     """Columnar detector trace, one row per clock cycle.
 
     ``x`` holds the inputs consumed, the last one carrying D; ``regs`` holds
-    one row per register, ctr1..ctr3 then max1..max3, of its end-of-cycle
+    one row per register, ctr1..ctrp then max1..maxp, of its end-of-cycle
     values in each of those cycles and in the final Exit cycle.  States and
     signals follow from x.
     """
     x: np.ndarray        # uint8, one per consumed input
-    regs: np.ndarray     # uint8, (6, len(x) + 1), one row per register
+    regs: np.ndarray     # uint8, (2p, len(x) + 1), one row per register
 
     def __len__(self) -> int:
         return self.regs.shape[1]
 
 
-def _run(x: np.ndarray, record_trace: bool) -> tuple[int, Trace | None]:
+def _run(x: np.ndarray, p: int, record_trace: bool) -> tuple[int, Trace | None]:
     """The FSM over the bool input vector ``x``, D raised with its last input."""
+    check_pattern_length(p)
     k = len(x) - 1                      # inputs consumed with D low
-    y, ones, runs = _phase_runs(x[:k], PHASES)   # padding ones compare nothing
+    y, ones, runs = _phase_runs(x[:k], p)   # padding ones compare nothing
     run = np.zeros(y.shape, dtype=np.uint8)
     run.ravel()[ones] = np.minimum(runs, REGISTER_MAX, out=runs)
     compare = run[:, :-1] * ~y[:, 1:]   # a zero y_j compares r_(j-1)
     if not record_trace:
         return int(compare.max()), None
 
-    # Registers of phase q for the PHASES cycles from c_j + INC_DELAY: the
-    # counter after the increment or before the reset (the larger of r_j and
-    # r_(j-1)) until the reset is due, r_j after it, and the running maximum
-    # of the compares throughout.  Cycles 0..k, then the Exit column.
+    # Registers of phase q for the p cycles from c_j + INC_DELAY: the counter
+    # after the increment or before the reset (the larger of r_j and r_(j-1))
+    # until the reset is due, r_j after it, and the running maximum of the
+    # compares throughout.  Cycles 0..k, then the Exit column.
     held = np.maximum(run[:, 1:], run[:, :-1])
     top = np.maximum.accumulate(compare, axis=1)
-    regs = np.zeros((2 * PHASES, k + 2), dtype=np.uint8)
-    for q, d in np.ndindex(PHASES, PHASES):
-        ctr = regs[q, q + INC_DELAY + d:k + 1:PHASES]
+    regs = np.zeros((2 * p, k + 2), dtype=np.uint8)
+    for q, d in np.ndindex(p, p):
+        ctr = regs[q, q + INC_DELAY + d:k + 1:p]
         ctr[:] = (held if d < RST_DELAY - INC_DELAY else run[:, 1:])[q, :len(ctr)]
-        regs[PHASES + q, q + INC_DELAY + d:k + 1:PHASES] = top[q, :len(ctr)]
-    regs[PHASES:, -1] = regs[PHASES:, -2]   # Exit: CLR, max registers kept
-    return int(regs[PHASES:, -1].max()), Trace(x.view(np.uint8), regs)
+        regs[p + q, q + INC_DELAY + d:k + 1:p] = top[q, :len(ctr)]
+    regs[p:, -1] = regs[p:, -2]         # Exit: CLR, max registers kept
+    return int(regs[p:, -1].max()), Trace(x.view(np.uint8), regs)
 
 
-def run_cycle_accurate(bits: Sequence[int] | np.ndarray,
+def run_cycle_accurate(bits: Sequence[int] | np.ndarray, p: int,
                        record_trace: bool = False) -> tuple[int, Trace | None]:
-    """Run a match bitmap through the p = 3 detector as a read-out stream,
+    """Run a match bitmap through the p-phase detector as a read-out stream,
     flushed as the module states; a scan streams one run of consecutive blocks
     (``pipeline`` states the boundary rule).  No trace unless ``record_trace``."""
-    x = np.concatenate([np.asarray(bits, dtype=bool), np.zeros(FLUSH_ZEROS + 1, dtype=bool)])
-    return _run(x, record_trace)
+    x = np.concatenate([np.asarray(bits, dtype=bool), np.zeros(flush_zeros(p) + 1, dtype=bool)])
+    return _run(x, p, record_trace)
 
 
-def run_trace(x_bits: Sequence[int] | str) -> tuple[int, Trace]:
-    """Drive the FSM with an explicit X vector, D raised with its last input,
-    and record the trace.  An empty X is read as one zero."""
-    return _run(np.array([int(b) for b in x_bits] or [0], dtype=bool), True)
+def run_trace(x_bits: Sequence[int] | str, p: int) -> tuple[int, Trace]:
+    """Drive the FSM for pattern length p with an explicit X vector, D raised
+    with its last input, and record the trace.  An empty X is read as one zero."""
+    return _run(np.array([int(b) for b in x_bits] or [0], dtype=bool), p, True)
 
 
 def format_trace(trace: Trace, out: BinaryIO) -> None:
-    """Write the trace as CSV under ``TRACE_HEADER``, then a global_max line
+    """Write the trace as CSV under ``trace_header(p)``, then a global_max line
     (the Exit row's largest max register), to the binary stream ``out``.  The
     Initial row and the last two are written apart.  The rows between go
     ``TRACE_CHUNK_ROWS`` at a time into one reused byte table, each field
     copied whole from a read-only table: the cycle's digits (at least four),
-    the 20-byte S1..S6 head, and each register's 4-byte _FIELDS item, in a
-    field as wide as the register's largest value in the chunk.  Narrower
-    fields are NUL-led; only a chunk that holds NULs has them deleted on write."""
+    the S1..S2p head, and each register's 4-byte _FIELDS item, in a field as
+    wide as the register's largest value in the chunk.  Narrower fields are
+    NUL-led; only a chunk that holds NULs has them deleted on write."""
     x, regs = trace.x, trace.regs
+    p = len(regs) // 2
+    head_table = _heads(p)
     n = len(x) - 1                      # rows with D low
-    initial = f"1{_head(0, x[0])}" + ",".join(map(str, regs[:, 0])) + "\n" if n else ""
-    out.write(f"{TRACE_HEADER}\n{initial}".encode())
+    initial = f"1{_head(0, x[0], p)}" + ",".join(map(str, regs[:, 0])) + "\n" if n else ""
+    out.write(f"{trace_header(p)}\n{initial}".encode())
     # head of row r >= 1: x[r] in state S(2q+1+x[r - 1]), input r - 1 of phase q
     head = 2 * x[:max(n - 1, 0)] + x[1:n]
-    for q in range(1, PHASES):
-        head[q::PHASES] += 4 * q
+    for q in range(1, p):
+        head[q::p] += 4 * q
     rows = min(len(head), TRACE_CHUNK_ROWS)
-    table = np.empty(rows * (max(len(str(n)), 4) + _HEADS.itemsize + 6 * 4), np.uint8)
-    heads = np.empty(rows, _HEADS.dtype)   # a gather into a strided view is slower
+    table = np.empty(rows * (max(len(str(n)), 4) + head_table.itemsize + len(regs) * 4), np.uint8)
+    heads = np.empty(rows, head_table.dtype)   # a gather into a strided view is slower
     # every index is in range; take's default mode would buffer the copy into out
     for start in range(1, n, TRACE_CHUNK_ROWS):
         stop = min(start + TRACE_CHUNK_ROWS, n)
         digits = [len(str(v)) for v in regs[:, start:stop].max(axis=1).tolist()]
-        end = max(len(str(stop)), 4) + _HEADS.itemsize + sum(digits) + 6   # the row's width
+        end = max(len(str(stop)), 4) + head_table.itemsize + sum(digits) + 2 * p  # row width
         chunk = table[:(stop - start) * end].reshape(stop - start, end)
         # Registers right to left, then heads, then cycles: each _FIELDS item
         # ends at its field's comma, and its leading NULs spill into the field
@@ -267,14 +282,14 @@ def format_trace(trace: Trace, out: BinaryIO) -> None:
         for row, w in zip(regs[::-1, start:stop], digits[::-1]):
             _FIELDS.take(row, out=chunk[:, end - 4:end].view(_FIELDS.dtype)[:, 0], mode="clip")
             end -= w + 1
-        _HEADS.take(head[start - 1:stop - 1], out=heads[:stop - start], mode="clip")
-        chunk[:, end - _HEADS.itemsize:end].view(_HEADS.dtype)[:, 0] = heads[:stop - start]
-        _write_cycles(start + 1, chunk[:, :end - _HEADS.itemsize])
+        head_table.take(head[start - 1:stop - 1], out=heads[:stop - start], mode="clip")
+        chunk[:, end - head_table.itemsize:end].view(head_table.dtype)[:, 0] = heads[:stop - start]
+        _write_cycles(start + 1, chunk[:, :end - head_table.itemsize])
         chunk[:, -1] = ord("\n")
         text = chunk.tobytes()
         out.write(text.translate(None, b"\0") if b"\0" in text else text)
-    last = 2 * ((n - 1) % PHASES) + 1 + x[n - 1] if n else 0
-    out.write((f"{n + 1},{_STATE_LABELS[last]},{x[n]},1,0,0,0,0,0,0,"
+    last = 2 * ((n - 1) % p) + 1 + x[n - 1] if n else 0
+    out.write((f"{n + 1},{f'S{last}' if last else 'Initial'},{x[n]},1{',0' * 2 * p},"
                + ",".join(map(str, regs[:, -2]))
-               + f"\n{n + 2},Exit,-,-,0,0,0,0,0,0," + ",".join(map(str, regs[:, -1]))
-               + f"\nglobal_max,{regs[PHASES:, -1].max()}\n").encode())
+               + f"\n{n + 2},Exit,-,-{',0' * 2 * p}," + ",".join(map(str, regs[:, -1]))
+               + f"\nglobal_max,{regs[p:, -1].max()}\n").encode())

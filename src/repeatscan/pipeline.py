@@ -7,22 +7,23 @@ segment, and a traced scan returns each segment's blocks and Trace.  At a
 block boundary the simulator assumes (of arXiv 2205.15505, whose text beyond
 the abstract is not at hand) one rule: the detector's counters carry across
 the boundaries inside a run, so a repeat crossing them is counted whole; the
-FSM takes the run's stream and then one flush of ``POST_STREAM_CYCLES``
-inputs; and each block is still charged m*n + ``POST_STREAM_CYCLES``
-detector ticks, the dt23 closed form, the ticks beyond the run's inputs
-being drain ticks that consume no input.  A request is derived and checked
-once, when ``ScanRequest`` is built.  Cycle counts are metered from the
-actual simulation, detector ticks from each block's read-out, and must agree
-with the closed-form cost model.  In cycle mode each run's FSM maximum must
-equal the functional detector's, which takes its runs by a separate rule
-(``detector`` states both), or the scan fails.  SET events are the set bits
-of each run's concatenated read-outs, the sum of its blocks' popcounts: a
-write phase starts all-HRS and writes each column once, so a block's
-popcount is the number of high tags written.  A global maximum at the 8-bit
-register limit is reported as saturated, since the true count may be any
-value from there up.  With the ``repeatscan`` logger at DEBUG, each block's
-SET events (counted for the log alone), maximum and saturation are logged
-as the block finishes.
+FSM takes the run's stream and then one flush of ``flush_zeros(p) + 1``
+inputs (``detector``); and each block is still charged m*n +
+``POST_STREAM_CYCLES`` detector ticks, the dt23 closed form, the ticks
+beyond the run's inputs being drain ticks that consume no input (at p >= 5 a
+short run has none and consumes more than it is charged).  A request is
+derived and checked once, when ``ScanRequest`` is built.  Cycle counts are
+metered from the actual simulation, detector ticks from each block's
+read-out, and must agree with the closed-form cost model.  In cycle mode
+each run's FSM maximum must equal the functional detector's, which takes its
+runs by a separate rule (``detector`` states both), or the scan fails.  SET
+events are the set bits of each run's concatenated read-outs, the sum of its
+blocks' popcounts: a write phase starts all-HRS and writes each column once,
+so a block's popcount is the number of high tags written.  A global maximum
+at the 8-bit register limit is reported as saturated, since the true count
+may be any value from there up.  With the ``repeatscan`` logger at DEBUG,
+each block's SET events (counted for the log alone), maximum and saturation
+are logged as the block finishes.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ class ScanRequest:
         outside = [b for b in blocks if not 0 <= b < self.timing.blocks]
         if outside:
             raise ValueError(f"block {outside[0]} outside [0, {self.timing.blocks})")
-        if self.cycle_accurate and len(self.pattern) != detector.PHASES:
-            raise ValueError("cycle-accurate detection is implemented for pattern "
-                             f"length {detector.PHASES}")
+        if self.cycle_accurate:
+            detector.check_pattern_length(len(self.pattern))
         if self.disease is not None and self.disease.pattern.codes != self.pattern.codes:
             raise ValueError(f"{self.disease.name} repeats {self.disease.pattern}, "
                              f"not the pattern {self.pattern}")
@@ -176,7 +176,7 @@ def scan(request: ScanRequest) -> ScanResult:
         segment_max = detector.detect_functional(bits, timing.pattern_len)
         if request.cycle_accurate:
             fsm_max, trace = detector.run_cycle_accurate(
-                bits, record_trace=request.record_detector_trace)
+                bits, timing.pattern_len, record_trace=request.record_detector_trace)
             if fsm_max != segment_max:
                 raise InternalInvariantError(
                     f"cycle-accurate detector returned {fsm_max}, functional {segment_max}")

@@ -7,6 +7,7 @@ import io
 import itertools
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,8 @@ def test_criterion_2_per_block_total():
 
 def test_criterion_3_million_char_totals():
     # each total also metered from a scan of a seeded 1 M text with every
-    # block of every array active; 120 x CAG straddles the first array boundary
+    # block of every array active, in both detector modes; 120 x CAG
+    # straddles the first array boundary
     rng = random.Random(3)
     text = "".join(rng.choices(CHARS, k=1_000_000))
     text = text[:65_536 - 180] + "CAG" * 120 + text[65_536 + 180:]
@@ -79,10 +81,14 @@ def test_criterion_3_million_char_totals():
         fig = latency(params)
         totals[p] = (fig.t_total_ns - fig.t_load_ns) / 1000.0
         k = params.searched_blocks
-        result = scan(make_request(seq, parse_pattern(unit),
-                                   rows=k // params.blocks * params.rows,
-                                   data_width=params.data_width, blocks=k,
-                                   active_blocks=range(k)))
+        request = make_request(seq, parse_pattern(unit),
+                               rows=k // params.blocks * params.rows,
+                               data_width=params.data_width, blocks=k,
+                               active_blocks=range(k))
+        result = scan(request)
+        # the FSM for p agrees with the functional detector, or scan raises
+        cycle = scan(replace(request, cycle_accurate=True))
+        assert (cycle.global_max, cycle.report) == (result.global_max, result.report)
         lat = result.report.latency
         metered[p] = (lat.t_total_ns - lat.t_load_ns) / 1000.0
         if p == 3:
@@ -118,7 +124,7 @@ def test_criterion_4_energy():
 def test_criterion_5_golden_detector_trace():
     with criterion(5, "cycle-accurate trace for X=101110000 matches the "
                       "committed golden file byte-exactly, global max 2"):
-        gm, trace = run_trace("101110000")
+        gm, trace = run_trace("101110000", 3)
         assert gm == 2
         out = io.BytesIO()
         format_trace(trace, out)
@@ -261,7 +267,7 @@ def test_criterion_9_fsm_functional_agreement_exhaustive():
         checked = 0
         for length in range(17):
             for bits in itertools.product((0, 1), repeat=length):
-                assert run_cycle_accurate(bits)[0] == detect_functional(bits, 3), bits
+                assert run_cycle_accurate(bits, 3)[0] == detect_functional(bits, 3), bits
                 checked += 1
         assert checked == 2 ** 17 - 1
 

@@ -21,7 +21,7 @@ from repeatscan import acam, cli, detector, seqio
 from repeatscan.cli import (build_parser, build_scan_report, json_members, json_object,
                             main, reference_rows, row_passes)
 from repeatscan.costmodel import TimingParams
-from repeatscan.detector import REGISTER_MAX, TRACE_HEADER, oracle_max_tandem
+from repeatscan.detector import REGISTER_MAX, oracle_max_tandem, trace_header
 from repeatscan.pipeline import ScanRequest, make_request, scan
 from repeatscan.seqio import parse_pattern, parse_text
 
@@ -615,7 +615,7 @@ def test_out_of_memory_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys
 
 def test_detector_disagreement_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     # with no flush zero, phase 0's run of three is never compared
-    monkeypatch.setattr(detector, "FLUSH_ZEROS", 0)
+    monkeypatch.setattr(detector, "flush_zeros", lambda p: 0)
     code = main(["--input", write_seq(tmp_path, "CAGCAGCAG"), "--pattern", "CAG",
                  "--rows", "1", "--width", "9", "--array-blocks", "1", "--mode", "cycle"])
     assert code == 2
@@ -743,11 +743,28 @@ def test_full_array_gapped_cycle_trace_is_byte_stable(tmp_path):
         "d8547e1cc30eadb3d6daa1051cba00736f30f6b3b257d38fdd15ec8c26ed0778"
 
 
-def test_cycle_mode_rejects_non_trinucleotide(tmp_path, capsys):
+def test_cycle_mode_rejects_pattern_length_1(tmp_path, capsys):
     inp = write_seq(tmp_path, "CCTGCCTG")
-    code = main(["--input", inp, "--pattern", "CCTG", "--mode", "cycle",
+    code = main(["--input", inp, "--pattern", "C", "--mode", "cycle",
                  "--rows", "2", "--width", "8", "--array-blocks", "2"])
     assert code == 1
+    assert capsys.readouterr().err == \
+        "error: the detector FSM cannot serve pattern length 1\n"
+
+
+def test_cycle_mode_scans_a_tetranucleotide_disease_at_the_default_geometry(tmp_path):
+    # DMPK's CCTG: the FSM runs with four phases, and its trace shows them
+    inp = write_seq(tmp_path, "GATTACA" + "CCTG" * 80 + "TTAGGC")
+    trace = tmp_path / "t4.csv"
+    code, report = run_scan_to_report(tmp_path, "--input", inp, "--disease",
+                                      "Myotonic dystrophy 2", "--mode", "cycle",
+                                      "--trace", str(trace))
+    assert code == 0
+    assert (report["global_max"], report["classification"]) == (80, "Disease")
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "run,blocks=0-0"
+    assert lines[1].startswith("cycle,state,x,d,C1,C2,C3,C4,R1,")
+    assert lines[-1] == f"global_max,{report['global_max']}"
 
 
 def test_bits_trace_reproduces_golden(capsys):
@@ -770,7 +787,7 @@ def test_main_calls_share_the_parser_but_no_flag_values(tmp_path, capsys):
     assert capsys.readouterr().out == "global_max 2\n"
     # --trace does not carry over: the trace goes to stdout
     assert main(["--bits", "10"]) == 0
-    assert capsys.readouterr().out.startswith(TRACE_HEADER + "\n1,Initial,1,0,")
+    assert capsys.readouterr().out.startswith(trace_header(3) + "\n1,Initial,1,0,")
     assert build_parser() is build_parser()
 
 

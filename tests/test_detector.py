@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 from repeatscan import detector
 from repeatscan.detector import (FLUSH_ZEROS, POST_STREAM_CYCLES,
-                                 TRACE_CHUNK_ROWS, TRACE_HEADER,
-                                 detect_functional, format_trace,
+                                 TRACE_CHUNK_ROWS, check_pattern_length,
+                                 detect_functional, flush_zeros, format_trace,
                                  oracle_max_tandem, run_cycle_accurate,
-                                 run_trace)
+                                 run_trace, trace_header)
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_101110000.csv"
 GOLDEN_SATURATING = Path(__file__).parent / "golden" / "trace_saturating.csv"
 
 bit_streams = st.lists(st.integers(0, 1), max_size=200)
+fsm_pattern_lengths = st.integers(2, 10)
 
 
 def naive_max_tandem(text: str, pattern: str) -> int:
@@ -194,25 +195,25 @@ def trace_text(trace) -> str:
     return out.getvalue().decode("ascii")
 
 
-def trace_lines(global_max, trace):
+def trace_lines(global_max, trace, p=3):
     """``format_trace`` output split into its data rows, checking the header
     and that the global_max line is the detector's result on the way."""
     lines = trace_text(trace).splitlines()
-    assert lines[0] == TRACE_HEADER
+    assert lines[0] == trace_header(p)
     assert lines[-1] == f"global_max,{global_max}"
     return lines[1:-1]
 
 
 def parsed_rows(global_max, trace):
-    """The data rows ``format_trace`` writes, as dicts keyed by the header
-    fields, numbers as ints."""
-    keys = TRACE_HEADER.split(",")
+    """The data rows ``format_trace`` writes at p = 3, as dicts keyed by the
+    header fields, numbers as ints."""
+    keys = trace_header(3).split(",")
     return [{k: int(v) if v.isdigit() else v for k, v in zip(keys, line.split(","))}
             for line in trace_lines(global_max, trace)]
 
 
 def test_fsm_worked_example_trace_values():
-    gm, trace = run_trace("101110000")
+    gm, trace = run_trace("101110000", 3)
     assert gm == 2
     rows = parsed_rows(gm, trace)
     states = [r["state"] for r in rows]
@@ -236,7 +237,7 @@ def test_fsm_worked_example_trace_values():
 
 
 def test_fsm_golden_file_byte_exact():
-    gm, trace = run_trace("101110000")
+    gm, trace = run_trace("101110000", 3)
     assert trace_text(trace) == GOLDEN.read_text()
 
 
@@ -248,20 +249,22 @@ def saturating_stream() -> list[int]:
 
 
 def test_fsm_saturating_golden_file_byte_exact():
-    gm, trace = run_cycle_accurate(saturating_stream(), record_trace=True)
+    gm, trace = run_cycle_accurate(saturating_stream(), 3, record_trace=True)
     assert gm == 255
     assert trace_text(trace) == GOLDEN_SATURATING.read_text()
 
 
-def reference_trace(xs, ds):
-    """Per-cycle reference model of the detector rules, independent of the
-    kernel: in each cycle retire the increment or the compare due, then the
-    reset due, then consume the input (x, d).  A one schedules its phase's
-    increment for the next cycle; a zero schedules the compare for the next
-    cycle and the counter reset for the one after.  Raising d retires the
-    cycle's events and exits.  Returns the global maximum and the trace rows
-    as ``format_trace`` writes them."""
-    ctr, mx = [0, 0, 0], [0, 0, 0]
+def reference_trace(xs, ds, p=3):
+    """Per-cycle reference model of the detector rules for pattern length p,
+    independent of the kernel: in each cycle retire the increment or the
+    compare due, then the reset due, then consume the input (x, d).  Input i
+    is phase i mod p's; a one schedules its phase's increment for the next
+    cycle; a zero schedules the compare for the next cycle and the counter
+    reset for the one after.  Raising d retires the cycle's events and exits.
+    Returns the global maximum and the trace rows as ``format_trace`` writes
+    them."""
+    ctr, mx = [0] * p, [0] * p
+    quiet = ",".join(["0"] * 2 * p)
     inc, cmp, rst = {}, {}, {}      # cycle -> phase
     state = "Initial"
     rows = []
@@ -272,20 +275,18 @@ def reference_trace(xs, ds):
             mx[cmp[cycle]] = max(mx[cmp[cycle]], ctr[cmp[cycle]])
         if cycle in rst:
             ctr[rst[cycle]] = 0
-        q = (cycle - 1) % 3
-        signals = [0] * 6
+        q = (cycle - 1) % p
+        signals = [0] * 2 * p
         if d:
-            regs = ",".join(map(str, ctr + mx))
-            rows.append(f"{cycle},{state},{x},1,0,0,0,0,0,0,{regs}")
-            rows.append(f"{cycle + 1},Exit,-,-,0,0,0,0,0,0,0,0,0,"
-                        + ",".join(map(str, mx)))
+            rows.append(f"{cycle},{state},{x},1,{quiet}," + ",".join(map(str, ctr + mx)))
+            rows.append(f"{cycle + 1},Exit,-,-,{quiet}," + ",".join(map(str, [0] * p + mx)))
             return max(mx), rows
         if x:
             inc[cycle + 1] = q
             signals[q] = 1
         else:
             cmp[cycle + 1] = rst[cycle + 2] = q
-            signals[3 + q] = 1
+            signals[p + q] = 1
         regs = ",".join(map(str, signals + ctr + mx))
         rows.append(f"{cycle},{state},{x},0,{regs}")
         state = f"S{2 * q + 1 + x}"
@@ -293,20 +294,24 @@ def reference_trace(xs, ds):
 
 
 @st.composite
-def saturating_streams(draw):
+def saturating_streams(draw, p=3):
     """Random bits around an optional run of 250-300 ones in one random
-    phase (at stride 3 a counter runs past 255 only in a stream of at least
-    766 bits), the other two phases random."""
+    phase at stride p (at stride 3 a counter runs past 255 only in a stream
+    of at least 766 bits), the other phases random."""
     noise = st.lists(st.integers(0, 1), max_size=60)
     bits = draw(noise)
     if draw(st.booleans()):
-        phase = draw(st.integers(0, 2))
+        phase = draw(st.integers(0, p - 1))
         rng = draw(st.randoms(use_true_random=False))
         for _ in range(draw(st.integers(250, 300))):
-            unit = [rng.randint(0, 1), rng.randint(0, 1)]
+            unit = [rng.randint(0, 1) for _ in range(p - 1)]
             unit.insert(phase, 1)
             bits += unit
     return bits + draw(noise)
+
+
+# a pattern length the FSM serves and a saturating stream at that stride
+fsm_cases = fsm_pattern_lengths.flatmap(lambda p: st.tuples(st.just(p), saturating_streams(p)))
 
 
 @given(saturating_streams()
@@ -317,31 +322,34 @@ def saturating_streams(draw):
 def test_run_cycle_accurate_is_run_trace_of_the_flushed_stream(bits):
     # a read-out stream's input vector: the stream, the flush zeros and the
     # final zero that carries D
-    gm, trace = run_cycle_accurate(bits, record_trace=True)
-    x_gm, x_trace = run_trace(bits + [0] * (FLUSH_ZEROS + 1))
+    gm, trace = run_cycle_accurate(bits, 3, record_trace=True)
+    x_gm, x_trace = run_trace(bits + [0] * (FLUSH_ZEROS + 1), 3)
     assert gm == x_gm
     assert trace_text(trace) == trace_text(x_trace)
 
 
-@given(saturating_streams())
+@given(fsm_cases)
 @settings(max_examples=150, deadline=None)
-def test_run_cycle_accurate_matches_reference_row_for_row(bits):
-    flushed = bits + [0] * FLUSH_ZEROS + [0]
-    ref_max, ref_rows = reference_trace(flushed, [0] * (len(flushed) - 1) + [1])
-    gm, trace = run_cycle_accurate(bits, record_trace=True)
-    assert gm == ref_max == detect_functional(bits, 3)
-    assert trace_lines(gm, trace) == ref_rows
+def test_run_cycle_accurate_matches_reference_row_for_row(case):
+    # max(FLUSH_ZEROS, p) flush zeros bring every phase a compare
+    p, bits = case
+    flushed = bits + [0] * flush_zeros(p) + [0]
+    ref_max, ref_rows = reference_trace(flushed, [0] * (len(flushed) - 1) + [1], p)
+    gm, trace = run_cycle_accurate(bits, p, record_trace=True)
+    assert gm == ref_max == detect_functional(bits, p)
+    assert trace_lines(gm, trace, p) == ref_rows
 
 
-@given(saturating_streams(), st.integers(0, 1))
+@given(fsm_cases, st.integers(0, 1))
 @settings(max_examples=150, deadline=None)
-def test_run_trace_matches_reference_row_for_row(bits, exit_x):
+def test_run_trace_matches_reference_row_for_row(case, exit_x):
     # D raised with the last input, whose x is exit_x
+    p, bits = case
     xs = bits + [exit_x]
-    ref_max, ref_rows = reference_trace(xs, [0] * len(bits) + [1])
-    gm, trace = run_trace(xs)
+    ref_max, ref_rows = reference_trace(xs, [0] * len(bits) + [1], p)
+    gm, trace = run_trace(xs, p)
     assert gm == ref_max
-    assert trace_lines(gm, trace) == ref_rows
+    assert trace_lines(gm, trace, p) == ref_rows
 
 
 @pytest.mark.parametrize("rows", [0, 1, 9, 10, 99, 100, TRACE_CHUNK_ROWS - 1,
@@ -355,7 +363,7 @@ def test_written_trace_matches_reference_at_chunk_and_digit_edges(rows):
     rng = random.Random(rows)
     xs = [rng.randint(0, 1) for _ in range(rows + 1)]
     ref_max, ref_rows = reference_trace(xs, [0] * rows + [1])
-    gm, trace = run_trace(xs)
+    gm, trace = run_trace(xs, 3)
     assert gm == ref_max
     assert trace_lines(gm, trace) == ref_rows
 
@@ -365,7 +373,7 @@ def test_written_trace_matches_reference_at_chunk_and_digit_edges(rows):
 def test_written_trace_matches_reference_for_any_chunk_size(chunk_rows, bits):
     flushed = bits + [0] * FLUSH_ZEROS + [0]
     ref_max, ref_rows = reference_trace(flushed, [0] * (len(flushed) - 1) + [1])
-    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    gm, trace = run_cycle_accurate(bits, 3, record_trace=True)
     with mock.patch.object(detector, "TRACE_CHUNK_ROWS", chunk_rows):
         assert trace_lines(gm, trace) == ref_rows
 
@@ -380,7 +388,7 @@ def test_full_array_trace_is_written_in_bounded_chunks():
             return len(data)
 
     rng = random.Random(65536)
-    gm, trace = run_cycle_accurate([rng.randint(0, 1) for _ in range(65536)],
+    gm, trace = run_cycle_accurate([rng.randint(0, 1) for _ in range(65536)], 3,
                                    record_trace=True)
     out = RecordingWriter()
     format_trace(trace, out)
@@ -404,7 +412,7 @@ def test_full_size_trace_is_byte_stable():
     # a full array's read-out: 65,542 rows, so 17 chunks after the Initial
     # row and five-digit cycles; every phase's max register is set and phase
     # 1 saturates.  The digest was recorded before the chunk layout changed.
-    gm, trace = run_cycle_accurate(full_size_stream(), record_trace=True)
+    gm, trace = run_cycle_accurate(full_size_stream(), 3, record_trace=True)
     assert gm == 255 and trace.regs[3:, -1].min() > 0
     assert -(-(len(trace) - 3) // TRACE_CHUNK_ROWS) == 17
     data = trace_text(trace).encode()
@@ -436,7 +444,7 @@ def width_change_streams(draw):
 def test_written_trace_matches_reference_where_registers_widen(bits):
     flushed = bits + [0] * FLUSH_ZEROS + [0]
     ref_max, ref_rows = reference_trace(flushed, [0] * (len(flushed) - 1) + [1])
-    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    gm, trace = run_cycle_accurate(bits, 3, record_trace=True)
     assert gm == ref_max == detect_functional(bits, 3)
     assert trace_lines(gm, trace) == ref_rows
 
@@ -455,7 +463,7 @@ def width_crossing_stream() -> list[int]:
 def test_width_crossing_trace_is_byte_stable():
     # registers widen mid-chunk, so those chunks mix field widths; the digest
     # was recorded before fields took per-chunk widths
-    gm, trace = run_cycle_accurate(width_crossing_stream(), record_trace=True)
+    gm, trace = run_cycle_accurate(width_crossing_stream(), 3, record_trace=True)
     assert gm == 150 and trace.regs[3:, -1].tolist() == [4, 150, 13]
     data = trace_text(trace).encode()
     assert len(data) == 2_568_308
@@ -481,7 +489,7 @@ def test_cycle_column_matches_str_through_whole_groups():
 
 
 def test_lookup_tables_are_read_only_and_decode_to_their_text():
-    tables = (detector._HEADS, detector._GROUPS, detector._FIELDS)
+    tables = (detector._heads(3), detector._GROUPS, detector._FIELDS)
     assert not any(table.flags.writeable for table in tables)
     # the cycle groups and the register fields share one buffer
     assert detector._FIELDS.base is detector._GROUPS.base
@@ -497,7 +505,7 @@ def test_lookup_tables_are_read_only_and_decode_to_their_text():
             signals = ["0"] * 6
             signals[phase if x else 3 + phase] = "1"
             heads.append(f",S{state},{x},0,{','.join(signals)},".encode())
-    assert entries(detector._HEADS, 20) == heads
+    assert entries(detector._heads(3), 20) == heads
     # each register value NUL-led to three digits, then a comma
     assert entries(detector._FIELDS, 4) == [f"{v},".rjust(4, "\0").encode() for v in range(256)]
     assert entries(detector._GROUPS, 4) == (
@@ -505,10 +513,27 @@ def test_lookup_tables_are_read_only_and_decode_to_their_text():
         + [(str(v) if v else "").rjust(4, "\0").encode() for v in range(10**4)])
 
 
+def test_trace_header_follows_p():
+    assert trace_header(3) == \
+        "cycle,state,x,d,C1,C2,C3,R1,R2,R3,ctr1,ctr2,ctr3,max1,max2,max3"
+    assert trace_header(2) == "cycle,state,x,d,C1,C2,R1,R2,ctr1,ctr2,max1,max2"
+    fields = trace_header(10).split(",")
+    assert len(fields) == 44 and fields[13:15] == ["C10", "R1"] and fields[-1] == "max10"
+
+
+def test_fsm_rejects_pattern_length_1():
+    # at p = 1 a zero's counter reset would land on the next input's increment
+    for call in (lambda: check_pattern_length(1), lambda: run_cycle_accurate([1, 0], 1),
+                 lambda: run_trace("10", 1)):
+        with pytest.raises(ValueError, match="cannot serve pattern length 1$"):
+            call()
+    check_pattern_length(2)
+
+
 def test_trace_compare_lands_before_reset():
     # for each zero, the max update is visible one cycle later and the
     # counter reset only on the cycle after that
-    by_cycle = {r["cycle"]: r for r in parsed_rows(*run_trace("111011000"))}
+    by_cycle = {r["cycle"]: r for r in parsed_rows(*run_trace("111011000", 3))}
     # input 4 is the zero for phase 1 (ctr1 = 1 at that point)
     assert by_cycle[5]["max1"] == 1   # max1 updated at cycle 5
     assert by_cycle[5]["ctr1"] == 1   # ctr1 still holding at cycle 5
@@ -516,7 +541,7 @@ def test_trace_compare_lands_before_reset():
 
 
 def test_fsm_round_robin_follows_index_mod_3():
-    for r in parsed_rows(*run_trace("110110110"))[:-1]:
+    for r in parsed_rows(*run_trace("110110110", 3))[:-1]:
         c = [r["C1"], r["C2"], r["C3"]]
         rr = [r["R1"], r["R2"], r["R3"]]
         phase = (r["cycle"] - 1) % 3
@@ -530,7 +555,7 @@ def test_fsm_round_robin_follows_index_mod_3():
 
 def test_run_cycle_accurate_flush_protocol():
     bits = [1, 0, 1, 1, 1, 0, 0, 0, 0]
-    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    gm, trace = run_cycle_accurate(bits, 3, record_trace=True)
     assert gm == 2
     rows = parsed_rows(gm, trace)
     # one row per input cycle plus the exit row
@@ -543,7 +568,7 @@ def test_run_cycle_accurate_flush_protocol():
 
 
 def test_run_cycle_accurate_empty_stream():
-    gm, trace = run_cycle_accurate([], record_trace=True)
+    gm, trace = run_cycle_accurate([], 3, record_trace=True)
     assert gm == 0
     assert len(trace) == POST_STREAM_CYCLES + 1
     assert len(parsed_rows(gm, trace)) == POST_STREAM_CYCLES + 1
@@ -553,7 +578,7 @@ def test_run_cycle_accurate_empty_stream():
 @given(bit_streams)
 @settings(max_examples=100, deadline=None)
 def test_trace_length_is_the_rows_format_trace_writes(bits):
-    gm, trace = run_cycle_accurate(bits, record_trace=True)
+    gm, trace = run_cycle_accurate(bits, 3, record_trace=True)
     # every line but the header and the global_max line
     assert len(trace) == len(trace_text(trace).splitlines()) - 2
     assert len(trace) == len(bits) + POST_STREAM_CYCLES + 1
@@ -563,8 +588,8 @@ def test_detectors_take_list_tuple_uint8_or_bool_array():
     bits = saturating_stream()
     forms = (bits, tuple(bits), np.array(bits, dtype=np.uint8), np.array(bits, dtype=bool))
     assert [detect_functional(b, 3) for b in forms] == [255] * 4
-    assert [run_cycle_accurate(b)[0] for b in forms] == [255] * 4
-    traced = [run_cycle_accurate(b, record_trace=True) for b in forms]
+    assert [run_cycle_accurate(b, 3)[0] for b in forms] == [255] * 4
+    traced = [run_cycle_accurate(b, 3, record_trace=True) for b in forms]
     assert all(trace.x.dtype == np.uint8 for _, trace in traced)
     assert len({trace_text(trace) for _, trace in traced}) == 1
 
@@ -572,12 +597,12 @@ def test_detectors_take_list_tuple_uint8_or_bool_array():
 def test_run_cycle_accurate_counts_trailing_run():
     # the flush zeros exist precisely so a run still open at end of stream
     # reaches the max registers
-    assert run_cycle_accurate([1, 1, 1, 1, 1, 1])[0] == 2
-    assert run_cycle_accurate([0, 0, 0, 1])[0] == 1
+    assert run_cycle_accurate([1, 1, 1, 1, 1, 1], 3)[0] == 2
+    assert run_cycle_accurate([0, 0, 0, 1], 3)[0] == 1
 
 
 def test_fsm_saturates_at_255():
-    gm, _ = run_cycle_accurate([1, 0, 0] * 300)
+    gm, _ = run_cycle_accurate([1, 0, 0] * 300, 3)
     assert gm == 255
 
 
@@ -585,13 +610,13 @@ def test_fsm_agrees_with_functional_exhaustive_short():
     for length in range(0, 11):
         for v in range(1 << length):
             bits = [(v >> i) & 1 for i in range(length)]
-            assert run_cycle_accurate(bits)[0] == detect_functional(bits, 3)
+            assert run_cycle_accurate(bits, 3)[0] == detect_functional(bits, 3)
 
 
-@given(bit_streams)
+@given(fsm_pattern_lengths, bit_streams)
 @settings(max_examples=300, deadline=None)
-def test_fsm_agrees_with_functional_random(bits):
-    assert run_cycle_accurate(bits)[0] == detect_functional(bits, 3)
+def test_fsm_agrees_with_functional_random(p, bits):
+    assert run_cycle_accurate(bits, p)[0] == detect_functional(bits, p)
 
 
 def test_fsm_agrees_on_structured_streams():
@@ -602,15 +627,15 @@ def test_fsm_agrees_on_structured_streams():
         for _ in range(rng.randint(1, 5)):
             bits += [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
             bits += [1, 0, 0] * rng.randint(0, 9)
-        assert run_cycle_accurate(bits)[0] == detect_functional(bits, 3)
+        assert run_cycle_accurate(bits, 3)[0] == detect_functional(bits, 3)
 
 
 def test_run_trace_reads_an_empty_x_as_one_zero():
-    assert trace_text(run_trace("")[1]) == trace_text(run_trace("0")[1])
+    assert trace_text(run_trace("", 3)[1]) == trace_text(run_trace("0", 3)[1])
 
 
 def test_format_trace_shape():
-    gm, trace = run_trace("10")
+    gm, trace = run_trace("10", 3)
     lines = trace_text(trace).strip().splitlines()
     assert lines[0].startswith("cycle,state,x,d,C1")
     assert lines[-1] == f"global_max,{gm}"

@@ -133,7 +133,7 @@ def test_fsm_without_a_flush_zero_per_phase_is_an_internal_error(monkeypatch):
     # Both detectors share one run rule, so the cross-check guards one thing:
     # the FSM compares a run only at the zero after it, and without flush
     # zeros phase 0's run of three CAGs is never compared.
-    monkeypatch.setattr(detector, "FLUSH_ZEROS", 0)
+    monkeypatch.setattr(detector, "flush_zeros", lambda p: 0)
     with pytest.raises(InternalInvariantError,
                        match="^cycle-accurate detector returned 0, functional 3$"):
         quick_scan("CAGCAGCAG", "CAG", rows=1, data_width=9, blocks=1, cycle_accurate=True)
@@ -177,10 +177,10 @@ def test_cycle_accurate_mode_agrees_and_traces():
     assert len(trace) == 2 * 8 + POST_STREAM_CYCLES + 1
 
 
-def test_cycle_accurate_requires_p3():
-    with pytest.raises(ValueError):
-        scan(make_request(parse_text("ACGT"), parse_pattern("AC"),
-                          rows=2, data_width=4, blocks=1, cycle_accurate=True))
+def test_cycle_accurate_requires_p2_or_more():
+    with pytest.raises(ValueError, match="cannot serve pattern length 1$"):
+        make_request(parse_text("ACGT"), parse_pattern("A"),
+                     rows=2, data_width=4, blocks=1, cycle_accurate=True)
 
 
 def test_determinism_byte_identical():
