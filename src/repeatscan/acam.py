@@ -158,6 +158,7 @@ class AcamArray:
         self.codes = codes.astype(np.uint8, copy=codes.flags.writeable)
         self.codes.flags.writeable = False
         self.rows, self.total_cols = self.codes.shape
+        self.data_width = geometry.data_width
         self._tags: dict[bytes, dict[int, list[bytes]]] = {}
 
 
@@ -191,8 +192,8 @@ def search_cycle(array: AcamArray, block: int, window: int,
     row matched and 0 elsewhere, from the memo ``fill_blocks`` stores.  The
     pattern and block are checked at the fill, the window every cycle.
     """
-    if not 0 <= window < array.geometry.data_width:
-        raise WindowOutOfRange(window, array.geometry.data_width)
+    if not 0 <= window < array.data_width:
+        raise WindowOutOfRange(window, array.data_width)
     # keyed by the codes: the dataclass would hash them again on every call
     try:
         return array._tags[pattern.codes][block][window]
@@ -229,6 +230,6 @@ def run_block_search(array: AcamArray, block: int,
     """The scan's search of one block: its W search cycles' tags joined into
     one buffer and read back as the block's rows of the pattern's match grid,
     a read-only (m, W) bool matrix, ``MatchIndexMemory.write_columns``'s input."""
-    width = array.geometry.data_width
+    width = array.data_width
     tags = b"".join([search_cycle(array, block, i, pattern) for i in range(width)])
     return np.frombuffer(tags, dtype=bool).reshape(width, -1).T

@@ -216,7 +216,7 @@ def _run(x: np.ndarray, p: int, record_trace: bool) -> tuple[int, Trace | None]:
     run.ravel()[ones] = np.minimum(runs, REGISTER_MAX, out=runs)
     compare = run[:, :-1] * ~y[:, 1:]   # a zero y_j compares r_(j-1)
     if not record_trace:
-        return int(compare.max()), None
+        return int(compare.max(initial=0)), None
 
     # Registers of phase q for the p cycles from c_j + INC_DELAY: the counter
     # after the increment or before the reset (the larger of r_j and r_(j-1))

@@ -7,6 +7,8 @@ parallel (the simulator takes a write phase's W cycles in one call, metered
 as W), reads stream the whole array row-major through an 8-cell
 parallel-in serial-out stage, and reset clears everything in one cycle.
 Mode changes follow the fixed ring Idle -> Write -> Read -> Reset -> Idle.
+Entering Write refuses cells still SET (a reset passed without ``reset_all``),
+scanning them only if an O(1) bit says a write came since ``reset_all``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class Mode(enum.Enum):
     RESET = "Reset"
 
 
-_NEXT_MODE = {Mode.IDLE: Mode.WRITE, Mode.WRITE: Mode.READ,
-              Mode.READ: Mode.RESET, Mode.RESET: Mode.IDLE}
+_IDLE, _WRITE, _READ, _RESET = Mode   # a member looked up on the class is slow
+_NEXT_MODE = {_IDLE: _WRITE, _WRITE: _READ, _READ: _RESET, _RESET: _IDLE}
 
 
 class ModeViolation(RuntimeError):
@@ -67,21 +69,22 @@ class MatchIndexMemory:
         self.cells = np.zeros((rows, cols), dtype=bool)  # True = LRS
         self.mode = Mode.IDLE
         self._next_col = 0
+        self._written = False   # any write_columns since the last reset_all
 
     def set_mode(self, mode: Mode) -> None:
         if _NEXT_MODE[self.mode] is not mode:
             raise IllegalTransition(self.mode, mode)
-        if mode is Mode.WRITE and self.cells.any():
-            raise MemoryNotReset()
-        self.mode = mode
-        if mode is Mode.WRITE:
+        if mode is _WRITE:
+            if self._written and self.cells.any():
+                raise MemoryNotReset()
             self._next_col = 0
+        self.mode = mode
 
     def write_columns(self, tags: np.ndarray) -> None:
         """k write cycles in one call: SET the cells of the next k columns (the
         column selector is a counter) where the (m x k) ``tags`` are high.  Each
         column is written once per write phase, which starts all-HRS (see set_mode)."""
-        if self.mode is not Mode.WRITE:
+        if self.mode is not _WRITE:
             raise ModeViolation("write_columns", self.mode)
         rows, k = np.shape(tags)
         if rows != self.rows:
@@ -89,6 +92,7 @@ class MatchIndexMemory:
         end = self._next_col + k
         if end > self.cols:
             raise ColumnPastEnd(f"column {end - 1} is past the last column {self.cols - 1}")
+        self._written = True
         self.cells[:, self._next_col:end] = tags
         self._next_col = end
 
@@ -106,7 +110,7 @@ class MatchIndexMemory:
         flattening.  Returns a fresh bool array of m*n bits, a copy, so a
         later ``reset_all`` leaves a stream already read unchanged.
         """
-        if self.mode is not Mode.READ:
+        if self.mode is not _READ:
             raise ModeViolation("read_all", self.mode)
         return self.cells.flatten()
 
@@ -116,6 +120,7 @@ class MatchIndexMemory:
 
     def reset_all(self) -> None:
         """RESET every cell to HRS; takes one clock cycle."""
-        if self.mode is not Mode.RESET:
+        if self.mode is not _RESET:
             raise ModeViolation("reset_all", self.mode)
-        self.cells[:] = False
+        self.cells.fill(False)
+        self._written = False

@@ -14,10 +14,11 @@ beyond the run's inputs being drain ticks that consume no input (at p >= 5 a
 short run has none and consumes more than it is charged).  A request is
 derived and checked once, when ``ScanRequest`` is built.  Cycle counts are
 metered from the actual simulation, detector ticks from each block's
-read-out, and must agree with the closed-form cost model.  In cycle mode
-each run's FSM maximum must equal the functional detector's, which takes its
-runs by a separate rule (``detector`` states both), or the scan fails.  SET
-events are the set bits of each run's concatenated read-outs, the sum of its
+read-out and read groups from the memory, once per scan as each block reads
+it whole, and must agree with the closed-form cost model.  In cycle mode each
+run's FSM maximum must equal the functional detector's, which takes its runs
+by a separate rule (``detector`` states both), or the scan fails.  SET events
+are the set bits of each run's concatenated read-outs, the sum of its
 blocks' popcounts: a write phase starts all-HRS and writes each column once,
 so a block's popcount is the number of high tags written.  A global maximum
 at the 8-bit register limit is reported as saturated, since the true count
@@ -29,6 +30,7 @@ are logged as the block finishes.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -62,7 +64,7 @@ class ScanRequest:
     def __post_init__(self) -> None:
         blocks = (default_active_blocks(len(self.text), self.timing)
                   if self.active_blocks is None
-                  else tuple(sorted(set(map(int, self.active_blocks)))))
+                  else tuple(sorted(set(map(operator.index, self.active_blocks)))))
         if not blocks:
             raise ValueError("at least one block must be activated")
         outside = [b for b in blocks if not 0 <= b < self.timing.blocks]
@@ -148,35 +150,42 @@ def scan(request: ScanRequest) -> ScanResult:
     traces = []
     log = _debug_logger()
 
+    # bound per scan, not at import: tests and span tracing patch them first
+    pattern, p, block_groups = request.pattern, timing.pattern_len, memory.read_group_count()
+    search, detect = acam.run_block_search, detector.detect_functional
+    set_mode, read_all = memory.set_mode, memory.read_all
+    idle, write, read, reset = matchmem.Mode    # the mode ring, in declaration order
+
     for run in _consecutive_runs(request.active_blocks):
-        acam.fill_blocks(array, request.pattern, run[0], run[-1] + 1)
+        acam.fill_blocks(array, pattern, run[0], run[-1] + 1)
         streams = []
         for block in run:
-            memory.set_mode(matchmem.Mode.WRITE)
-            tags = acam.run_block_search(array, block, request.pattern)
+            set_mode(write)
+            tags = search(array, block, pattern)
             memory.write_columns(tags)
             windows += tags.shape[1]
-            memory.set_mode(matchmem.Mode.READ)
-            stream = memory.read_all()
+            set_mode(read)
+            stream = read_all()
             streams.append(stream)
-            read_groups += memory.read_group_count()
+            read_groups += block_groups
             ticks += len(stream) + POST_STREAM_CYCLES
-            memory.set_mode(matchmem.Mode.RESET)
+            set_mode(reset)
             memory.reset_all()
             resets += 1
-            memory.set_mode(matchmem.Mode.IDLE)
-            block_max = detector.detect_functional(stream, timing.pattern_len)
+            set_mode(idle)
+            block_max = detect(stream, p)
             per_block_max.append(block_max)
             if log:
                 log.debug("block %d: set_events=%d block_max=%d saturated=%s", block,
                           np.count_nonzero(stream), block_max, block_max >= REGISTER_MAX)
 
-        bits = np.concatenate(streams)
+        # a read-out is a fresh copy, so a one-block run's is the run's stream
+        bits = streams[0] if len(streams) == 1 else np.concatenate(streams)
         set_events += int(np.count_nonzero(bits))
-        segment_max = detector.detect_functional(bits, timing.pattern_len)
+        segment_max = detect(bits, p)
         if request.cycle_accurate:
             fsm_max, trace = detector.run_cycle_accurate(
-                bits, timing.pattern_len, record_trace=request.record_detector_trace)
+                bits, p, record_trace=request.record_detector_trace)
             if fsm_max != segment_max:
                 raise InternalInvariantError(
                     f"cycle-accurate detector returned {fsm_max}, functional {segment_max}")

@@ -619,6 +619,16 @@ def test_fsm_agrees_with_functional_random(p, bits):
     assert run_cycle_accurate(bits, p)[0] == detect_functional(bits, p)
 
 
+@given(st.lists(st.booleans(), min_size=1, max_size=200), fsm_pattern_lengths)
+@example([False], 2)
+@example([True], 10)
+@settings(max_examples=300, deadline=None)
+def test_untraced_fsm_maximum_is_the_traced_one(x, p):
+    # a one-input vector compares nothing, so both read a maximum of 0
+    x = np.array(x, dtype=bool)
+    assert detector._run(x, p, False)[0] == detector._run(x, p, True)[0]
+
+
 def test_fsm_agrees_on_structured_streams():
     rng = random.Random(777)
     for _ in range(50):

@@ -280,3 +280,42 @@ def test_block_write_keeps_every_protocol_check():
     mem.set_mode(Mode.IDLE)
     with pytest.raises(MemoryNotReset):
         mem.set_mode(Mode.WRITE)
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_write_phase_refused_exactly_when_a_cell_is_still_set(rows, cols, data):
+    # phases write random tag columns, all-zero ones included, in up to two
+    # calls, and sometimes skip reset_all; the cells SET since the last
+    # reset_all are tracked apart from the memory
+    mem = MatchIndexMemory(rows, cols)
+    still_set = np.zeros((rows, cols), dtype=bool)
+    read = []   # (stream, a copy taken when it was read)
+    for _ in range(data.draw(st.integers(1, 6))):
+        if still_set.any():
+            with pytest.raises(MemoryNotReset):
+                mem.set_mode(Mode.WRITE)
+            assert mem.mode is Mode.IDLE
+            break
+        mem.set_mode(Mode.WRITE)
+        end = data.draw(st.integers(0, cols))
+        cut = data.draw(st.integers(0, end))
+        tags = np.zeros((rows, end), dtype=bool)
+        if data.draw(st.booleans()):
+            tags.flat = data.draw(st.lists(st.booleans(), min_size=tags.size,
+                                           max_size=tags.size))
+        mem.write_columns(tags[:, :cut])
+        mem.write_columns(tags[:, cut:])
+        still_set[:, :end] |= tags
+        mem.set_mode(Mode.READ)
+        stream = mem.read_all()
+        assert stream.tolist() == still_set.ravel().tolist()
+        read.append((stream, stream.copy()))
+        mem.set_mode(Mode.RESET)
+        if data.draw(st.booleans()):
+            mem.reset_all()
+            still_set[:] = False
+        mem.set_mode(Mode.IDLE)
+        assert all(np.array_equal(stream, copy) for stream, copy in read)
+    assert np.array_equal(mem.cells, still_set)
+    assert all(np.array_equal(stream, copy) for stream, copy in read)

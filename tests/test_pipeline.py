@@ -2,6 +2,7 @@ import logging
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -304,6 +305,18 @@ def test_request_validation():
     with pytest.raises(ValueError):
         scan(make_request(text, pat, rows=2, data_width=4, blocks=1,
                           active_blocks=[]))
+
+
+def test_request_takes_block_indices_as_integers():
+    # as TimingParams does: a float or a string is not read as some block
+    text, pat = parse_text("ACGT" * 8), parse_pattern("CAG")
+    for bad in (1.7, 2.0, "2"):
+        with pytest.raises(TypeError):
+            make_request(text, pat, rows=4, data_width=4, blocks=4, active_blocks=[0, bad])
+    request = make_request(text, pat, rows=4, data_width=4, blocks=4,
+                           active_blocks=np.array([3, 1, 3]))
+    assert request.active_blocks == (1, 3)
+    assert all(type(b) is int for b in request.active_blocks)
 
 
 def test_request_rejects_a_disease_of_another_repeat_unit():
