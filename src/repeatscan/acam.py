@@ -16,7 +16,7 @@ code equals the searched character's code; the array searches by that
 equality, which is asserted against ``cell_matches`` at import.
 
 The array's shape is a ``TimingParams``, which checks it; the array checks
-only the text's length and each search cycle's arguments.
+that its codes have it, the text's length and each search cycle's arguments.
 
 The stored cells never change after loading, so a block's tags are its m
 rows of the match grid ``AND_k(codes[:, k:k+W] == pattern.codes[k])``.  A
@@ -154,10 +154,13 @@ class AcamArray:
     """
 
     def __init__(self, geometry: TimingParams, codes: np.ndarray):
+        shape = (geometry.rows, geometry.data_width + geometry.pattern_len - 1)
+        if codes.shape != shape:
+            raise GeometryError(f"codes of shape {codes.shape} are not the geometry's {shape}")
         self.geometry = geometry
         self.codes = codes.astype(np.uint8, copy=codes.flags.writeable)
         self.codes.flags.writeable = False
-        self.rows, self.total_cols = self.codes.shape
+        self.rows, self.total_cols = shape
         self.data_width = geometry.data_width
         self._tags: dict[bytes, dict[int, list[bytes]]] = {}
 

@@ -2,14 +2,14 @@
 
 Latency closed forms (times in nanoseconds, T = clock period):
 
-    t_load     = 8 * M * T_w            one-time array programming overhead
+    t_load     = 8 * M * T_w            programming, several arrays one after another
     dt12       = (W + 0.5) * T          pattern search with overlapped column writes
     dt23       = 0.125 * (m*n + 5) * T  memory read + detection at 8x the read clock
     dt34       = T                      memory reset
     t_total    = t_load + K * (dt12 + dt23 + dt34)
 
 W is the number of search windows per row (data width), m x n the
-match-index memory, K the number of searched blocks.  The detector is
+match-index memory, K <= B the number of searched blocks.  The detector is
 charged m*n stream bits plus five post-stream cycles per block, hence the +5;
 ``pipeline`` states how that meets a run of consecutive blocks.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .detector import POST_STREAM_CYCLES
 from .matchmem import PISO_WIDTH
@@ -48,10 +48,10 @@ class CycleCountMismatch(RuntimeError):
 class TimingParams:
     """Clock and geometry inputs to the latency model.
 
-    ``write_ns`` (T_w) None is one clock.  The periods are held as Python
-    floats and the geometry as Python ints, so any number reports as its
-    Python equal does.  ``searched_blocks`` (K) may exceed ``blocks`` when a
-    text spans several arrays of the same geometry.
+    ``write_ns`` (T_w) None is one clock, and ``searched_blocks`` (K) None
+    is every block; K may not exceed ``blocks`` (B).  The periods are held as
+    Python floats and the geometry as Python ints, so any number reports as
+    its Python equal does.
     """
 
     clock_ns: float = 1.0
@@ -60,9 +60,11 @@ class TimingParams:
     data_width: int = 128    # W, also the memory column count n
     pattern_len: int = 3
     blocks: int = 8          # B
-    searched_blocks: int = 8  # K
+    searched_blocks: int | None = None  # K
 
     def __post_init__(self) -> None:
+        if self.searched_blocks is None:
+            object.__setattr__(self, "searched_blocks", self.blocks)
         for name in ("rows", "data_width", "pattern_len", "blocks", "searched_blocks"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         clock, write = self.clock_ns, self.clock_ns if self.write_ns is None else self.write_ns
@@ -70,9 +72,10 @@ class TimingParams:
             raise ValueError("clock and write periods must be positive and finite")
         object.__setattr__(self, "clock_ns", float(clock))
         object.__setattr__(self, "write_ns", float(write))
-        if min(self.rows, self.data_width, self.pattern_len,
-               self.blocks, self.searched_blocks) < 1:
+        if min(self.rows, self.data_width, self.pattern_len, self.blocks) < 1:
             raise ValueError("geometry values must be positive")
+        if not 0 < self.searched_blocks <= self.blocks:
+            raise ValueError(f"searched blocks {self.searched_blocks} outside [1, {self.blocks}]")
         if self.rows % self.blocks != 0:
             raise ValueError(f"rows {self.rows} not divisible into {self.blocks} blocks")
         if self.pattern_len > self.data_width:
@@ -225,12 +228,13 @@ def energy_shares(figures: EnergyFigures) -> dict[str, float]:
 
 
 def geometry_for_text(chars: int, pattern_len: int) -> TimingParams:
-    """Size K for a text spread over as many default arrays as needed.
-
-    The physical array has ``PHYSICAL_COLS`` columns, so the usable data
-    width shrinks as the pattern (and its replicated columns) grows.
+    """The fewest default arrays, a, that hold the text, as one array of
+    their 512a rows and 8a blocks, all searched; the data width is what
+    ``PHYSICAL_COLS`` leaves beside the pattern's p - 1 replicated columns.
     """
+    if pattern_len > PHYSICAL_COLS:
+        raise ValueError(f"pattern length {pattern_len} exceeds {PHYSICAL_COLS} columns")
     width = PHYSICAL_COLS - (pattern_len - 1)
-    params = TimingParams(data_width=width, pattern_len=pattern_len)
-    arrays = math.ceil(math.ceil(chars / width) / params.rows)
-    return replace(params, searched_blocks=arrays * params.blocks)
+    arrays = math.ceil(math.ceil(chars / width) / TimingParams.rows)
+    return TimingParams(rows=arrays * TimingParams.rows, data_width=width,
+                        pattern_len=pattern_len, blocks=arrays * TimingParams.blocks)

@@ -3,9 +3,10 @@
 The memory records, per search cycle, which rows of the active block matched
 (LRS = recorded match, HRS = no match).  Access order is part of the
 contract: columns are written one per cycle in ascending order, all rows in
-parallel (the simulator takes a write phase's W cycles in one call, metered
-as W), reads stream the whole array row-major through an 8-cell
-parallel-in serial-out stage, and reset clears everything in one cycle.
+parallel, at the column a counter selects, the only column index (the
+simulator takes a write phase's W cycles in one call, metered as W), reads
+stream the whole array row-major through an 8-cell parallel-in serial-out
+stage, and reset clears everything in one cycle.
 Mode changes follow the fixed ring Idle -> Write -> Read -> Reset -> Idle.
 Entering Write refuses cells still SET (a reset passed without ``reset_all``),
 scanning them only if an O(1) bit says a write came since ``reset_all``.
@@ -47,11 +48,6 @@ class MemoryNotReset(RuntimeError):
     def __init__(self) -> None:
         super().__init__("write phase entered with cells still SET; "
                          "the reset phase was passed without reset_all")
-
-
-class OutOfOrderColumn(RuntimeError):
-    def __init__(self, col: int, expected: int) -> None:
-        super().__init__(f"column {col} written out of order (expected {expected})")
 
 
 class ColumnPastEnd(IndexError):
@@ -96,10 +92,8 @@ class MatchIndexMemory:
         self.cells[:, self._next_col:end] = tags
         self._next_col = end
 
-    def write_column(self, col: int, tag: Sequence[bool]) -> None:
-        """One write cycle: ``write_columns`` of ``tag``, which must go to the next column."""
-        if self.mode is Mode.WRITE and col != self._next_col:
-            raise OutOfOrderColumn(col, self._next_col)
+    def write_column(self, tag: Sequence[bool]) -> None:
+        """One write cycle: ``write_columns`` of ``tag`` as the next column."""
         self.write_columns(np.reshape(tag, (-1, 1)))
 
     def read_all(self) -> np.ndarray:

@@ -217,7 +217,7 @@ _BUILTIN = tuple(DiseaseEntry(name, gene, parse_pattern(pat), normal, disease)
     ("Friedreich's ataxia", "FXN", "GAA", (5, 33), (66, 1300)),
     ("Huntington's disease", "HTT", "CAG", (None, 26), (41, None)),
     ("Fragile XE syndrome", "AFF2", "CCG", (6, 25), (201, None)),
-    ("Myotonic dystrophy 2", "DMPK", "CCTG", (11, 26), (75, 11000)),
+    ("Myotonic dystrophy 2", "CNBP", "CCTG", (11, 26), (75, 11000)),
     ("Spinocerebellar ataxia 1", "ATXN1", "CAG", (6, 35), (39, None)),
     ("Huntington's disease-like 2", "JPH3", "CTG", (6, 28), (4, 60)),
     ("Spinal and bulbar muscular atrophy", "AR", "CAG", (11, 24), (40, 62)),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan import acam, seqio
-from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, TextTooLong,
+from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, GeometryError, TextTooLong,
                              WindowOutOfRange, cell_matches, drive_for,
                              load_text, run_block_search, search_cycle)
 from repeatscan.costmodel import TimingParams
@@ -117,6 +117,14 @@ def test_array_copies_a_writeable_array_and_keeps_a_read_only_one():
     assert arr.codes[0, 0] == 0
     codes.flags.writeable = False
     assert acam.AcamArray(geometry(2, 4, 3, 1), codes).codes is codes
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (16, 6), (8, 9)])
+def test_array_refuses_codes_not_of_its_geometry(shape):
+    # short, tall and wide against M = 8 and W + p - 1 = 6
+    with pytest.raises(GeometryError, match=rf"^codes of shape \({shape[0]}, {shape[1]}\) "
+                                             r"are not the geometry's \(8, 6\)$"):
+        acam.AcamArray(geometry(8, 4, 3, 2), np.zeros(shape, dtype=np.uint8))
 
 
 def test_load_text_errors():

@@ -18,7 +18,7 @@ from repeatscan.costmodel import (CycleCounts, TimingParams, energy,
 from repeatscan.detector import (detect_functional, format_trace,
                                  oracle_max_tandem, run_cycle_accurate, run_trace)
 from repeatscan.matchmem import MatchIndexMemory, Mode
-from repeatscan.pipeline import make_request, scan
+from repeatscan.pipeline import ScanRequest, make_request, scan
 from repeatscan.seqio import builtin_catalog, classify, find_entry, parse_pattern, parse_text
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_101110000.csv"
@@ -80,12 +80,10 @@ def test_criterion_3_million_char_totals():
         params = geometry_for_text(1_000_000, p)
         fig = latency(params)
         totals[p] = (fig.t_total_ns - fig.t_load_ns) / 1000.0
-        k = params.searched_blocks
-        request = make_request(seq, parse_pattern(unit),
-                               rows=k // params.blocks * params.rows,
-                               data_width=params.data_width, blocks=k,
-                               active_blocks=range(k))
+        request = ScanRequest(seq, parse_pattern(unit), params,
+                              active_blocks=range(params.blocks))
         result = scan(request)
+        assert result.report.params == params
         # the FSM for p agrees with the functional detector, or scan raises
         cycle = scan(replace(request, cycle_accurate=True))
         assert (cycle.global_max, cycle.report) == (result.global_max, result.report)
@@ -251,7 +249,7 @@ def test_criterion_8_memory_round_trip():
             mem = MatchIndexMemory(m, n)
             mem.set_mode(Mode.WRITE)
             for col in range(n):
-                mem.write_column(col, [matrix[r][col] for r in range(m)])
+                mem.write_column([matrix[r][col] for r in range(m)])
             mem.set_mode(Mode.READ)
             bits = mem.read_all()
             assert bits.dtype == bool

@@ -753,7 +753,7 @@ def test_cycle_mode_rejects_pattern_length_1(tmp_path, capsys):
 
 
 def test_cycle_mode_scans_a_tetranucleotide_disease_at_the_default_geometry(tmp_path):
-    # DMPK's CCTG: the FSM runs with four phases, and its trace shows them
+    # CNBP's CCTG: the FSM runs with four phases, and its trace shows them
     inp = write_seq(tmp_path, "GATTACA" + "CCTG" * 80 + "TTAGGC")
     trace = tmp_path / "t4.csv"
     code, report = run_scan_to_report(tmp_path, "--input", inp, "--disease",
@@ -761,6 +761,7 @@ def test_cycle_mode_scans_a_tetranucleotide_disease_at_the_default_geometry(tmp_
                                       "--trace", str(trace))
     assert code == 0
     assert (report["global_max"], report["classification"]) == (80, "Disease")
+    assert report["gene"] == "CNBP"
     lines = trace.read_text().splitlines()
     assert lines[0] == "run,blocks=0-0"
     assert lines[1].startswith("cycle,state,x,d,C1,C2,C3,C4,R1,")

@@ -32,19 +32,42 @@ def test_latency_reference_instance_exact():
 
 
 def test_total_composition():
-    fig = latency(replace(DEFAULTS, searched_blocks=128))
+    # 16 default arrays as one array of their rows and blocks
+    fig = latency(TimingParams(rows=16 * 512, blocks=16 * 8))
     assert fig.t_total_ns == fig.t_load_ns + 128 * fig.per_block_ns
     assert fig.t_total_ns - fig.t_load_ns == 147728.0
 
 
 def test_million_char_sizing():
-    p3 = geometry_for_text(1_000_000, 3)
-    assert (p3.data_width, p3.searched_blocks) == (128, 128)
-    p5 = geometry_for_text(1_000_000, 5)
-    assert (p5.data_width, p5.searched_blocks) == (126, 128)
-    p10 = geometry_for_text(1_000_000, 10)
-    assert (p10.data_width, p10.searched_blocks) == (121, 136)
+    sizes = {p: geometry_for_text(1_000_000, p) for p in (3, 5, 10)}
+    assert {p: (g.rows, g.blocks, g.searched_blocks, g.data_width)
+            for p, g in sizes.items()} == {3: (8192, 128, 128, 128),
+                                           5: (8192, 128, 128, 126),
+                                           10: (8704, 136, 136, 121)}
+    p10 = sizes[10]
     assert latency(p10).t_total_ns - latency(p10).t_load_ns == 148393.0
+    # the 16 arrays' loads are charged one after another
+    assert latency(sizes[3]).t_load_ns == 16 * 4096.0
+
+
+@given(st.integers(1, 3_000_000), st.integers(2, 10))
+@settings(max_examples=200, deadline=None)
+def test_text_geometry_is_the_fewest_default_arrays(chars, p):
+    g = geometry_for_text(chars, p)
+    arrays, rest = divmod(g.rows, 512)
+    assert rest == 0 and arrays >= 1
+    assert (g.blocks, g.searched_blocks, g.data_width, g.mem_rows) == (8 * arrays, 8 * arrays,
+                                                                         131 - p, 64)
+    # the text fits, and one array fewer would not hold it
+    assert (g.rows - 512) * g.data_width < chars <= g.rows * g.data_width
+
+
+def test_searched_blocks_default_to_every_block_and_never_exceed_them():
+    assert TimingParams(blocks=4).searched_blocks == 4
+    assert DEFAULTS.searched_blocks == DEFAULTS.blocks == 8
+    for k in (0, 9):
+        with pytest.raises(ValueError, match=rf"^searched blocks {k} outside \[1, 8\]$"):
+            TimingParams(searched_blocks=k)
 
 
 def test_closed_form_cycles():
@@ -154,23 +177,25 @@ def test_params_reject_non_finite_or_negative_periods(field, value):
         TimingParams(**{field: value})
 
 
-geometries = st.builds(
+geometries = st.sampled_from([1, 2, 4, 8]).flatmap(lambda blocks: st.builds(
     TimingParams,
     clock_ns=st.just(1.0),
     write_ns=st.just(1.0),
     rows=st.integers(1, 64).map(lambda x: x * 8),
     data_width=st.integers(4, 256),
     pattern_len=st.integers(1, 4),
-    blocks=st.sampled_from([1, 2, 4, 8]),
-    searched_blocks=st.integers(1, 256),
-)
+    blocks=st.just(blocks),
+    searched_blocks=st.integers(1, blocks),
+))
 
 
 @given(geometries, st.data())
 @settings(max_examples=200, deadline=None)
 def test_latency_monotone(params, data):
     fig = latency(params)
-    grow = data.draw(st.sampled_from(["rows", "data_width", "searched_blocks"]))
+    growable = ["rows", "data_width"] + (["searched_blocks"]
+                                         if params.searched_blocks < params.blocks else [])
+    grow = data.draw(st.sampled_from(growable))
     bumped = replace(params, **{grow: getattr(params, grow) +
                                 (params.blocks if grow == "rows" else 1)})
     other = latency(bumped)

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from repeatscan.matchmem import (ColumnPastEnd, IllegalTransition,
                                  MatchIndexMemory, MemoryNotReset, Mode,
-                                 ModeViolation, OutOfOrderColumn)
+                                 ModeViolation)
 
 
 def write_matrix(mem: MatchIndexMemory, matrix) -> None:
     mem.set_mode(Mode.WRITE)
     for col in range(mem.cols):
-        mem.write_column(col, [bool(matrix[r][col]) for r in range(mem.rows)])
+        mem.write_column([bool(matrix[r][col]) for r in range(mem.rows)])
 
 
 def full_cycle_read(mem: MatchIndexMemory, matrix) -> np.ndarray:
@@ -32,31 +32,27 @@ def full_cycle_read(mem: MatchIndexMemory, matrix) -> np.ndarray:
 def test_write_column_sets_lrs():
     mem = MatchIndexMemory(3, 4)
     mem.set_mode(Mode.WRITE)
-    mem.write_column(0, [True, False, True])
+    mem.write_column([True, False, True])
     assert mem.cells[:, 0].tolist() == [True, False, True]
     assert not mem.cells[:, 1:].any()
+    # the column counter selects the next column
+    mem.write_column([False, True, False])
+    assert mem.cells[:, 1].tolist() == [False, True, False]
+    assert not mem.cells[:, 2:].any()
 
 
 def test_all_zero_tag_leaves_column_hrs():
     mem = MatchIndexMemory(3, 4)
     mem.set_mode(Mode.WRITE)
-    mem.write_column(0, [False, False, False])
+    mem.write_column([False, False, False])
     assert not mem.cells.any()
-
-
-def test_out_of_order_column_rejected():
-    mem = MatchIndexMemory(3, 4)
-    mem.set_mode(Mode.WRITE)
-    mem.write_column(0, [True, False, False])
-    with pytest.raises(OutOfOrderColumn):
-        mem.write_column(2, [True, False, False])
 
 
 def test_tag_length_checked():
     mem = MatchIndexMemory(3, 4)
     mem.set_mode(Mode.WRITE)
     with pytest.raises(ValueError):
-        mem.write_column(0, [True, False])
+        mem.write_column([True, False])
 
 
 def test_mode_ring():
@@ -74,7 +70,7 @@ def test_mode_ring():
 def test_operations_require_their_mode():
     mem = MatchIndexMemory(2, 2)
     with pytest.raises(ModeViolation):
-        mem.write_column(0, [True, True])
+        mem.write_column([True, True])
     with pytest.raises(ModeViolation):
         mem.read_all()
     with pytest.raises(ModeViolation):
@@ -161,16 +157,16 @@ def test_monotone_write_never_clears():
     # only ever be set, never cleared
     mem = MatchIndexMemory(2, 3)
     mem.set_mode(Mode.WRITE)
-    mem.write_column(0, [True, True])
-    mem.write_column(1, [False, False])
-    mem.write_column(2, [True, False])
+    mem.write_column([True, True])
+    mem.write_column([False, False])
+    mem.write_column([True, False])
     assert mem.cells[:, 0].all()
 
 
 def memory_with_skipped_reset() -> MatchIndexMemory:
     mem = MatchIndexMemory(2, 3)
     mem.set_mode(Mode.WRITE)
-    mem.write_column(0, [True, False])
+    mem.write_column([True, False])
     mem.set_mode(Mode.READ)
     mem.read_all()
     mem.set_mode(Mode.RESET)  # reset_all() skipped
@@ -265,17 +261,15 @@ def test_block_write_keeps_every_protocol_check():
     # the third column follows the first two; a fourth is past the end
     with pytest.raises(ColumnPastEnd):
         mem.write_columns(np.zeros((2, 2), dtype=bool))
-    with pytest.raises(OutOfOrderColumn):
-        mem.write_column(1, [True, True])
-    mem.write_column(2, [False, True])
+    mem.write_column([False, True])
     with pytest.raises(ColumnPastEnd):
-        mem.write_column(3, [True, True])
+        mem.write_column([True, True])
     assert mem.cells.tolist() == [[True, False, False], [False, False, True]]
     mem.set_mode(Mode.READ)
     with pytest.raises(ModeViolation):
         mem.write_columns(np.ones((2, 1), dtype=bool))
     with pytest.raises(ModeViolation):
-        mem.write_column(0, [True, True])
+        mem.write_column([True, True])
     mem.set_mode(Mode.RESET)  # reset_all() skipped
     mem.set_mode(Mode.IDLE)
     with pytest.raises(MemoryNotReset):

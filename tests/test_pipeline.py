@@ -141,7 +141,7 @@ def test_fsm_without_a_flush_zero_per_phase_is_an_internal_error(monkeypatch):
 
 
 def test_request_derives_its_blocks_and_timing_when_built():
-    stale = TimingParams(rows=4, data_width=8, pattern_len=5, blocks=4, searched_blocks=7)
+    stale = TimingParams(rows=4, data_width=8, pattern_len=5, blocks=4, searched_blocks=3)
     request = ScanRequest(parse_text("CAG" * 8), parse_pattern("CAG"), stale,
                           active_blocks=[2, 0, 2])
     assert request.active_blocks == (0, 2)

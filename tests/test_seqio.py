@@ -193,6 +193,9 @@ def test_catalog_known_rows():
     assert (fmr1.gene, str(fmr1.pattern)) == ("FMR1", "CGG")
     assert fmr1.normal_range == (6, 54)
     assert fmr1.disease_range == (55, 200)
+    # type 2's CCTG expansion lies in CNBP; DMPK holds type 1's CTG
+    dm2 = find_entry(cat, "Myotonic dystrophy 2")
+    assert (dm2.gene, str(dm2.pattern)) == ("CNBP", "CCTG")
 
 
 def test_catalog_pattern_lengths():
