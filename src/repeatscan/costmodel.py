@@ -190,11 +190,9 @@ def energy(cycles: CycleCounts) -> EnergyFigures:
     metered = {"write": cycles.write_columns, "reset": cycles.resets,
                "read": cycles.read_cells, "search": cycles.search,
                "detect": cycles.detector_ticks}
-    nj = {phase: e * metered[phase] / ref for phase, (e, ref) in PHASE_ENERGY.items()}
-    total = nj["write"] + nj["reset"] + nj["read"] + nj["search"] + nj["detect"]
-    return EnergyFigures(write_nj=nj["write"], reset_nj=nj["reset"], read_nj=nj["read"],
-                         search_nj=nj["search"], detect_nj=nj["detect"], total_nj=total,
-                         per_char_pj=total * 1000.0 / cycles.read_cells)
+    nj = {f"{phase}_nj": e * metered[phase] / ref for phase, (e, ref) in PHASE_ENERGY.items()}
+    total = sum(nj.values())    # in PHASE_ENERGY's order
+    return EnergyFigures(**nj, total_nj=total, per_char_pj=total * 1000.0 / cycles.read_cells)
 
 
 def build_report(tparams: TimingParams, metered: CycleCounts) -> CostReport:

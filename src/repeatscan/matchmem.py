@@ -1,4 +1,4 @@
-"""1T1R match-index memory with mode-sequenced access.
+"""1T1R match-index memory whose operations are its access modes.
 
 The memory records, per search cycle, which rows of the active block matched
 (LRS = recorded match, HRS = no match).  Access order is part of the
@@ -7,9 +7,12 @@ parallel, at the column a counter selects, the only column index (the
 simulator takes a write phase's W cycles in one call, metered as W), reads
 stream the whole array row-major through an 8-cell parallel-in serial-out
 stage, and reset clears everything in one cycle.
-Mode changes follow the fixed ring Idle -> Write -> Read -> Reset -> Idle.
-Entering Write refuses cells still SET (a reset passed without ``reset_all``),
-scanning them only if an O(1) bit says a write came since ``reset_all``.
+The operations drive the mode ring Idle -> Write -> Read -> Idle: a write
+enters Write from Idle at column 0 or continues in Write, a read enters Read
+from Write or reads again, and ``reset_all`` (the Reset phase's one cycle)
+goes from Read to Idle.  Idle is reached only at construction and through
+``reset_all``, so every write phase starts all-HRS.  Any other order raises
+``ModeViolation``, and a refused call changes nothing.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ class Mode(enum.Enum):
     IDLE = "Idle"
     WRITE = "Write"
     READ = "Read"
-    RESET = "Reset"
 
 
-_IDLE, _WRITE, _READ, _RESET = Mode   # a member looked up on the class is slow
-_NEXT_MODE = {_IDLE: _WRITE, _WRITE: _READ, _READ: _RESET, _RESET: _IDLE}
+_IDLE, _WRITE, _READ = Mode   # a member looked up on the class is slow
 
 
 class ModeViolation(RuntimeError):
@@ -39,23 +40,12 @@ class ModeViolation(RuntimeError):
         super().__init__(f"{op} requires a different mode than {mode.value}")
 
 
-class IllegalTransition(RuntimeError):
-    def __init__(self, old: Mode, new: Mode) -> None:
-        super().__init__(f"illegal mode transition {old.value} -> {new.value}")
-
-
-class MemoryNotReset(RuntimeError):
-    def __init__(self) -> None:
-        super().__init__("write phase entered with cells still SET; "
-                         "the reset phase was passed without reset_all")
-
-
 class ColumnPastEnd(IndexError):
     """A write past the last column of the memory."""
 
 
 class MatchIndexMemory:
-    """m x n binary resistive array plus its access-mode state machine."""
+    """m x n binary resistive array plus its access-mode ring."""
 
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
@@ -63,24 +53,14 @@ class MatchIndexMemory:
         self.rows = rows
         self.cols = cols
         self.cells = np.zeros((rows, cols), dtype=bool)  # True = LRS
-        self.mode = Mode.IDLE
+        self.mode = _IDLE
         self._next_col = 0
-        self._written = False   # any write_columns since the last reset_all
-
-    def set_mode(self, mode: Mode) -> None:
-        if _NEXT_MODE[self.mode] is not mode:
-            raise IllegalTransition(self.mode, mode)
-        if mode is _WRITE:
-            if self._written and self.cells.any():
-                raise MemoryNotReset()
-            self._next_col = 0
-        self.mode = mode
 
     def write_columns(self, tags: np.ndarray) -> None:
         """k write cycles in one call: SET the cells of the next k columns (the
         column selector is a counter) where the (m x k) ``tags`` are high.  Each
-        column is written once per write phase, which starts all-HRS (see set_mode)."""
-        if self.mode is not _WRITE:
+        column is written once per write phase, which starts all-HRS."""
+        if self.mode is _READ:
             raise ModeViolation("write_columns", self.mode)
         rows, k = np.shape(tags)
         if rows != self.rows:
@@ -88,9 +68,9 @@ class MatchIndexMemory:
         end = self._next_col + k
         if end > self.cols:
             raise ColumnPastEnd(f"column {end - 1} is past the last column {self.cols - 1}")
-        self._written = True
         self.cells[:, self._next_col:end] = tags
         self._next_col = end
+        self.mode = _WRITE
 
     def write_column(self, tag: Sequence[bool]) -> None:
         """One write cycle: ``write_columns`` of ``tag`` as the next column."""
@@ -104,8 +84,9 @@ class MatchIndexMemory:
         flattening.  Returns a fresh bool array of m*n bits, a copy, so a
         later ``reset_all`` leaves a stream already read unchanged.
         """
-        if self.mode is not _READ:
+        if self.mode is _IDLE:
             raise ModeViolation("read_all", self.mode)
+        self.mode = _READ
         return self.cells.flatten()
 
     def read_group_count(self) -> int:
@@ -113,8 +94,9 @@ class MatchIndexMemory:
         return self.rows * math.ceil(self.cols / PISO_WIDTH)
 
     def reset_all(self) -> None:
-        """RESET every cell to HRS; takes one clock cycle."""
-        if self.mode is not _RESET:
+        """RESET every cell to HRS in one clock cycle, back to Idle."""
+        if self.mode is not _READ:
             raise ModeViolation("reset_all", self.mode)
         self.cells.fill(False)
-        self._written = False
+        self._next_col = 0
+        self.mode = _IDLE

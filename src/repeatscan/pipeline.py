@@ -19,8 +19,9 @@ it whole, and must agree with the closed-form cost model.  In cycle mode each
 run's FSM maximum must equal the functional detector's, which takes its runs
 by a separate rule (``detector`` states both), or the scan fails.  SET events
 are the set bits of each run's concatenated read-outs, the sum of its
-blocks' popcounts: a write phase starts all-HRS and writes each column once,
-so a block's popcount is the number of high tags written.  A global maximum
+blocks' popcounts: a write phase starts all-HRS, since the memory enters
+Write only from Idle and reaches Idle only through ``reset_all``, and writes
+each column once, so a block's popcount is the number of high tags written.  A global maximum
 at the 8-bit register limit is reported as saturated, since the true count
 may be any value from there up.  With the ``repeatscan`` logger at DEBUG,
 each block's SET events (counted for the log alone), maximum and saturation
@@ -153,26 +154,21 @@ def scan(request: ScanRequest) -> ScanResult:
     # bound per scan, not at import: tests and span tracing patch them first
     pattern, p, block_groups = request.pattern, timing.pattern_len, memory.read_group_count()
     search, detect = acam.run_block_search, detector.detect_functional
-    set_mode, read_all = memory.set_mode, memory.read_all
-    idle, write, read, reset = matchmem.Mode    # the mode ring, in declaration order
+    write, read_all, reset_all = memory.write_columns, memory.read_all, memory.reset_all
 
     for run in _consecutive_runs(request.active_blocks):
         acam.fill_blocks(array, pattern, run[0], run[-1] + 1)
         streams = []
         for block in run:
-            set_mode(write)
             tags = search(array, block, pattern)
-            memory.write_columns(tags)
+            write(tags)
             windows += tags.shape[1]
-            set_mode(read)
             stream = read_all()
             streams.append(stream)
             read_groups += block_groups
             ticks += len(stream) + POST_STREAM_CYCLES
-            set_mode(reset)
-            memory.reset_all()
+            reset_all()
             resets += 1
-            set_mode(idle)
             block_max = detect(stream, p)
             per_block_max.append(block_max)
             if log:

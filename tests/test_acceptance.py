@@ -17,7 +17,7 @@ from repeatscan.costmodel import (CycleCounts, TimingParams, energy,
                                   geometry_for_text, latency)
 from repeatscan.detector import (detect_functional, format_trace,
                                  oracle_max_tandem, run_cycle_accurate, run_trace)
-from repeatscan.matchmem import MatchIndexMemory, Mode
+from repeatscan.matchmem import MatchIndexMemory
 from repeatscan.pipeline import ScanRequest, make_request, scan
 from repeatscan.seqio import builtin_catalog, classify, find_entry, parse_pattern, parse_text
 
@@ -247,14 +247,11 @@ def test_criterion_8_memory_round_trip():
             n = rng.randint(1, 64)
             matrix = [[rng.random() < 0.3 for _ in range(n)] for _ in range(m)]
             mem = MatchIndexMemory(m, n)
-            mem.set_mode(Mode.WRITE)
             for col in range(n):
                 mem.write_column([matrix[r][col] for r in range(m)])
-            mem.set_mode(Mode.READ)
             bits = mem.read_all()
             assert bits.dtype == bool
             assert bits.tolist() == [int(b) for row in matrix for b in row]
-            mem.set_mode(Mode.RESET)
             mem.reset_all()
             assert not mem.cells.any()
 

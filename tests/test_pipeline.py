@@ -249,19 +249,20 @@ def test_gapped_scan_fills_only_the_searched_blocks(monkeypatch):
 
 
 def test_full_scan_writes_each_block_in_one_call_and_meters_every_column(monkeypatch):
-    # the memory takes a block's W tag columns in one call, and the meter
-    # still charges one write cycle per column written
-    calls = {"write_columns": [], "write_column": []}
-    for name in calls:
+    # the memory takes a block's W tag columns in one call, then is read and
+    # reset, the ring in its operations; the meter still charges one write
+    # cycle per column written
+    calls = []
+    for name in ("write_columns", "write_column", "read_all", "reset_all"):
         def counted(self, *args, _fn=getattr(matchmem.MatchIndexMemory, name), _name=name):
-            calls[_name].append(args[-1])
+            calls.append((_name, *args))
             return _fn(self, *args)
         monkeypatch.setattr(matchmem.MatchIndexMemory, name, counted)
     rng = random.Random(7)
     text = "".join(rng.choice("ACGT") for _ in range(65536))
     result = quick_scan(text, "CAG")
-    assert [tags.shape for tags in calls["write_columns"]] == [(64, 128)] * 8
-    assert calls["write_column"] == []
+    assert [call[0] for call in calls] == ["write_columns", "read_all", "reset_all"] * 8
+    assert [tags.shape for _, tags in calls[::3]] == [(64, 128)] * 8
     assert result.report.cycles.write_columns == 1024
 
 
