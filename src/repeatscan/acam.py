@@ -50,11 +50,6 @@ class TextTooLong(GeometryError):
         super().__init__(f"text of {length} characters exceeds array capacity {capacity}")
 
 
-class WindowOutOfRange(IndexError):
-    def __init__(self, window: int, width: int) -> None:
-        super().__init__(f"window {window} outside [0, {width})")
-
-
 @dataclass(frozen=True)
 class MatchInterval:
     lower: Decimal
@@ -196,7 +191,7 @@ def search_cycle(array: AcamArray, block: int, window: int,
     pattern and block are checked at the fill, the window every cycle.
     """
     if not 0 <= window < array.data_width:
-        raise WindowOutOfRange(window, array.data_width)
+        raise IndexError(f"window {window} outside [0, {array.data_width})")
     # keyed by the codes: the dataclass would hash them again on every call
     try:
         return array._tags[pattern.codes][block][window]

@@ -40,8 +40,9 @@ PHYSICAL_COLS = 130
 MAX_ARRAY_CELLS = 2**28
 
 
-class CycleCountMismatch(RuntimeError):
-    """Metered cycle counts disagree with the closed-form prediction."""
+class InternalInvariantError(RuntimeError):
+    """The simulation contradicted itself, as metered cycle counts that
+    disagree with the closed form do; results must not be trusted."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,11 @@ class TimingParams:
     """Clock and geometry inputs to the latency model.
 
     ``write_ns`` (T_w) None is one clock, and ``searched_blocks`` (K) None
-    is every block; K may not exceed ``blocks`` (B).  The periods are held as
-    Python floats and the geometry as Python ints, so any number reports as
-    its Python equal does.
+    is every block; K may not exceed ``blocks`` (B).  Both settle when the
+    params are built, so ``dataclasses.replace`` keeps them: a derived
+    geometry passes ``searched_blocks=None`` and ``write_ns=None`` to settle
+    them again.  The periods are held as Python floats and the geometry as
+    Python ints, so any number reports as its Python equal does.
     """
 
     clock_ns: float = 1.0
@@ -200,7 +203,7 @@ def build_report(tparams: TimingParams, metered: CycleCounts) -> CostReport:
     and every latency and energy figure must be finite."""
     predicted = CycleCounts.closed_form(tparams)
     if metered != predicted:
-        raise CycleCountMismatch(
+        raise InternalInvariantError(
             f"metered cycle counts {metered} != closed-form {predicted}")
     report = CostReport(tparams, metered, latency(tparams), energy(metered))
     for figures in (report.latency, report.energy):

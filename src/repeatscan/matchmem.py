@@ -40,10 +40,6 @@ class ModeViolation(RuntimeError):
         super().__init__(f"{op} requires a different mode than {mode.value}")
 
 
-class ColumnPastEnd(IndexError):
-    """A write past the last column of the memory."""
-
-
 class MatchIndexMemory:
     """m x n binary resistive array plus its access-mode ring."""
 
@@ -67,7 +63,7 @@ class MatchIndexMemory:
             raise ValueError(f"tag length {rows} != memory rows {self.rows}")
         end = self._next_col + k
         if end > self.cols:
-            raise ColumnPastEnd(f"column {end - 1} is past the last column {self.cols - 1}")
+            raise IndexError(f"column {end - 1} is past the last column {self.cols - 1}")
         self.cells[:, self._next_col:end] = tags
         self._next_col = end
         self.mode = _WRITE

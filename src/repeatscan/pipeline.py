@@ -39,13 +39,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import acam, detector, matchmem
-from .costmodel import CostReport, CycleCounts, TimingParams, build_report
+from .costmodel import (CostReport, CycleCounts, InternalInvariantError, TimingParams,
+                        build_report)
 from .detector import POST_STREAM_CYCLES, REGISTER_MAX
 from .seqio import DiseaseEntry, DnaSequence, Pattern, classify
-
-
-class InternalInvariantError(RuntimeError):
-    """The simulation contradicted itself; results must not be trusted."""
 
 
 @dataclass(frozen=True)

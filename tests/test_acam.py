@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repeatscan import acam, seqio
 from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, GeometryError, TextTooLong,
-                             WindowOutOfRange, cell_matches, drive_for,
-                             load_text, run_block_search, search_cycle)
+                             cell_matches, drive_for, load_text, run_block_search,
+                             search_cycle)
 from repeatscan.costmodel import TimingParams
 from repeatscan.seqio import parse_pattern, parse_text
 
@@ -134,7 +134,7 @@ def test_load_text_errors():
 
 def test_search_cycle_window_bounds():
     arr = load_text(parse_text("CAGCAG"), geometry(2, 4, 3, 1))
-    with pytest.raises(WindowOutOfRange):
+    with pytest.raises(IndexError, match=r"^window 4 outside \[0, 4\)$"):
         search_cycle(arr, 0, 4, parse_pattern("CAG"))
     with pytest.raises(acam.GeometryError):
         search_cycle(arr, 2, 0, parse_pattern("CAG"))
@@ -378,7 +378,7 @@ def test_search_cycle_checks_every_key_once_the_memo_is_warm():
         with pytest.raises(acam.GeometryError):  # a second pattern, too short
             search_cycle(arr, 0, 0, parse_pattern("CA"))
         for window in (4, -1):  # a negative index would wrap into the memo
-            with pytest.raises(WindowOutOfRange):
+            with pytest.raises(IndexError, match=rf"^window {window} outside \[0, 4\)$"):
                 search_cycle(arr, 0, window, parse_pattern("CAG"))
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeatscan import acam, cli, detector, seqio
+from repeatscan import acam, cli, detector, matchmem, seqio
 from repeatscan.cli import (build_parser, build_scan_report, json_members, json_object,
                             main, reference_rows, row_passes)
 from repeatscan.costmodel import TimingParams
@@ -621,6 +621,38 @@ def test_detector_disagreement_exits_2_with_one_line(tmp_path, monkeypatch, caps
     assert code == 2
     assert capsys.readouterr().err == (
         "internal error: cycle-accurate detector returned 0, functional 3\n")
+
+
+def test_cycle_count_mismatch_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # the closed-form check raises the same error type as the detector check
+    read_all = matchmem.MatchIndexMemory.read_all
+    monkeypatch.setattr(matchmem.MatchIndexMemory, "read_all",
+                        lambda memory: read_all(memory)[:-1])
+    code = main(["--input", write_seq(tmp_path, CLEAN), *SMALL_ARRAY])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: metered cycle counts ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    # an unset shell variable in --disease "$D" gives the empty value
+    (["--pattern", "CAG", "--disease", ""], "exactly one of --pattern or --disease"),
+    (["--pattern", "", "--disease", "Huntington's disease"],
+     "exactly one of --pattern or --disease"),
+    (["--pattern", "CAG", "--catalog", ""], "No such file or directory: ''"),
+    (["--pattern", "CAG", "--report", ""], "No such file or directory: ''"),
+    (["--pattern", "CAG", "--mode", "cycle", "--trace", ""], "No such file or directory: ''"),
+    (["--bits", "101", "--trace", ""], "No such file or directory: ''"),
+], ids=["disease", "pattern", "catalog", "report", "trace", "bits-trace"])
+def test_an_empty_flag_value_exits_1_with_one_error_line(
+        tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    inp = write_seq(tmp_path, "CAGCAGCAG")
+    assert main(args if args[0] == "--bits" else ["--input", inp, *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert [path.name for path in tmp_path.iterdir()] == ["seq.txt"]
 
 
 # Pieces of the robustness inputs: bases in both cases, header lines, line

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repeatscan.acam import load_text
 from repeatscan.costmodel import (MAX_ARRAY_CELLS, PHASE_ENERGY, PHYSICAL_COLS, CostReport,
-                                  CycleCountMismatch, CycleCounts, TimingParams,
+                                  CycleCounts, InternalInvariantError, TimingParams,
                                   build_report, energy, energy_shares,
                                   geometry_for_text, latency, latency_shares)
 from repeatscan.seqio import parse_text
@@ -68,6 +68,15 @@ def test_searched_blocks_default_to_every_block_and_never_exceed_them():
     for k in (0, 9):
         with pytest.raises(ValueError, match=rf"^searched blocks {k} outside \[1, 8\]$"):
             TimingParams(searched_blocks=k)
+
+
+def test_replace_keeps_the_settled_k_and_write_time_unless_passed_none():
+    # K and T_w settle at construction, so a derived geometry keeps the old
+    # ones until it passes None again
+    assert replace(DEFAULTS, rows=8192, blocks=128).searched_blocks == 8
+    assert replace(DEFAULTS, rows=8192, blocks=128, searched_blocks=None).searched_blocks == 128
+    assert replace(DEFAULTS, clock_ns=2.0).write_ns == 1.0
+    assert replace(DEFAULTS, clock_ns=2.0, write_ns=None).write_ns == 2.0
 
 
 def test_closed_form_cycles():
@@ -141,7 +150,7 @@ def test_build_report_accepts_matching_meter():
 def test_build_report_rejects_mismatched_meter():
     metered = CycleCounts.closed_form(DEFAULTS)
     wrong = replace(metered, search=metered.search + 1)
-    with pytest.raises(CycleCountMismatch):
+    with pytest.raises(InternalInvariantError):
         build_report(DEFAULTS, wrong)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeatscan.matchmem import ColumnPastEnd, MatchIndexMemory, Mode, ModeViolation
+from repeatscan.matchmem import MatchIndexMemory, Mode, ModeViolation
 
 
 def write_matrix(mem: MatchIndexMemory, matrix) -> None:
@@ -249,15 +249,15 @@ def test_block_write_keeps_every_protocol_check():
     mem = MatchIndexMemory(2, 3)
     with pytest.raises(ValueError, match="tag length 3 != memory rows 2"):
         mem.write_columns(np.ones((3, 1), dtype=bool))
-    with pytest.raises(ColumnPastEnd):
+    with pytest.raises(IndexError, match="^column 3 is past the last column 2$"):
         mem.write_columns(np.ones((2, 4), dtype=bool))
     assert mem.mode is Mode.IDLE    # a refused first write leaves the memory in Idle
     mem.write_columns(np.array([[True, False], [False, False]]))
     # the third column follows the first two; a fourth is past the end
-    with pytest.raises(ColumnPastEnd):
+    with pytest.raises(IndexError, match="^column 3 is past the last column 2$"):
         mem.write_columns(np.zeros((2, 2), dtype=bool))
     mem.write_column([False, True])
-    with pytest.raises(ColumnPastEnd):
+    with pytest.raises(IndexError, match="^column 3 is past the last column 2$"):
         mem.write_column([True, True])
     assert mem.cells.tolist() == [[True, False, False], [False, False, True]]
     mem.read_all()
@@ -324,7 +324,7 @@ def ring_step(mode, col, cells, op, tags):
     if tags.shape[0] != cells.shape[0]:
         return ValueError
     if col + tags.shape[1] > cells.shape[1]:
-        return ColumnPastEnd
+        return IndexError
     cells = cells.copy()
     cells[:, col:col + tags.shape[1]] = tags
     return Mode.WRITE, col + tags.shape[1], cells

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeatscan import acam, detector, matchmem
-from repeatscan.costmodel import CycleCountMismatch, CycleCounts, TimingParams
+from repeatscan.costmodel import CycleCounts, TimingParams
 from repeatscan.detector import POST_STREAM_CYCLES, oracle_max_tandem
 from repeatscan.pipeline import (InternalInvariantError, ScanRequest, default_active_blocks,
                                  make_request, scan)
@@ -109,7 +109,7 @@ def test_detector_ticks_are_metered_from_each_read_out(monkeypatch):
     read_all = matchmem.MatchIndexMemory.read_all
     monkeypatch.setattr(matchmem.MatchIndexMemory, "read_all",
                         lambda memory: read_all(memory)[:-1])
-    with pytest.raises(CycleCountMismatch, match="detector_ticks=72,"):
+    with pytest.raises(InternalInvariantError, match="detector_ticks=72,"):
         quick_scan("CAG" * 20, "CAG", rows=4, data_width=16, blocks=2)
 
 
@@ -366,10 +366,28 @@ def test_scan_on_disease_blocks_from_map():
 def pipeline_case(draw):
     p = draw(st.integers(1, 4))
     width = draw(st.integers(max(p, 2), 16))
+    pattern = draw(st.text(alphabet="ACGT", min_size=p, max_size=p))
+    if draw(st.booleans()):
+        # a arrays of 8 blocks as one, B = 8a, with a repeat across the edge
+        # of two arrays and the blocks on either side often searched
+        rows_per_block, arrays = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+        blocks = 8 * arrays
+        rows = rows_per_block * blocks
+        edge = 8 * draw(st.integers(1, arrays - 1))
+        edge_char = edge * rows_per_block * width
+        text = random.Random(draw(st.integers(0, 2**16))).choices(
+            "ACGT", k=draw(st.integers(edge_char + 1, rows * width)))
+        copies = draw(st.integers(1, 2 * rows_per_block * width // p))
+        start = edge_char - draw(st.integers(1, max(1, copies * p - 1)))
+        text[start:start + copies * p] = pattern * copies
+        text = "".join(text)[:rows * width]
+        around = draw(st.sampled_from([{edge - 1, edge}, {edge - 1}, {edge},
+                                       set(range(blocks))]))
+        active = sorted(around | draw(st.sets(st.integers(0, blocks - 1))))
+        return text, pattern, rows, width, blocks, active
     rows_per_block = draw(st.integers(1, 4))
     blocks = draw(st.integers(1, 4))
     rows = rows_per_block * blocks
-    pattern = draw(st.text(alphabet="ACGT", min_size=p, max_size=p))
     # tandem copies of the pattern between random pieces, so runs cross row
     # and block boundaries
     repeats = st.integers(1, rows * width // p).map(lambda k: pattern * k)
