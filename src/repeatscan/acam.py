@@ -45,11 +45,6 @@ class GeometryError(ValueError):
     """Array geometry constraint violated."""
 
 
-class TextTooLong(GeometryError):
-    def __init__(self, length: int, capacity: int) -> None:
-        super().__init__(f"text of {length} characters exceeds array capacity {capacity}")
-
-
 @dataclass(frozen=True)
 class MatchInterval:
     lower: Decimal
@@ -169,7 +164,8 @@ def load_text(text: DnaSequence, geometry: TimingParams) -> AcamArray:
     """
     rows, width, p = geometry.rows, geometry.data_width, geometry.pattern_len
     if len(text) > rows * width:
-        raise TextTooLong(len(text), rows * width)
+        raise GeometryError(f"text of {len(text)} characters exceeds array capacity "
+                            f"{rows * width}")
     codes = np.frombuffer(text.codes, dtype=np.uint8)
     full, part = divmod(len(codes), width)
     grid = np.full((rows, width + p - 1), MM_CODE, dtype=np.uint8)

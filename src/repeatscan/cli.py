@@ -67,13 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disease", help="disease preset from the catalog (pattern implied)")
     p.add_argument("--catalog", help="catalog file overriding the built-in one")
     p.add_argument("--blocks", help="comma-separated activated block indices (0-based)")
-    p.add_argument("--rows", type=int, default=TimingParams.rows,
-                   help="array rows M (default %(default)s); the text must fit in M x W "
+    p.add_argument("--rows", type=int, help=f"array rows M (default: {TimingParams.rows} "
+                   "per array, as few as hold the text at W); the text must fit in M x W "
                    f"cells, and M x (W + p - 1) may not exceed {MAX_ARRAY_CELLS} cells")
     p.add_argument("--width", type=int, default=TimingParams.data_width,
                    help="data width W (default %(default)s)")
-    p.add_argument("--array-blocks", type=int, default=TimingParams.blocks,
-                   help="row blocks B the array is split into (default %(default)s)")
+    p.add_argument("--array-blocks", type=int, help="row blocks B the array is split "
+                   f"into (default: {TimingParams.blocks} per array, {TimingParams.blocks} in "
+                   "all when --rows is given)")
     p.add_argument("--clock-ns", type=float, default=TimingParams.clock_ns,
                    help="clock period T in ns")
     p.add_argument("--write-ns", type=float, default=None,
@@ -301,7 +302,7 @@ def run_scan(args) -> int:
         record_detector_trace=args.trace is not None)
     result = scan(request)
 
-    # build_report names a non-finite figure; none may reach the JSON
+    # the request refused a non-finite figure; none may reach the JSON
     report = build_scan_report(request, result)
     # an unwritable trace path fails before any report is written, and a
     # report that cannot be written takes the opened trace file with it

@@ -244,8 +244,10 @@ def run_cycle_accurate(bits: Sequence[int] | np.ndarray, p: int,
 
 def run_trace(x_bits: Sequence[int] | str, p: int) -> tuple[int, Trace]:
     """Drive the FSM for pattern length p with an explicit X vector, D raised
-    with its last input, and record the trace.  An empty X is read as one zero."""
-    return _run(np.array([int(b) for b in x_bits] or [0], dtype=bool), p, True)
+    with its last input, and record the trace.  X may not be empty."""
+    if not len(x_bits):
+        raise ValueError("an empty input has no last input to raise the end signal D on")
+    return _run(np.array([int(b) for b in x_bits], dtype=bool), p, True)
 
 
 def format_trace(trace: Trace, out: BinaryIO) -> None:

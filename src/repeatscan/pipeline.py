@@ -40,7 +40,7 @@ import numpy as np
 
 from . import acam, detector, matchmem
 from .costmodel import (CostReport, CycleCounts, InternalInvariantError, TimingParams,
-                        build_report)
+                        arrays_for_text, build_report, latency)
 from .detector import POST_STREAM_CYCLES, REGISTER_MAX
 from .seqio import DiseaseEntry, DnaSequence, Pattern, classify
 
@@ -48,8 +48,8 @@ from .seqio import DiseaseEntry, DnaSequence, Pattern, classify
 @dataclass(frozen=True)
 class ScanRequest:
     """One scan, derived and checked when built, also by ``replace``: blocks
-    sorted and deduplicated (``None``: those the text occupies), and K and the
-    pattern length set in ``timing``, which is kept if it already holds them."""
+    sorted and deduplicated (``None``: those the text occupies), K and p set in
+    ``timing`` (kept if it holds them), and its latency figures finite."""
 
     text: DnaSequence
     pattern: Pattern
@@ -80,6 +80,10 @@ class ScanRequest:
         if (self.timing.pattern_len, self.timing.searched_blocks) != (p, k):
             object.__setattr__(self, "timing", replace(self.timing, pattern_len=p,
                                                        searched_blocks=k))
+        for name, value in vars(latency(self.timing)).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is {value}: the clock or write period "
+                                 "(--clock-ns, --write-ns) is too large")
 
 
 @dataclass
@@ -100,16 +104,20 @@ def default_active_blocks(text_len: int, timing: TimingParams) -> tuple[int, ...
     return tuple(range(blocks_used))
 
 
-def make_request(text: DnaSequence, pattern: Pattern, *, rows: int = TimingParams.rows,
-                 data_width: int = TimingParams.data_width, blocks: int = TimingParams.blocks,
+def make_request(text: DnaSequence, pattern: Pattern, *, rows: int | None = None,
+                 data_width: int = TimingParams.data_width, blocks: int | None = None,
                  clock_ns: float = TimingParams.clock_ns, write_ns: float | None = None,
                  active_blocks: Iterable[int] | None = None,
                  disease: DiseaseEntry | None = None, cycle_accurate: bool = False,
                  record_detector_trace: bool = False) -> ScanRequest:
-    """Build a request from loose geometry values; ``TimingParams`` settles
-    the periods and ``ScanRequest`` derives and checks the rest."""
-    timing = TimingParams(clock_ns=clock_ns, write_ns=write_ns, rows=rows,
-                          data_width=data_width, pattern_len=len(pattern), blocks=blocks)
+    """Build a request from loose geometry values: ``rows`` None is the fewest
+    default arrays that hold the text (one at a width ``TimingParams`` refuses),
+    as one, and ``blocks`` None 8 per array; ``ScanRequest`` checks the rest."""
+    arrays = 1 if rows is not None or data_width < 1 else arrays_for_text(len(text), data_width)
+    timing = TimingParams(clock_ns=clock_ns, write_ns=write_ns,
+                          rows=TimingParams.rows * arrays if rows is None else rows,
+                          data_width=data_width, pattern_len=len(pattern),
+                          blocks=TimingParams.blocks * arrays if blocks is None else blocks)
     return ScanRequest(text, pattern, timing, active_blocks, disease,
                        cycle_accurate, record_detector_trace)
 

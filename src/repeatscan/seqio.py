@@ -46,15 +46,16 @@ class SequenceError(ValueError):
 
 
 class EmptyInput(SequenceError):
-    def __init__(self) -> None:
-        super().__init__("input contains no sequence data")
+    def __init__(self, source: str = "input") -> None:
+        super().__init__(f"{source} contains no sequence data")
 
 
 class InvalidCharacter(SequenceError):
     """Character outside A/C/G/T; ``position`` is 1-based in the stripped text."""
 
-    def __init__(self, position: int, char: str) -> None:
-        super().__init__(f"invalid character {char!r} at position {position}")
+    def __init__(self, position: int, char: str, source: str = "input") -> None:
+        of = "" if source == "input" else f" of the {source}"
+        super().__init__(f"invalid character {char!r} at position {position}{of}")
         self.position = position
         self.char = char
 
@@ -127,6 +128,18 @@ def _record_body(raw: bytes) -> bytes:
     return raw[start:]
 
 
+def _sequence(body: bytes, encoding: str, source: str) -> DnaSequence:
+    """The sequence of ``body``'s bases; its errors name ``source``."""
+    codes = body.translate(_FOLDED_CODE, _WHITESPACE)
+    if not codes:
+        raise EmptyInput(source)
+    bad = codes.find(_NOT_A_BASE)
+    if bad >= 0:
+        stripped = body.translate(_UPPER, _WHITESPACE)
+        raise InvalidCharacter(bad + 1, stripped[bad:].decode(encoding)[0], source)
+    return DnaSequence(codes)
+
+
 def parse_text(raw: str | bytes) -> DnaSequence:
     """Parse raw text or one FASTA record into a validated sequence.
 
@@ -138,17 +151,14 @@ def parse_text(raw: str | bytes) -> DnaSequence:
     """
     encoding = "utf-8" if isinstance(raw, str) else "latin-1"
     body = _record_body(raw.encode() if isinstance(raw, str) else bytes(raw))
-    codes = body.translate(_FOLDED_CODE, _WHITESPACE)
-    if not codes:
-        raise EmptyInput()
-    bad = codes.find(_NOT_A_BASE)
-    if bad >= 0:
-        stripped = body.translate(_UPPER, _WHITESPACE)
-        raise InvalidCharacter(bad + 1, stripped[bad:].decode(encoding)[0])
-    return DnaSequence(codes)
+    return _sequence(body, encoding, "input")
 
 
-parse_pattern = parse_text  # a Pattern is a DnaSequence, parsed the same way
+def parse_pattern(raw: str | bytes) -> Pattern:
+    """Parse a search pattern as ``parse_text`` parses a text with no header
+    lines, so '>' is an invalid character; the errors name the pattern."""
+    encoding = "utf-8" if isinstance(raw, str) else "latin-1"
+    return _sequence(raw.encode() if isinstance(raw, str) else bytes(raw), encoding, "pattern")
 
 
 def in_range(count: int, rng: Range) -> bool:

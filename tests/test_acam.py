@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeatscan import acam, seqio
-from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, GeometryError, TextTooLong,
+from repeatscan.acam import (CHAR_CELLS, DONT_CARE, MM_CELL, GeometryError,
                              cell_matches, drive_for, load_text, run_block_search,
                              search_cycle)
 from repeatscan.costmodel import TimingParams
@@ -128,7 +128,7 @@ def test_array_refuses_codes_not_of_its_geometry(shape):
 
 
 def test_load_text_errors():
-    with pytest.raises(TextTooLong):
+    with pytest.raises(GeometryError, match=r"^text of 9 characters exceeds array capacity 8$"):
         load_text(parse_text("A" * 9), geometry(2, 4, 2, 1))
 
 

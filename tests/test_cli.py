@@ -111,6 +111,18 @@ def test_scan_invalid_pattern_exits_1(tmp_path, capsys):
     assert "invalid character" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern, message", [
+    (">CAG", "invalid character '>' at position 1 of the pattern"),
+    ("CAG\n>x", "invalid character '>' at position 4 of the pattern"),
+    ("", "pattern contains no sequence data"),
+    (" \t\n", "pattern contains no sequence data")])
+def test_pattern_error_names_the_pattern(tmp_path, capsys, pattern, message):
+    # a pattern has no header lines: '>' is an invalid character in it
+    inp = write_seq(tmp_path, "CAGCAG")
+    assert main(["--input", inp, "--pattern", pattern]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_scan_invalid_text_exits_1(tmp_path, capsys):
     inp = write_seq(tmp_path, "CAGN")
     code = main(["--input", inp, "--pattern", "CAG"])
@@ -362,6 +374,39 @@ def test_oversized_geometry_is_refused_before_anything_is_allocated(tmp_path, mo
     assert "exceeds 268435456 cells; lower --rows or --width" in err
 
 
+@pytest.mark.parametrize("flags, name", [(["--clock-ns", "1e308"], "t_load_ns"),
+                                         (["--write-ns", "1e308"], "t_load_ns"),
+                                         (["--clock-ns", "1e308", "--write-ns", "1"], "dt12_ns")])
+def test_non_finite_cost_figure_is_refused_before_the_text_is_loaded(tmp_path, monkeypatch,
+                                                                     capsys, flags, name):
+    def allocate(text, timing):
+        raise AssertionError("load_text was called")
+    monkeypatch.setattr(acam, "load_text", allocate)
+    assert main(["--input", write_seq(tmp_path, CLEAN), "--pattern", "CAG", *flags]) == 1
+    assert capsys.readouterr().err == (f"error: {name} is inf: the clock or write period "
+                                       "(--clock-ns, --write-ns) is too large\n")
+
+
+def test_default_geometry_scans_a_text_over_two_arrays(tmp_path, capsys):
+    # 100,000 characters fill two 512-row arrays at W = 128; 80 CAG copies
+    # cross from the first array's last row into the second's first
+    rng = random.Random(36)
+    text = [rng.choice("ACGT") for _ in range(100_000)]
+    edge = 512 * 128
+    text[edge - 100:edge + 140] = "CAG" * 80
+    text = "".join(text)
+    inp = write_seq(tmp_path, text)
+    code, report = run_scan_to_report(tmp_path, "--input", inp, "--pattern", "CAG")
+    assert code == 0
+    assert (report["rows"], report["blocks"], report["data_width"]) == (1024, 16, 128)
+    assert report["active_blocks"] == list(range(13))   # the 782 rows the text occupies
+    assert report["global_max"] == oracle_max_tandem(text, "CAG") >= 80
+    # a given --rows keeps its meaning: the text must fit in its array
+    assert main(["--input", inp, "--pattern", "CAG", "--rows", "512"]) == 1
+    assert capsys.readouterr().err == ("error: text of 100000 characters exceeds array "
+                                       "capacity 65536\n")
+
+
 CLEAN = "TTCAGCAGCAGCAGCAGAAT"   # five tandem CAG copies
 SMALL_ARRAY = ["--pattern", "CAG", "--rows", "4", "--width", "16",
                "--array-blocks", "2"]
@@ -596,10 +641,13 @@ def test_scan_flags_at_their_defaults_are_accepted_beside_another_mode(tmp_path,
     # only a value that differs from the default would be ignored
     trace = tmp_path / "t.csv"
     assert main(["--bits", "101110000", "--trace", str(trace), "--mode", "functional",
-                 "--rows", "512", "--clock-ns", "1"]) == 0
+                 "--width", "128", "--clock-ns", "1"]) == 0
     assert trace.read_text() == GOLDEN.read_text()
     assert main(["--paper-numbers", "--width", "128"]) == 0
     assert capsys.readouterr().out.endswith("all reference checks passed\n")
+    # --rows has no value of its own by default: the text sizes the array
+    assert main(["--bits", "101110000", "--rows", "512"]) == 1
+    assert capsys.readouterr().err == "error: --rows does not apply to --bits\n"
 
 
 def test_out_of_memory_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys):
@@ -643,7 +691,8 @@ def test_cycle_count_mismatch_exits_2_with_one_line(tmp_path, monkeypatch, capsy
     (["--pattern", "CAG", "--report", ""], "No such file or directory: ''"),
     (["--pattern", "CAG", "--mode", "cycle", "--trace", ""], "No such file or directory: ''"),
     (["--bits", "101", "--trace", ""], "No such file or directory: ''"),
-], ids=["disease", "pattern", "catalog", "report", "trace", "bits-trace"])
+    (["--bits", ""], "an empty input has no last input to raise the end signal D on"),
+], ids=["disease", "pattern", "catalog", "report", "trace", "bits-trace", "bits"])
 def test_an_empty_flag_value_exits_1_with_one_error_line(
         tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)

@@ -640,8 +640,11 @@ def test_fsm_agrees_on_structured_streams():
         assert run_cycle_accurate(bits, 3)[0] == detect_functional(bits, 3)
 
 
-def test_run_trace_reads_an_empty_x_as_one_zero():
-    assert trace_text(run_trace("", 3)[1]) == trace_text(run_trace("0", 3)[1])
+@pytest.mark.parametrize("x", ["", []], ids=["str", "list"])
+def test_run_trace_refuses_an_empty_x(x):
+    # D is raised with the last input, and an empty X has none
+    with pytest.raises(ValueError, match="^an empty input has no last input"):
+        run_trace(x, 3)
 
 
 def test_format_trace_shape():

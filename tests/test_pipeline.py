@@ -98,6 +98,32 @@ def test_default_active_blocks_cover_text():
     assert req2.active_blocks == (0,)
 
 
+@pytest.mark.parametrize("chars, width, rows", [
+    (1, 128, 512), (65_536, 128, 512), (65_537, 128, 1024), (131_072, 128, 1024),
+    (131_073, 128, 1536), (32_769, 64, 1024)])
+def test_default_geometry_is_the_fewest_arrays_that_hold_the_text(chars, width, rows):
+    request = make_request(parse_text("A" * chars), parse_pattern("CAG"), data_width=width)
+    timing = request.timing
+    assert (timing.rows, timing.blocks, timing.data_width) == (rows, rows // 64, width)
+    # the blocks searched by default are those the text's rows occupy
+    assert request.active_blocks == tuple(range(-(-chars // (64 * width))))
+
+
+def test_given_rows_or_blocks_keep_their_meaning():
+    text, pattern = parse_text("A" * 65_537), parse_pattern("CAG")
+
+    def shape(**geometry):
+        timing = make_request(text, pattern, **geometry).timing
+        return timing.rows, timing.blocks
+    assert shape(blocks=4) == (1024, 4)     # two arrays' rows in 4 blocks
+    assert shape(rows=2048) == (2048, 8)
+    assert shape(rows=2048, blocks=16) == (2048, 16)
+    # a width the geometry refuses is named, with or without --rows
+    for rows in (None, 512):
+        with pytest.raises(ValueError, match="^geometry values must be positive$"):
+            make_request(text, pattern, rows=rows, data_width=0)
+
+
 def test_metered_cycles_match_closed_form():
     result = quick_scan("CAG" * 20, "CAG", rows=4, data_width=16, blocks=2)
     assert result.report.cycles == CycleCounts.closed_form(result.report.params)

@@ -256,6 +256,10 @@ def test_catalog_file_errors(tmp_path):
     bad.write_text("name,GENE,CXG,1,2,3,4\n")
     with pytest.raises(CatalogError):
         load_catalog(bad)
+    bad.write_text("name,GENE,>CAG,1,2,3,4\n")
+    with pytest.raises(CatalogError, match="^line 1: invalid character '>' at position 1 of "
+                                           "the pattern$"):
+        load_catalog(bad)
     bad.write_text("\n")
     with pytest.raises(CatalogError):
         load_catalog(bad)
@@ -292,8 +296,15 @@ def test_find_entry_unknown():
 
 def test_pattern_validation():
     assert str(parse_pattern("cag")) == "CAG"
+    assert parse_pattern(" ca\tg\n") == parse_pattern(b"CAG")
     with pytest.raises(InvalidCharacter):
         parse_pattern("CAGX")
+    # a pattern has no header lines, and its errors name it
+    with pytest.raises(InvalidCharacter, match="^invalid character '>' at position 1 of "
+                                               "the pattern$"):
+        parse_pattern(">CAG")
+    with pytest.raises(EmptyInput, match="^pattern contains no sequence data$"):
+        parse_pattern(" ")
 
 
 def test_sequence_keeps_its_codes_outside_equality_and_repr():
