@@ -37,7 +37,6 @@ from .seqio import ALPHABET, DnaSequence, Pattern
 V_DD = Decimal("0.80")
 
 MM = "MM"
-DONT_CARE_KIND = "*"
 FILL_CELLS = 1 << 17    # cells per fill pass: 15 default blocks, and stays in cache
 
 
@@ -65,7 +64,6 @@ class CellContent:
 class SearchDrive:
     """Per-column data-line drive for one search cycle."""
 
-    kind: str
     v_ldl: Decimal
     v_udl: Decimal
 
@@ -94,18 +92,16 @@ SEARCH_MIDPOINTS: dict[str, Decimal] = {
     "T": Decimal("0.71"),
 }
 
-DONT_CARE = SearchDrive(DONT_CARE_KIND, V_DD, Decimal("0.00"))
+DONT_CARE = SearchDrive(V_DD, Decimal("0.00"))
 
 
 def drive_for(c: str | None) -> SearchDrive:
-    """Data-line drive for searching character ``c``; None (or '*') deactivates."""
-    if c is None or c == DONT_CARE_KIND:
+    """Data-line drive for searching character ``c``; None deactivates."""
+    if c is None:
         return DONT_CARE
-    try:
-        mid = SEARCH_MIDPOINTS[c]
-    except KeyError:
-        raise ValueError(f"no search drive for character {c!r}") from None
-    return SearchDrive(c, mid, mid)
+    if c not in SEARCH_MIDPOINTS:
+        raise ValueError(f"no search drive for character {c!r}")
+    return SearchDrive(SEARCH_MIDPOINTS[c], SEARCH_MIDPOINTS[c])
 
 
 def cell_matches(cell: CellContent, drive: SearchDrive) -> bool:

@@ -3,8 +3,9 @@
 One flat command: scan a sequence for a pattern or disease preset, dump the
 detector trace of a 0/1 string (--bits, D raised on its last input), or check
 the cost model against the reference figures of the characterized design
-instance (--paper-numbers).  Traces are streamed to the --trace file (or
-stdout for --bits) as they are formatted.
+instance (--paper-numbers).  A scan writes its report (--report or stdout),
+then its trace (--trace); a trace, --bits' to --trace or stdout too, streams as
+it is formatted.  An unwritable output path is refused before the input is read.
 The input file is read as bytes: raw text or one FASTA record, which
 ``seqio.parse_text`` tells apart by their header lines, so there is no format
 option.  Reports are flat JSON objects with times in ns and energies in nJ,
@@ -22,12 +23,10 @@ and panel_full_array 13.5% (12 of 12), seed 5, on a 2-core host.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import io
 import math
 import os
-import stat
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
@@ -271,6 +270,16 @@ def _same_file(a: str, b: str) -> bool:
     return not any(there) and os.path.realpath(a) == os.path.realpath(b)  # both to be created
 
 
+def _refuse_unwritable(flag: str, path: str) -> None:
+    """Refuse what ``open(path, "wb")`` would refuse, as seen without opening it."""
+    try:    # an empty path, a missing directory, or a file above the path
+        os.stat(os.path.join(os.path.dirname(path), ".") if path else path)
+    except OSError as exc:
+        raise ValueError(f"--{flag} {path!r}: {exc.strerror}") from None
+    if os.path.isdir(path):
+        raise ValueError(f"--{flag} {path!r}: Is a directory")
+
+
 def run_scan(args) -> int:
     if args.input is None:
         raise ValueError("--input is required")
@@ -304,24 +313,16 @@ def run_scan(args) -> int:
 
     # the request refused a non-finite figure; none may reach the JSON
     report = build_scan_report(request, result)
-    # an unwritable trace path fails before any report is written, and a
-    # report that cannot be written takes the opened trace file with it
-    with open(args.trace, "wb") if args.trace is not None else contextlib.nullcontext() as out:
-        try:
-            if args.report is not None:
-                with open(args.report, "wb") as f:
-                    f.write(report.encode("ascii"))
-            else:
-                sys.stdout.write(report)
-        except OSError:
-            # only a regular file is removed: a device or a pipe stays
-            if out is not None and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                out.close()
-                os.unlink(args.trace)
-            raise
-        for run, trace in result.detector_trace:
-            out.write(f"run,blocks={run[0]}-{run[-1]}\n".encode())
-            detector.format_trace(trace, out)
+    if args.report is None:
+        sys.stdout.write(report)
+    else:
+        with open(args.report, "wb") as f:
+            f.write(report.encode("ascii"))
+    if args.trace is not None:  # opened after the report: a failed report leaves no trace
+        with open(args.trace, "wb") as out:
+            for run, trace in result.detector_trace:
+                out.write(f"run,blocks={run[0]}-{run[-1]}\n".encode())
+                detector.format_trace(trace, out)
     return 0
 
 
@@ -339,6 +340,9 @@ def main(argv=None) -> int:
                     raise ValueError(f"--{dest.replace('_', '-')} does not apply to {mode}")
         if args.paper_numbers:
             return run_paper_numbers()
+        for flag, path in (("report", args.report), ("trace", args.trace)):
+            if path is not None:    # refused before any input is read
+                _refuse_unwritable(flag, path)
         if args.bits is not None:
             return run_bits_trace(args)
         return run_scan(args)

@@ -86,7 +86,7 @@ class TimingParams:
         cols = self.data_width + self.pattern_len - 1
         if self.rows * cols > MAX_ARRAY_CELLS:
             raise ValueError(f"an array of {self.rows} rows x {cols} columns exceeds "
-                             f"{MAX_ARRAY_CELLS} cells; lower --rows or --width")
+                             f"{MAX_ARRAY_CELLS} cells")
 
     @property
     def mem_rows(self) -> int:

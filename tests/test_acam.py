@@ -63,6 +63,8 @@ def test_drive_voltages():
 def test_drive_rejects_unknown():
     with pytest.raises(ValueError):
         drive_for("N")
+    with pytest.raises(ValueError, match="^no search drive for character '\\*'$"):
+        drive_for("*")      # None is the one spelling of don't-care
 
 
 def test_match_matrix_exhaustive():

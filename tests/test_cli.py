@@ -370,8 +370,9 @@ def test_oversized_geometry_is_refused_before_anything_is_allocated(tmp_path, mo
     code = main(["--input", write_seq(tmp_path, CLEAN), "--pattern", "CAG", *flags])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "exceeds 268435456 cells; lower --rows or --width" in err
+    # the array and the cap, and no flag: a text alone can pass the cap
+    assert re.fullmatch(r"error: an array of \d+ rows x \d+ columns exceeds 268435456 cells\n",
+                        err)
 
 
 @pytest.mark.parametrize("flags, name", [(["--clock-ns", "1e308"], "t_load_ns"),
@@ -430,7 +431,7 @@ ERROR_NAMES = {
     ("clean.txt", "--clock-ns", "1e308"): "t_load_ns is inf",
     ("clean.txt", "--clock-ns", "1e308", "--write-ns", "1"): "dt12_ns is inf",
     ("clean.txt", "--mode", "cycle", "--trace", "missing/t.csv"):
-        "No such file or directory: 'missing/t.csv'",
+        "--trace 'missing/t.csv': No such file or directory",
 }
 
 
@@ -527,7 +528,50 @@ def test_unwritable_report_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
     code = main(["--input", inp, *SMALL_ARRAY, "--mode", "cycle", "--trace", "t.csv",
                  "--report", "missing/r.json"])
     assert code == 1
-    assert "No such file or directory: 'missing/r.json'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --report 'missing/r.json': No such file or directory\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("path, strerror", [
+    ("missing/out", "No such file or directory"), ("a_dir", "Is a directory"),
+    ("a_file/out", "Not a directory"), ("", "No such file or directory")],
+    ids=["missing_dir", "existing_dir", "under_a_file", "empty"])
+@pytest.mark.parametrize("flag, mode", [("--report", "functional"), ("--report", "cycle"),
+                                        ("--trace", "functional"), ("--trace", "cycle"),
+                                        ("--trace", "bits")])
+def test_an_unusable_output_exits_1_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                             path, strerror, flag, mode):
+    # refused before the load (or the bits are driven) with one line naming
+    # the flag and the path, and with no file made, opened or truncated
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("kept\n")
+    inp = write_seq(tmp_path, CLEAN)
+
+    def reached(*args):
+        raise AssertionError("the input was used")
+    monkeypatch.setattr(acam, "load_text", reached)
+    monkeypatch.setattr(detector, "run_trace", reached)
+    before = sorted(tmp_path.rglob("*"))
+    args = (["--bits", "101"] if mode == "bits"
+            else ["--input", inp, *SMALL_ARRAY, "--mode", mode])
+    assert main([*args, flag, path]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} {path!r}: {strerror}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_report_write_that_fails_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
+    # the path passes the check and the write fails: the trace is opened only
+    # after the report is written, so there is no trace file to remove
+    monkeypatch.chdir(tmp_path)
+    code = main(["--input", write_seq(tmp_path, CLEAN), *SMALL_ARRAY, "--mode", "cycle",
+                 "--trace", "t.csv", "--report", "/dev/full"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -549,7 +593,7 @@ def test_outputs_to_the_null_device_exit_0(tmp_path, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_failed_report_write_keeps_a_trace_that_is_no_regular_file(tmp_path, capsys):
-    # only a regular trace file is removed; a pipe or a device stays
+    # a refused report leaves a pipe named as the trace as it was
     fifo = tmp_path / "trace.pipe"
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the scan open it
@@ -557,7 +601,7 @@ def test_failed_report_write_keeps_a_trace_that_is_no_regular_file(tmp_path, cap
         code = _scan_outputs(tmp_path, tmp_path / "missing" / "r.json", fifo)
     finally:
         os.close(reader)
-    assert code == 1 and capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert code == 1 and capsys.readouterr().err.startswith("error: --report ")
     assert fifo.exists()
 
 
@@ -688,9 +732,10 @@ def test_cycle_count_mismatch_exits_2_with_one_line(tmp_path, monkeypatch, capsy
     (["--pattern", "", "--disease", "Huntington's disease"],
      "exactly one of --pattern or --disease"),
     (["--pattern", "CAG", "--catalog", ""], "No such file or directory: ''"),
-    (["--pattern", "CAG", "--report", ""], "No such file or directory: ''"),
-    (["--pattern", "CAG", "--mode", "cycle", "--trace", ""], "No such file or directory: ''"),
-    (["--bits", "101", "--trace", ""], "No such file or directory: ''"),
+    (["--pattern", "CAG", "--report", ""], "--report '': No such file or directory"),
+    (["--pattern", "CAG", "--mode", "cycle", "--trace", ""],
+     "--trace '': No such file or directory"),
+    (["--bits", "101", "--trace", ""], "--trace '': No such file or directory"),
     (["--bits", ""], "an empty input has no last input to raise the end signal D on"),
 ], ids=["disease", "pattern", "catalog", "report", "trace", "bits-trace", "bits"])
 def test_an_empty_flag_value_exits_1_with_one_error_line(

@@ -175,7 +175,9 @@ def test_params_cap_the_cells_of_one_array():
     # GRCh38 chromosome 1, 248,956,422 bases, at W = 128 and p = 10
     TimingParams(rows=1_944_976, data_width=128, pattern_len=10, blocks=8)
     for rows, width, p in [(2**21 + 8, 128, 1), (2**21, 127, 3), (8, 2**25 + 1, 1)]:
-        with pytest.raises(ValueError, match="lower --rows or --width"):
+        cols = width + p - 1
+        with pytest.raises(ValueError, match=f"^an array of {rows} rows x {cols} columns "
+                                             f"exceeds {MAX_ARRAY_CELLS} cells$"):
             TimingParams(rows=rows, data_width=width, pattern_len=p, blocks=8)
 
 

@@ -124,6 +124,21 @@ def test_given_rows_or_blocks_keep_their_meaning():
             make_request(text, pattern, rows=rows, data_width=0)
 
 
+class _LongText:
+    """A stand-in for a 300,000,000-character text: it has a length and no codes."""
+
+    def __len__(self) -> int:
+        return 300_000_000
+
+
+def test_a_text_past_the_cell_cap_is_refused_without_naming_a_flag():
+    # at W = 128 about 264 M characters fill the cap, so no width or --rows
+    # helps; the message gives the derived array and the cap
+    message = "^an array of 2343936 rows x 130 columns exceeds 268435456 cells$"
+    with pytest.raises(ValueError, match=message):
+        make_request(_LongText(), parse_pattern("CAG"))
+
+
 def test_metered_cycles_match_closed_form():
     result = quick_scan("CAG" * 20, "CAG", rows=4, data_width=16, blocks=2)
     assert result.report.cycles == CycleCounts.closed_form(result.report.params)
