@@ -5,8 +5,9 @@ detector trace of a 0/1 string (--bits, D raised on its last input), or check
 the cost model against the reference figures of the characterized design
 instance (--paper-numbers).  A scan writes its report (--report or stdout),
 then its trace (--trace); a trace, --bits' to --trace or stdout too, streams as
-it is formatted.  An unwritable output path is refused before the input is read.
-The input file is read as bytes: raw text or one FASTA record, which
+it is formatted.  Unwritable output paths, then a bad catalog, disease, pattern
+or block list, are refused before the input is read; the geometry, after.  The
+input file is read as bytes: raw text or one FASTA record, which
 ``seqio.parse_text`` tells apart by their header lines, so there is no format
 option.  Reports are flat JSON objects with times in ns and energies in nJ,
 rounded to three decimals so report files diff cleanly; a --report file gets
@@ -27,8 +28,8 @@ import functools
 import io
 import math
 import os
+import stat
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -140,6 +141,7 @@ def _cost_members(cost: CostReport) -> tuple[tuple[str, str], ...]:
     timing, lat = cost.params, cost.latency
     return tuple(json_members({
         **vars(timing),
+        "searched_blocks": cost.searched_blocks,
         "mem_rows": timing.mem_rows,
         "mem_cols": timing.mem_cols,
         **{k: round(v, 3) for k, v in vars(lat).items()},
@@ -178,8 +180,7 @@ def build_scan_report(request: ScanRequest, result: ScanResult) -> str:
 
 def reference_rows() -> list[dict]:
     """Computed vs reference figures with their acceptance tolerances."""
-    base = TimingParams()
-    lat = latency(base)
+    lat = latency(TimingParams(), TimingParams.blocks)
     rows = [
         {"name": "t_load_ns", "computed": lat.t_load_ns, "reference": 4096.0,
          "tol_pct": _EXACT, "note": ""},
@@ -197,15 +198,14 @@ def reference_rows() -> list[dict]:
               (10, 148.393, 5.0, "")]
     for p, ref_us, tol, note in totals:
         params = geometry_for_text(1_000_000, p)
-        fig = latency(params)
+        fig = latency(params, params.blocks)
         rows.append({"name": f"total_1m_p{p}_us",
                      "computed": (fig.t_total_ns - fig.t_load_ns) / 1000.0,
                      "reference": ref_us, "tol_pct": tol, "note": note})
     energies = [(3, 5.2, 1.0, ""), (5, 5.09, 5.0, "informational"), (10, 4.9, 3.0, "")]
     per_char = None
     for p, ref_nj, tol, note in energies:
-        params = replace(geometry_for_text(1_000_000, p), searched_blocks=1)
-        fig = energy(CycleCounts.closed_form(params))
+        fig = energy(CycleCounts.closed_form(geometry_for_text(1_000_000, p), 1))
         rows.append({"name": f"energy_block_p{p}_nj", "computed": fig.total_nj,
                      "reference": ref_nj, "tol_pct": tol, "note": note})
         if p == 3:
@@ -234,9 +234,8 @@ def run_paper_numbers() -> int:
         note = f"  ({row['note']})" if row["note"] else ""
         print(f"{row['name']:<22}{row['computed']:>14.3f}{row['reference']:>12.3f}"
               f"{dev:>9.3f}{tol:>8}  {'PASS' if ok else 'FAIL'}{note}")
-    base = latency(TimingParams())
-    lsh = latency_shares(base)
-    esh = energy_shares(energy(CycleCounts.closed_form(TimingParams(searched_blocks=1))))
+    lsh = latency_shares(latency(TimingParams(), TimingParams.blocks))
+    esh = energy_shares(energy(CycleCounts.closed_form(TimingParams(), 1)))
     print("\nper-block latency shares: "
           + ", ".join(f"{k}={v:.4%}" for k, v in lsh.items()))
     print("per-block energy shares:  "
@@ -263,10 +262,11 @@ def run_bits_trace(args) -> int:
 
 
 def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file, also through a symlink or a hard link."""
+    """Whether two paths name one file, also through a symlink or a hard link;
+    a character device, such as the null device, loses nothing written twice."""
     there = os.path.exists(a), os.path.exists(b)
     if all(there):
-        return os.path.samefile(a, b)
+        return os.path.samefile(a, b) and not stat.S_ISCHR(os.stat(a).st_mode)
     return not any(there) and os.path.realpath(a) == os.path.realpath(b)  # both to be created
 
 
@@ -291,18 +291,17 @@ def run_scan(args) -> int:
                        ("trace", "input"), ("trace", "catalog")):
         if None not in (paths[out], paths[other]) and _same_file(paths[out], paths[other]):
             raise ValueError(f"--{out} and --{other} name the same file")
-    with open(args.input, "rb") as f:
-        text = parse_text(f.read())
-
     catalog = builtin_catalog() if args.catalog is None else load_catalog(args.catalog)
     disease = None if args.disease is None else find_entry(catalog, args.disease)
     pattern = parse_pattern(args.pattern) if disease is None else disease.pattern
-
     try:
         active = (None if args.blocks is None
                   else [int(b) for b in args.blocks.split(",") if b.strip()])
     except ValueError:
         raise ValueError(f"--blocks must list block indices, not {args.blocks!r}") from None
+
+    with open(args.input, "rb") as f:   # read once every other value is checked
+        text = parse_text(f.read())
     request = make_request(
         text, pattern, rows=args.rows, data_width=args.width,
         blocks=args.array_blocks, clock_ns=args.clock_ns, write_ns=args.write_ns,

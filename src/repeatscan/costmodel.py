@@ -47,14 +47,14 @@ class InternalInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimingParams:
-    """Clock and geometry inputs to the latency model.
-
-    ``write_ns`` (T_w) None is one clock, and ``searched_blocks`` (K) None
-    is every block; K may not exceed ``blocks`` (B).  Both settle when the
-    params are built, so ``dataclasses.replace`` keeps them: a derived
-    geometry passes ``searched_blocks=None`` and ``write_ns=None`` to settle
-    them again.  The periods are held as Python floats and the geometry as
-    Python ints, so any number reports as its Python equal does.
+    """Clock and geometry inputs to the latency model: the array as
+    programmed, M rows in B blocks.  K, the blocks a search visits, is the
+    scan's, an argument of the closed forms that use it.  ``write_ns`` (T_w)
+    None is one clock; it settles when the params are built, so
+    ``dataclasses.replace`` keeps it, and a derived geometry passes
+    ``write_ns=None`` to settle it again.  The periods are held as Python
+    floats and the geometry as Python ints, so any number reports as its
+    Python equal does.
     """
 
     clock_ns: float = 1.0
@@ -63,12 +63,9 @@ class TimingParams:
     data_width: int = 128    # W, also the memory column count n
     pattern_len: int = 3
     blocks: int = 8          # B
-    searched_blocks: int | None = None  # K
 
     def __post_init__(self) -> None:
-        if self.searched_blocks is None:
-            object.__setattr__(self, "searched_blocks", self.blocks)
-        for name in ("rows", "data_width", "pattern_len", "blocks", "searched_blocks"):
+        for name in ("rows", "data_width", "pattern_len", "blocks"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         clock, write = self.clock_ns, self.clock_ns if self.write_ns is None else self.write_ns
         if not (0 < clock < math.inf and 0 < write < math.inf):     # NaN fails both
@@ -77,8 +74,6 @@ class TimingParams:
         object.__setattr__(self, "write_ns", float(write))
         if min(self.rows, self.data_width, self.pattern_len, self.blocks) < 1:
             raise ValueError("geometry values must be positive")
-        if not 0 < self.searched_blocks <= self.blocks:
-            raise ValueError(f"searched blocks {self.searched_blocks} outside [1, {self.blocks}]")
         if self.rows % self.blocks != 0:
             raise ValueError(f"rows {self.rows} not divisible into {self.blocks} blocks")
         if self.pattern_len > self.data_width:
@@ -120,8 +115,9 @@ class CycleCounts:
     resets: int
 
     @classmethod
-    def closed_form(cls, params: TimingParams) -> "CycleCounts":
-        k = params.searched_blocks
+    def closed_form(cls, params: TimingParams, k: int) -> "CycleCounts":
+        if not 0 < k <= params.blocks:
+            raise ValueError(f"searched blocks {k} outside [1, {params.blocks}]")
         m, n = params.mem_rows, params.mem_cols
         return cls(
             search=k * params.data_width,
@@ -161,12 +157,15 @@ class EnergyFigures:
 @dataclass(frozen=True)
 class CostReport:
     params: TimingParams
+    searched_blocks: int     # K
     cycles: CycleCounts
     latency: LatencyFigures
     energy: EnergyFigures
 
 
-def latency(params: TimingParams) -> LatencyFigures:
+def latency(params: TimingParams, k: int) -> LatencyFigures:
+    if not 0 < k <= params.blocks:
+        raise ValueError(f"searched blocks {k} outside [1, {params.blocks}]")
     t = params.clock_ns
     m, n = params.mem_rows, params.mem_cols
     t_load = 8 * params.rows * params.write_ns
@@ -180,7 +179,7 @@ def latency(params: TimingParams) -> LatencyFigures:
         dt23_ns=dt23,
         dt34_ns=dt34,
         per_block_ns=per_block,
-        t_total_ns=t_load + params.searched_blocks * per_block,
+        t_total_ns=t_load + k * per_block,
     )
 
 
@@ -198,13 +197,13 @@ def energy(cycles: CycleCounts) -> EnergyFigures:
     return EnergyFigures(**nj, total_nj=total, per_char_pj=total * 1000.0 / cycles.read_cells)
 
 
-def build_report(tparams: TimingParams, metered: CycleCounts) -> CostReport:
-    """Assemble the full report; metered counts must match the closed form."""
-    predicted = CycleCounts.closed_form(tparams)
+def build_report(tparams: TimingParams, k: int, metered: CycleCounts) -> CostReport:
+    """Assemble the report of a K-block search; metered counts must match the closed form."""
+    predicted = CycleCounts.closed_form(tparams, k)
     if metered != predicted:
         raise InternalInvariantError(
             f"metered cycle counts {metered} != closed-form {predicted}")
-    return CostReport(tparams, metered, latency(tparams), energy(metered))
+    return CostReport(tparams, k, metered, latency(tparams, k), energy(metered))
 
 
 def latency_shares(figures: LatencyFigures) -> dict[str, float]:
@@ -228,8 +227,8 @@ def arrays_for_text(chars: int, data_width: int) -> int:
 
 def geometry_for_text(chars: int, pattern_len: int) -> TimingParams:
     """The fewest default arrays, a, that hold the text, as one array of
-    their 512a rows and 8a blocks, all searched; the data width is what
-    ``PHYSICAL_COLS`` leaves beside the pattern's p - 1 replicated columns.
+    their 512a rows and 8a blocks (a scan picks the K it searches); the data
+    width is what ``PHYSICAL_COLS`` leaves beside the p - 1 replicated columns.
     """
     if pattern_len > PHYSICAL_COLS:
         raise ValueError(f"pattern length {pattern_len} exceeds {PHYSICAL_COLS} columns")

@@ -48,8 +48,9 @@ from .seqio import DiseaseEntry, DnaSequence, Pattern, classify
 @dataclass(frozen=True)
 class ScanRequest:
     """One scan, derived and checked when built, also by ``replace``: blocks
-    sorted and deduplicated (``None``: those the text occupies), K and p set in
-    ``timing`` (kept if it holds them), and its latency figures finite."""
+    sorted and deduplicated (``None``: those the text occupies), p set in
+    ``timing`` (kept if it holds it), and its latency figures finite.  K, the
+    blocks searched, is the scan's: ``len(active_blocks)``, not the array's."""
 
     text: DnaSequence
     pattern: Pattern
@@ -76,11 +77,9 @@ class ScanRequest:
         if self.record_detector_trace and not self.cycle_accurate:
             raise ValueError("a detector trace requires cycle-accurate detection (--mode cycle)")
         object.__setattr__(self, "active_blocks", blocks)
-        p, k = len(self.pattern), len(blocks)
-        if (self.timing.pattern_len, self.timing.searched_blocks) != (p, k):
-            object.__setattr__(self, "timing", replace(self.timing, pattern_len=p,
-                                                       searched_blocks=k))
-        for name, value in vars(latency(self.timing)).items():
+        if self.timing.pattern_len != len(self.pattern):
+            object.__setattr__(self, "timing", replace(self.timing, pattern_len=len(self.pattern)))
+        for name, value in vars(latency(self.timing, len(blocks))).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} is {value}: the clock or write period "
                                  "(--clock-ns, --write-ns) is too large")
@@ -196,7 +195,7 @@ def scan(request: ScanRequest) -> ScanResult:
 
     metered = CycleCounts(search=windows, write_columns=windows,
                           read_groups=read_groups, detector_ticks=ticks, resets=resets)
-    report = build_report(timing, metered)
+    report = build_report(timing, len(request.active_blocks), metered)
 
     saturated = global_max >= REGISTER_MAX
     classification = (None if request.disease is None

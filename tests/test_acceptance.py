@@ -42,9 +42,8 @@ def within_pct(computed: float, reference: float, pct: float) -> bool:
 def test_criterion_1_timing_reproduction_exact():
     with criterion(1, "timing closed forms exact; metered run reports identical cycles"):
         params = TimingParams(clock_ns=1.0, write_ns=1.0, rows=512,
-                              data_width=128, pattern_len=3, blocks=8,
-                              searched_blocks=8)
-        fig = latency(params)
+                              data_width=128, pattern_len=3, blocks=8)
+        fig = latency(params, 8)
         assert fig.t_load_ns == 4096.0          # 4.096 us
         assert fig.dt12_ns == 128.5
         assert fig.dt23_ns == 1024.625
@@ -56,13 +55,13 @@ def test_criterion_1_timing_reproduction_exact():
                                rows=512, data_width=128, blocks=8,
                                active_blocks=range(8))
         result = scan(request)
-        assert result.report.cycles == CycleCounts.closed_form(params)
+        assert result.report.cycles == CycleCounts.closed_form(params, 8)
         assert result.report.latency == fig
 
 
 def test_criterion_2_per_block_total():
     with criterion(2, "per-block total 1154.125 ns within 1% of 1.15 us"):
-        fig = latency(TimingParams())
+        fig = latency(TimingParams(), 8)
         assert fig.per_block_ns == 1154.125
         assert within_pct(fig.per_block_ns, 1150.0, 1.0)
 
@@ -78,12 +77,12 @@ def test_criterion_3_million_char_totals():
     totals, metered = {}, {}
     for p, unit in [(3, "CAG"), (5, "CCTGA"), (10, "CAGCAGCAGC")]:
         params = geometry_for_text(1_000_000, p)
-        fig = latency(params)
+        fig = latency(params, params.blocks)
         totals[p] = (fig.t_total_ns - fig.t_load_ns) / 1000.0
         request = ScanRequest(seq, parse_pattern(unit), params,
                               active_blocks=range(params.blocks))
         result = scan(request)
-        assert result.report.params == params
+        assert (result.report.params, result.report.searched_blocks) == (params, params.blocks)
         # the FSM for p agrees with the functional detector, or scan raises
         cycle = scan(replace(request, cycle_accurate=True))
         assert (cycle.global_max, cycle.report) == (result.global_max, result.report)
@@ -106,10 +105,8 @@ def test_criterion_3_million_char_totals():
 
 
 def test_criterion_4_energy():
-    e3 = energy(CycleCounts.closed_form(
-        TimingParams(searched_blocks=1)))
-    e10 = energy(CycleCounts.closed_form(
-        TimingParams(data_width=121, pattern_len=10, searched_blocks=1)))
+    e3 = energy(CycleCounts.closed_form(TimingParams(), 1))
+    e10 = energy(CycleCounts.closed_form(TimingParams(data_width=121, pattern_len=10), 1))
     with criterion(4, f"energy: p3 block {e3.total_nj:.4f} nJ (1% of 5.2); "
                       f"p10 {e10.total_nj:.4f} nJ (3% of 4.9); per-char "
                       f"{e3.per_char_pj:.4f} pJ (10% of 0.61, divisor m*n*blocks)"):

@@ -586,6 +586,8 @@ def _scan_outputs(tmp_path, report, trace):
 def test_outputs_to_the_null_device_exit_0(tmp_path, capsys):
     assert _scan_outputs(tmp_path, os.devnull, tmp_path / "t.csv") == 0
     assert _scan_outputs(tmp_path, tmp_path / "r.json", os.devnull) == 0
+    # a character device loses nothing written twice, so both may name it
+    assert _scan_outputs(tmp_path, os.devnull, os.devnull) == 0
     assert main(["--bits", "101", "--trace", os.devnull]) == 0
     assert capsys.readouterr().err == ""
     assert os.path.exists(os.devnull)
@@ -622,6 +624,51 @@ def test_report_and_trace_on_one_file_exit_1_before_either_is_written(tmp_path, 
     assert code == 1
     assert capsys.readouterr().err == "error: --report and --trace name the same file\n"
     assert target.read_text() == "kept\n" if spell != "new" else not target.exists()
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--pattern", "CAG"], "error: --input is required"),
+    (["--input", "seq.txt"], "error: exactly one of --pattern or --disease is required"),
+    # the output path is checked first, so it is what a run with both faults names
+    (["--pattern", "CAG", "--report", "missing/r.json"],
+     "error: --report 'missing/r.json': No such file or directory"),
+])
+def test_a_scan_without_its_input_or_pattern_exits_1_with_one_line(tmp_path, monkeypatch,
+                                                                   capsys, args, line):
+    monkeypatch.chdir(tmp_path)
+    write_seq(tmp_path, CLEAN)
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_input_without_a_value_is_a_usage_error(capsys):
+    assert main(["--input"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repeatscan ")
+    assert err.endswith("\nerror: argument --input: expected one argument\n")
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--pattern", "CAGX"], "invalid character 'X' at position 4 of the pattern"),
+    (["--pattern", "CAG", "--blocks", "x"], "--blocks must list block indices, not 'x'"),
+    (["--disease", "Nope"], "unknown disease 'Nope'"),
+    (["--pattern", "CAG", "--catalog", "missing.csv"],
+     "[Errno 2] No such file or directory: 'missing.csv'"),
+], ids=["pattern", "blocks", "disease", "catalog"])
+@pytest.mark.parametrize("text", ["seq.txt", "missing.txt"])
+def test_every_value_but_the_text_is_checked_before_the_input_is_read(
+        tmp_path, monkeypatch, capsys, args, line, text):
+    # so a bad value next to a large (or missing) input fails at once, and
+    # names the value, not the input
+    monkeypatch.chdir(tmp_path)
+    write_seq(tmp_path, CLEAN)
+
+    def reached(*args):
+        raise AssertionError("the input was read")
+    monkeypatch.setattr(cli, "parse_text", reached)
+    monkeypatch.setattr(cli, "open", reached, raising=False)
+    assert main(["--input", text, *args]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("mode", [["--bits", "101"], ["--paper-numbers"]])
@@ -953,7 +1000,8 @@ def test_option_set_is_pinned():
 
 def test_scan_settings_are_pinned():
     # a new knob of a scan shows up here as a reviewed diff; the pattern
-    # length and K of a request's timing are derived, not set
+    # length of a request's timing is derived, not set, and K is the
+    # request's active blocks, not a field of the timing
     assert [name for name, param in inspect.signature(make_request).parameters.items()
             if param.kind is param.KEYWORD_ONLY] == [
         "rows", "data_width", "blocks", "clock_ns", "write_ns", "active_blocks",
@@ -962,8 +1010,7 @@ def test_scan_settings_are_pinned():
         "text", "pattern", "timing", "active_blocks", "disease", "cycle_accurate",
         "record_detector_trace"]
     assert [f.name for f in fields(TimingParams)] == [
-        "clock_ns", "write_ns", "rows", "data_width", "pattern_len", "blocks",
-        "searched_blocks"]
+        "clock_ns", "write_ns", "rows", "data_width", "pattern_len", "blocks"]
 
 
 def test_paper_numbers_all_pass(capsys):

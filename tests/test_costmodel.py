@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ def test_default_geometry():
 
 
 def test_latency_reference_instance_exact():
-    fig = latency(DEFAULTS)
+    fig = latency(DEFAULTS, 8)
     assert fig.t_load_ns == 4096.0
     assert fig.dt12_ns == 128.5
     assert fig.dt23_ns == 1024.625
@@ -33,21 +33,21 @@ def test_latency_reference_instance_exact():
 
 def test_total_composition():
     # 16 default arrays as one array of their rows and blocks
-    fig = latency(TimingParams(rows=16 * 512, blocks=16 * 8))
+    fig = latency(TimingParams(rows=16 * 512, blocks=16 * 8), 128)
     assert fig.t_total_ns == fig.t_load_ns + 128 * fig.per_block_ns
     assert fig.t_total_ns - fig.t_load_ns == 147728.0
 
 
 def test_million_char_sizing():
     sizes = {p: geometry_for_text(1_000_000, p) for p in (3, 5, 10)}
-    assert {p: (g.rows, g.blocks, g.searched_blocks, g.data_width)
-            for p, g in sizes.items()} == {3: (8192, 128, 128, 128),
-                                           5: (8192, 128, 128, 126),
-                                           10: (8704, 136, 136, 121)}
-    p10 = sizes[10]
-    assert latency(p10).t_total_ns - latency(p10).t_load_ns == 148393.0
-    # the 16 arrays' loads are charged one after another
-    assert latency(sizes[3]).t_load_ns == 16 * 4096.0
+    assert {p: (g.rows, g.blocks, g.data_width)
+            for p, g in sizes.items()} == {3: (8192, 128, 128),
+                                           5: (8192, 128, 126),
+                                           10: (8704, 136, 121)}
+    p10 = latency(sizes[10], 136)
+    assert p10.t_total_ns - p10.t_load_ns == 148393.0
+    # the 16 arrays' loads are charged one after another, whatever K
+    assert latency(sizes[3], 128).t_load_ns == latency(sizes[3], 1).t_load_ns == 16 * 4096.0
 
 
 @given(st.integers(1, 3_000_000), st.integers(2, 10))
@@ -56,32 +56,36 @@ def test_text_geometry_is_the_fewest_default_arrays(chars, p):
     g = geometry_for_text(chars, p)
     arrays, rest = divmod(g.rows, 512)
     assert rest == 0 and arrays >= 1
-    assert (g.blocks, g.searched_blocks, g.data_width, g.mem_rows) == (8 * arrays, 8 * arrays,
-                                                                         131 - p, 64)
+    assert (g.blocks, g.data_width, g.mem_rows) == (8 * arrays, 131 - p, 64)
     # the text fits, and one array fewer would not hold it
     assert (g.rows - 512) * g.data_width < chars <= g.rows * g.data_width
 
 
-def test_searched_blocks_default_to_every_block_and_never_exceed_them():
-    assert TimingParams(blocks=4).searched_blocks == 4
-    assert DEFAULTS.searched_blocks == DEFAULTS.blocks == 8
-    for k in (0, 9):
-        with pytest.raises(ValueError, match=rf"^searched blocks {k} outside \[1, 8\]$"):
-            TimingParams(searched_blocks=k)
+def test_closed_forms_take_k_the_scan_searches_inside_1_to_b():
+    # K is not the array's: the params hold M rows in B blocks, and the
+    # closed forms that use K take it as an argument
+    assert [f.name for f in fields(TimingParams)] == [
+        "clock_ns", "write_ns", "rows", "data_width", "pattern_len", "blocks"]
+    assert latency(DEFAULTS, 1).t_total_ns == 4096.0 + 1154.125
+    assert CycleCounts.closed_form(DEFAULTS, 1).resets == 1
+    for params, k in [(DEFAULTS, 0), (DEFAULTS, 9), (TimingParams(blocks=4), 5)]:
+        message = rf"^searched blocks {k} outside \[1, {params.blocks}\]$"
+        with pytest.raises(ValueError, match=message):
+            latency(params, k)
+        with pytest.raises(ValueError, match=message):
+            CycleCounts.closed_form(params, k)
 
 
-def test_replace_keeps_the_settled_k_and_write_time_unless_passed_none():
-    # K and T_w settle at construction, so a derived geometry keeps the old
-    # ones until it passes None again
-    assert replace(DEFAULTS, rows=8192, blocks=128).searched_blocks == 8
-    assert replace(DEFAULTS, rows=8192, blocks=128, searched_blocks=None).searched_blocks == 128
+def test_replace_keeps_the_settled_write_time_unless_passed_none():
+    # T_w settles at construction, so a derived geometry keeps the old one
+    # until it passes None again
     assert replace(DEFAULTS, clock_ns=2.0).write_ns == 1.0
     assert replace(DEFAULTS, clock_ns=2.0, write_ns=None).write_ns == 2.0
 
 
 def test_closed_form_cycles():
-    cyc = CycleCounts.closed_form(DEFAULTS)
-    k = DEFAULTS.searched_blocks
+    k = DEFAULTS.blocks
+    cyc = CycleCounts.closed_form(DEFAULTS, k)
     assert cyc.search == k * 128
     assert cyc.write_columns == k * 128
     assert cyc.read_groups == k * 1024
@@ -91,8 +95,7 @@ def test_closed_form_cycles():
 
 
 def test_energy_reference_instance():
-    fig = energy(CycleCounts.closed_form(
-        replace(DEFAULTS, searched_blocks=1)))
+    fig = energy(CycleCounts.closed_form(DEFAULTS, 1))
     assert fig.write_nj == pytest.approx(1.228)
     assert fig.reset_nj == pytest.approx(1.228)
     assert fig.read_nj == pytest.approx(0.82)
@@ -103,27 +106,26 @@ def test_energy_reference_instance():
 
 
 def test_energy_phases_sum_to_total():
-    fig = energy(CycleCounts.closed_form(DEFAULTS))
+    fig = energy(CycleCounts.closed_form(DEFAULTS, 8))
     assert fig.total_nj == pytest.approx(
         fig.write_nj + fig.reset_nj + fig.read_nj + fig.search_nj + fig.detect_nj)
 
 
 def test_energy_scaled_pattern_lengths():
-    p10 = TimingParams(data_width=121, pattern_len=10, searched_blocks=1)
-    fig = energy(CycleCounts.closed_form(p10))
+    p10 = TimingParams(data_width=121, pattern_len=10)
+    fig = energy(CycleCounts.closed_form(p10, 1))
     assert fig.search_nj == pytest.approx(1.1769 * 121 / 128)
     assert abs(fig.total_nj - 4.9) / 4.9 < 0.03
-    p5 = TimingParams(data_width=126, pattern_len=5, searched_blocks=1)
-    fig5 = energy(CycleCounts.closed_form(p5))
+    p5 = TimingParams(data_width=126, pattern_len=5)
+    fig5 = energy(CycleCounts.closed_form(p5, 1))
     assert abs(fig5.total_nj - 5.09) / 5.09 < 0.05
 
 
 def test_energy_linear_in_cycles():
-    base = TimingParams(rows=64, data_width=32, pattern_len=3, blocks=4,
-                        searched_blocks=4)
+    base = TimingParams(rows=64, data_width=32, pattern_len=3, blocks=4)
     doubled = replace(base, data_width=64)
-    e1 = energy(CycleCounts.closed_form(base))
-    e2 = energy(CycleCounts.closed_form(doubled))
+    e1 = energy(CycleCounts.closed_form(base, 4))
+    e2 = energy(CycleCounts.closed_form(doubled, 4))
     assert e2.search_nj == pytest.approx(2 * e1.search_nj)
     assert e2.write_nj == pytest.approx(2 * e1.write_nj)
     assert e2.read_nj == pytest.approx(2 * e1.read_nj)
@@ -131,27 +133,30 @@ def test_energy_linear_in_cycles():
 
 
 def test_breakdown_shares():
-    fig = latency(DEFAULTS)
+    fig = latency(DEFAULTS, 8)
     shares = latency_shares(fig)
     assert shares["reset"] == pytest.approx(1 / 1154.125)
     assert shares["read_detect"] == pytest.approx(1024.625 / 1154.125)
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
-    eshares = energy_shares(energy(CycleCounts.closed_form(DEFAULTS)))
+    eshares = energy_shares(energy(CycleCounts.closed_form(DEFAULTS, 8)))
     assert sum(eshares.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_report_accepts_matching_meter():
-    metered = CycleCounts.closed_form(DEFAULTS)
-    report = build_report(DEFAULTS, metered)
+    metered = CycleCounts.closed_form(DEFAULTS, 3)
+    report = build_report(DEFAULTS, 3, metered)
     assert isinstance(report, CostReport)
-    assert report.cycles == metered
+    assert (report.params, report.searched_blocks, report.cycles) == (DEFAULTS, 3, metered)
+    assert report.latency == latency(DEFAULTS, 3)
 
 
 def test_build_report_rejects_mismatched_meter():
-    metered = CycleCounts.closed_form(DEFAULTS)
+    metered = CycleCounts.closed_form(DEFAULTS, 8)
     wrong = replace(metered, search=metered.search + 1)
     with pytest.raises(InternalInvariantError):
-        build_report(DEFAULTS, wrong)
+        build_report(DEFAULTS, 8, wrong)
+    with pytest.raises(InternalInvariantError):     # the counts of 8 blocks, not 7
+        build_report(DEFAULTS, 7, metered)
 
 
 def test_params_validation():
@@ -188,7 +193,8 @@ def test_params_reject_non_finite_or_negative_periods(field, value):
         TimingParams(**{field: value})
 
 
-geometries = st.sampled_from([1, 2, 4, 8]).flatmap(lambda blocks: st.builds(
+# (params, K) with 1 <= K <= B
+searches = st.sampled_from([1, 2, 4, 8]).flatmap(lambda blocks: st.tuples(st.builds(
     TimingParams,
     clock_ns=st.just(1.0),
     write_ns=st.just(1.0),
@@ -196,28 +202,30 @@ geometries = st.sampled_from([1, 2, 4, 8]).flatmap(lambda blocks: st.builds(
     data_width=st.integers(4, 256),
     pattern_len=st.integers(1, 4),
     blocks=st.just(blocks),
-    searched_blocks=st.integers(1, blocks),
-))
+), st.integers(1, blocks)))
 
 
-@given(geometries, st.data())
+@given(searches, st.data())
 @settings(max_examples=200, deadline=None)
-def test_latency_monotone(params, data):
-    fig = latency(params)
-    growable = ["rows", "data_width"] + (["searched_blocks"]
-                                         if params.searched_blocks < params.blocks else [])
+def test_latency_monotone(search, data):
+    params, k = search
+    fig = latency(params, k)
+    growable = ["rows", "data_width"] + (["k"] if k < params.blocks else [])
     grow = data.draw(st.sampled_from(growable))
-    bumped = replace(params, **{grow: getattr(params, grow) +
-                                (params.blocks if grow == "rows" else 1)})
-    other = latency(bumped)
+    if grow == "k":
+        other = latency(params, k + 1)
+    else:
+        other = latency(replace(params, **{grow: getattr(params, grow) +
+                                           (params.blocks if grow == "rows" else 1)}), k)
     assert other.t_total_ns >= fig.t_total_ns
 
 
-@given(geometries)
+@given(searches)
 @settings(max_examples=100, deadline=None)
-def test_metered_closed_form_consistency(params):
-    cyc = CycleCounts.closed_form(params)
-    k, m, n = params.searched_blocks, params.mem_rows, params.mem_cols
+def test_metered_closed_form_consistency(search):
+    params, k = search
+    cyc = CycleCounts.closed_form(params, k)
+    m, n = params.mem_rows, params.mem_cols
     assert cyc.search == k * params.data_width
     assert cyc.detector_ticks == k * (m * n + 5)
     assert cyc.read_groups == k * m * math.ceil(n / 8)
@@ -228,6 +236,6 @@ def test_reference_constants_describe_the_64x128_instance():
     refs = {phase: ref for phase, (_, ref) in PHASE_ENERGY.items()}
     assert refs == {"write": 128, "reset": 1, "read": 8192, "search": 128,
                     "detect": 8197}
-    one = CycleCounts.closed_form(replace(DEFAULTS, searched_blocks=1))
+    one = CycleCounts.closed_form(DEFAULTS, 1)
     assert (one.write_columns, one.resets, one.read_cells, one.search,
             one.detector_ticks) == tuple(refs.values())

@@ -141,7 +141,8 @@ def test_a_text_past_the_cell_cap_is_refused_without_naming_a_flag():
 
 def test_metered_cycles_match_closed_form():
     result = quick_scan("CAG" * 20, "CAG", rows=4, data_width=16, blocks=2)
-    assert result.report.cycles == CycleCounts.closed_form(result.report.params)
+    assert result.report.searched_blocks == 2
+    assert result.report.cycles == CycleCounts.closed_form(result.report.params, 2)
 
 
 def test_detector_ticks_are_metered_from_each_read_out(monkeypatch):
@@ -182,29 +183,32 @@ def test_fsm_without_a_flush_zero_per_phase_is_an_internal_error(monkeypatch):
 
 
 def test_request_derives_its_blocks_and_timing_when_built():
-    stale = TimingParams(rows=4, data_width=8, pattern_len=5, blocks=4, searched_blocks=3)
+    stale = TimingParams(rows=4, data_width=8, pattern_len=5, blocks=4)
     request = ScanRequest(parse_text("CAG" * 8), parse_pattern("CAG"), stale,
                           active_blocks=[2, 0, 2])
     assert request.active_blocks == (0, 2)
-    assert (request.timing.searched_blocks, request.timing.pattern_len) == (2, 3)
-    # replace derives again: one block scanned, K = 1
+    assert request.timing == replace(stale, pattern_len=3)
+    # replace derives again: one block scanned, K = 1, on the same array
     result = scan(replace(request, active_blocks=[1]))
-    assert result.report.params.searched_blocks == 1
-    assert result.report.cycles == CycleCounts.closed_form(result.report.params)
+    assert (result.report.params, result.report.searched_blocks) == (request.timing, 1)
+    assert result.report.cycles == CycleCounts.closed_form(result.report.params, 1)
     assert len(result.per_block_max) == 1
 
 
 def test_request_keeps_a_timing_that_already_holds_the_derived_values():
     text, pattern = parse_text("CAG" * 8), parse_pattern("CAG")
-    timing = TimingParams(rows=4, data_width=8, pattern_len=3, blocks=4, searched_blocks=2)
-    assert ScanRequest(text, pattern, timing, active_blocks=[2, 0]).timing is timing
-    # a stale K or pattern length is still replaced
-    for stale in (replace(timing, searched_blocks=3), replace(timing, pattern_len=5)):
-        request = ScanRequest(text, pattern, stale, active_blocks=[2, 0])
-        assert request.timing is not stale and request.timing == timing
-    # a default full-array request is built with the K it derives, so it keeps its timing
+    timing = TimingParams(rows=4, data_width=8, pattern_len=3, blocks=4)
+    for blocks in ([2, 0], [3], None):      # whatever K, the array stays
+        assert ScanRequest(text, pattern, timing, active_blocks=blocks).timing is timing
+    # a stale pattern length is still replaced
+    stale = replace(timing, pattern_len=5)
+    request = ScanRequest(text, pattern, stale, active_blocks=[2, 0])
+    assert request.timing is not stale and request.timing == timing
+    # a default request is built with the array alone, at any K
     full = make_request(parse_text("CAG" * 21845 + "T"), pattern)
     assert full.timing == TimingParams() and full.active_blocks == tuple(range(8))
+    short = make_request(parse_text("CAG" * 10), pattern)
+    assert short.timing == TimingParams() and short.active_blocks == (0,)
 
 
 def test_cycle_accurate_mode_agrees_and_traces():
@@ -268,7 +272,7 @@ def test_full_scan_fills_each_block_once_and_meters_every_cycle(monkeypatch):
     # work done, not time: one fill per run of blocks behind the W per-window
     # search cycles of every block, and the metered count is the calls made
     result, calls, array = _counted_scan(monkeypatch)
-    assert result.report.params.searched_blocks == 8
+    assert result.report.searched_blocks == 8
     assert calls["search_cycle"] == 1024 == result.report.cycles.search
     assert calls["fill_blocks"] == [("CAG", 0, 8)]
     # a block searched again reuses its entry; a second pattern gets its own
@@ -283,6 +287,9 @@ def test_gapped_scan_fills_only_the_searched_blocks(monkeypatch):
     # one fill per run of consecutive blocks
     result, calls, array = _counted_scan(monkeypatch, active_blocks=[0, 2, 3, 5])
     assert calls["search_cycle"] == 512 == result.report.cycles.search
+    # the array holds every block; only the report carries K
+    assert array.geometry == result.report.params == TimingParams()
+    assert result.report.searched_blocks == 4
     assert calls["fill_blocks"] == [("CAG", 0, 1), ("CAG", 2, 4), ("CAG", 5, 6)]
     acam.run_block_search(array, 2, parse_pattern("GAT"))
     acam.run_block_search(array, 2, parse_pattern("CAG"))
@@ -318,7 +325,7 @@ def test_functional_scan_lays_out_no_run_and_cycle_mode_one_per_run(monkeypatch)
     monkeypatch.setattr(detector, "_phase_runs", counted)
     rng = random.Random(7)
     text = "".join(rng.choice("ACGT") for _ in range(65536))
-    assert quick_scan(text, "CAG").report.params.searched_blocks == 8
+    assert quick_scan(text, "CAG").report.searched_blocks == 8
     assert layouts == []
     quick_scan(text, "CAG", active_blocks=[0, 2, 3, 5, 6, 7], cycle_accurate=True)
     assert layouts == [n * 8192 + detector.FLUSH_ZEROS for n in (1, 2, 3)]
@@ -376,7 +383,7 @@ def test_write_time_is_one_clock_unless_given():
     assert TimingParams(clock_ns=2.0).write_ns == 2.0
     assert TimingParams(clock_ns=2.0, write_ns=3).write_ns == 3.0
     request = make_request(parse_text("CAG"), parse_pattern("CAG"), clock_ns=2.0)
-    assert request.timing == TimingParams(clock_ns=2.0, searched_blocks=1)
+    assert request.timing == TimingParams(clock_ns=2.0)
 
 
 def test_trace_requires_cycle_accurate_detection():
@@ -400,7 +407,7 @@ def test_scan_on_disease_blocks_from_map():
                        blocks=4, active_blocks=(1, 2), disease=entry)
     res = scan(req)
     assert res.global_max == 5
-    assert res.report.params.searched_blocks == 2
+    assert res.report.searched_blocks == 2
 
 
 @st.composite
